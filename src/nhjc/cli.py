@@ -136,9 +136,12 @@ def _merged_options(args) -> dict:
             config = json.load(stream)
         if not isinstance(config, dict):
             raise SpecValidationError("config: expected a JSON object")
+    for key, kind in (("fixed", dict), ("axes", list)):
+        if key in config and not isinstance(config[key], kind):
+            raise SpecValidationError(f"{key}: expected a JSON {'object' if kind is dict else 'array'}")
     preset_name = args.preset or config.get("preset")
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise SpecValidationError(f"preset: unknown {preset_name!r}, allowed {sorted(PRESETS)}")
         preset = copy.deepcopy(PRESETS[preset_name])
         merged["fixed"].update(preset["fixed"])
@@ -161,12 +164,15 @@ def _merged_options(args) -> dict:
 
 def _fixed_params(merged: dict) -> ModelParams:
     fixed = merged["fixed"]
-    return ModelParams(
-        omega=float(fixed.get("omega", 1.0)),
-        epsilon=float(fixed.get("epsilon", 5.0)),
-        gamma=float(fixed.get("gamma", 1.0)),
-        n=int(fixed.get("n", 0)),
-    )
+    try:
+        return ModelParams(
+            omega=float(fixed.get("omega", 1.0)),
+            epsilon=float(fixed.get("epsilon", 5.0)),
+            gamma=float(fixed.get("gamma", 1.0)),
+            n=int(fixed.get("n", 0)),
+        )
+    except TypeError as exc:
+        raise SpecValidationError(f"fixed: {exc}") from exc
 
 
 def _output_stream(args):

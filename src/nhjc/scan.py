@@ -7,6 +7,12 @@ label and eigenvalues but omit the quantities that need eigenvectors or a
 diagonalizable generator (metric norm, survival, Bloch components); the
 entropy limit ln 2 is still reported there.
 
+Every quantity is a closed form of the cell's own parameters, so a sweep is
+evaluated column by column: one numpy pass per block index over the whole
+grid, repeating the operations of the scalar functions in model, entropy,
+biortho and dynamics.  Those functions remain the per-point reference; the
+columns match them bit for bit, metric_norm to rounding.
+
 Exports are deterministic: fixed row order (block index outermost, then
 axis2-major, then axis1), fixed column order, floats printed with 17
 significant digits so CSV and JSON round-trip byte-for-byte.
@@ -19,26 +25,11 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .dynamics import (
-    BlochState,
-    effective_generator,
-    evolve_no_jump,
-)
-from .biortho import metric
-from .entropy import entanglement_entropy
 from .errors import EmptySweepError, SpecValidationError
-from .model import (
-    Branch,
-    ModelParams,
-    Phase,
-    Spectrum,
-    classify_phase,
-    spectrum_closed_form,
-)
+from .model import ModelParams, Phase, Spectrum
 
 __all__ = [
     "AXIS_NAMES",
@@ -57,6 +48,10 @@ __all__ = [
 
 AXIS_NAMES = ("gamma", "epsilon", "omega", "delta", "delta_sq", "t")
 QUANTITIES = ("eigenvalues", "phase", "metric_norm", "entropy", "survival", "bloch")
+
+# export_csv joins and writes this many rows at a time, so the text of a
+# large sweep is never held in memory at once
+_CSV_CHUNK_ROWS = 512
 
 _BASE_COLUMNS = (
     "n",
@@ -157,81 +152,212 @@ class PhaseCell:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-def _params_at(spec: SweepSpec, n: int, values: dict[str, float]) -> tuple[ModelParams, float | None]:
-    t = values.pop("t", None)
-    kw = {
-        "omega": spec.fixed.omega,
-        "epsilon": spec.fixed.epsilon,
-        "gamma": spec.fixed.gamma,
+_PHASES = (Phase.UNBROKEN, Phase.BROKEN, Phase.EXCEPTIONAL_POINT)
+
+# Extra columns per quantity, in the order a cell's extras list them.
+_EXTRA_KEYS = {
+    "metric_norm": ("metric_norm",),
+    "entropy": ("entropy_I", "entropy_II"),
+    "survival": ("survival",),
+    "bloch": ("bloch_x", "bloch_y", "bloch_z"),
+}
+# The only extras that exceptional-point cells keep (the ln 2 limit).
+_KEPT_AT_EP = frozenset({"entropy_I", "entropy_II"})
+
+
+def _elementwise(fn, x: np.ndarray, quantity: str, what: str) -> np.ndarray:
+    """fn over every entry through Python floats, raising on overflow.
+
+    Used for `** 2`, log, cosh and sinh: numpy's versions differ from the
+    libm calls of the scalar functions in the last bit for some inputs.
+    """
+    try:
+        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    except OverflowError:
+        raise SpecValidationError(f"{quantity}: {what} overflows on this grid") from None
+
+
+# v -> v ** 2.0: the libm pow call behind the scalar code's `x ** 2`, which
+# differs from x * x in the last bit for about 0.08% of inputs
+_square = (2.0).__rpow__
+
+
+def _binary_entropy(a2: np.ndarray) -> np.ndarray:
+    # entropy._binary_entropy_from_ratio over a column
+    out = np.zeros_like(a2)
+    live = (a2 != 0.0) & ~np.isinf(a2)
+    x = a2[live]
+    lam = 1.0 / (1.0 + x)
+    comp = x / (1.0 + x)
+    log_lam = _elementwise(math.log, lam, "entropy", "log")
+    log_comp = _elementwise(math.log, comp, "entropy", "log")
+    out[live] = -(lam * log_lam + comp * log_comp)
+    return out
+
+
+def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
+    """Every column of block n over the whole grid, as lists in grid order.
+
+    Each column repeats the floating-point operations of the scalar function
+    it stands for (classify_phase, spectrum_closed_form, entanglement_entropy,
+    effective_generator + evolve_no_jump), so it matches them bit for bit;
+    metric_norm follows metric() to within rounding.  Returns (phases,
+    discriminant, (eigenvalue_I, eigenvalue_II), extras by key); extras
+    that EP-band cells omit hold NaN there.
+    """
+    size = grid[0][1].size
+    params = {
+        name: np.full(size, float(getattr(spec.fixed, name)))
+        for name in ("omega", "epsilon", "gamma")
     }
-    for name, value in values.items():
+    t = None
+    for name, values in grid:  # a later axis wins, as in the scalar path
         if name == "delta":
-            kw["gamma"] = value / math.sqrt(n + 1)
+            params["gamma"] = values / math.sqrt(n + 1)
         elif name == "delta_sq":
-            kw["gamma"] = math.sqrt(value / (n + 1))
+            params["gamma"] = np.sqrt(values / (n + 1))
+        elif name == "t":
+            t = values
         else:
-            kw[name] = value
-    return ModelParams(n=n, **kw), t
+            params[name] = values
+    omega, gamma = params["omega"], params["gamma"]
+    b = omega - params["epsilon"]
 
+    # ModelParams.discriminant / ep_tolerance and classify_phase
+    b2 = _elementwise(_square, b, "discriminant", "(omega - epsilon)**2")
+    c2 = 4.0 * _elementwise(_square, gamma, "discriminant", "gamma**2") * (n + 1)
+    d = b2 - c2
+    if not np.isfinite(d).all():
+        raise SpecValidationError("discriminant: 4 gamma**2 (n+1) overflows on this grid")
+    at_ep = np.abs(d) <= 1e-10 * np.maximum(1.0, np.maximum(b2, c2))
+    code = np.where(at_ep, 2, np.where(d > 0.0, 0, 1))
 
-def _evaluate_cell(spec: SweepSpec, n: int, coords: tuple[float, ...]) -> PhaseCell:
-    axis_names = tuple(a.name for a in (spec.axis1, spec.axis2) if a is not None)
-    p, t = _params_at(spec, n, dict(zip(axis_names, coords)))
-    label = classify_phase(p)
-    at_ep = label.value is Phase.EXCEPTIONAL_POINT
-    extras: dict[str, float] = {}
+    # spectrum_closed_form: center +- sqrt_discriminant / 2
+    root = np.sqrt(np.abs(d))
+    real_root = d >= 0.0
+    half = 0.5 * root
+    half_re = np.where(real_root, half, 0.0)
+    half_im = np.where(real_root, 0.0, half)
+    center = 0.5 * (2 * n + 1) * omega
+    eigen = []
+    for part_re, part_im in ((center + half_re, 0.0 + half_im), (center - half_re, 0.0 - half_im)):
+        z = np.empty(size, dtype=complex)
+        z.real, z.imag = part_re, part_im
+        eigen.append(z.tolist())
+
+    wanted = set(spec.quantities)
+    columns: dict[str, np.ndarray] = {}
+    coupled = gamma != 0.0
+    if wanted & {"metric_norm", "entropy"}:
+        # biortho.eigenvector_ratios: real ratios with product 1 where the
+        # root is real, (b +- i root) / two_delta where it is imaginary
+        two_delta = np.where(coupled, 2.0 * math.sqrt(n + 1) * gamma, 1.0)
+        lead_is_one = b >= 0.0
+        lead = np.where(lead_is_one, b + root, b - root) / two_delta
+        other = 1.0 / lead
+        ratios = (np.where(lead_is_one, lead, other), np.where(lead_is_one, other, lead))
+        ratio_re = b / two_delta
+        ratio_im = root / two_delta
+    if "entropy" in wanted:
+        modulus = np.hypot(ratio_re, ratio_im)
+        for key, a in zip(("entropy_I", "entropy_II"), ratios):
+            a_abs = np.where(coupled, np.where(real_root, np.abs(a), modulus), 0.0)
+            a2 = _elementwise(_square, a_abs, "entropy", "|alpha|**2")
+            columns[key] = _binary_entropy(a2)
+    if "metric_norm" in wanted:
+        # biortho.metric: G = sum_i |L_i><L_i| with L_i = (1, -conj a_i) / sqrt|1 - a_i^2|
+        g00 = g11 = g01 = 0.0
+        for sign, a in zip((1.0, -1.0), ratios):
+            z = np.empty(size, dtype=complex)
+            z.real = np.where(real_root, a, ratio_re)
+            z.imag = np.where(real_root, 0.0, sign * ratio_im)
+            scale = 1.0 / np.sqrt(np.abs(1.0 - z * z))
+            lower = -np.conj(z) * scale
+            g00 = g00 + scale * scale
+            g11 = g11 + (lower * np.conj(lower)).real
+            g01 = g01 + scale * np.conj(lower)
+        norm = np.sqrt(g00 * g00 + g11 * g11 + 2.0 * (g01 * np.conj(g01)).real)
+        norm = np.where(coupled, norm, math.sqrt(2.0))  # G = I when decoupled
+        if not np.isfinite(norm[~at_ep]).all():
+            raise SpecValidationError("metric_norm: not finite on this grid")
+        columns["metric_norm"] = np.where(at_ep, math.nan, norm)
+    if wanted & {"survival", "bloch"}:
+        # evolve_no_jump from effective_generator: cosh/sinh of 2 Gamma t on
+        # the broken side, a rotation by 2 Lambda t on the unbroken side
+        rx, ry, rz = (float(r) for r in spec.initial_bloch)
+        angle = 2.0 * half * t
+        broken = code == 1
+        unbroken = code == 0
+        ch = _elementwise(math.cosh, angle[broken], "survival/bloch", "cosh(2 Gamma t)")
+        sh = _elementwise(math.sinh, angle[broken], "survival/bloch", "sinh(2 Gamma t)")
+        weight = ch + ry * sh
+        ct, st = np.cos(angle[unbroken]), np.sin(angle[unbroken])
+        dyn = {k: np.full(size, math.nan) for k in ("survival", "bloch_x", "bloch_y", "bloch_z")}
+        for key, on_broken, on_unbroken in (
+            ("survival", weight, 1.0),
+            ("bloch_x", rx / weight, rx * ct - rz * st),
+            ("bloch_y", (sh + ry * ch) / weight, ry),
+            ("bloch_z", rz / weight, rx * st + rz * ct),
+        ):
+            dyn[key][broken] = on_broken
+            dyn[key][unbroken] = on_unbroken
+            if not np.isfinite(dyn[key][~at_ep]).all():
+                raise SpecValidationError(f"survival/bloch: {key} not finite on this grid")
+        for q in ("survival", "bloch"):
+            if q in wanted:
+                columns.update((k, dyn[k]) for k in _EXTRA_KEYS[q])
+
+    extras = {}
     for q in spec.quantities:
-        if q == "metric_norm" and not at_ep:
-            extras["metric_norm"] = float(np.linalg.norm(metric(p).entries))
-        elif q == "entropy":
-            extras["entropy_I"] = entanglement_entropy(p, Branch.I)
-            extras["entropy_II"] = entanglement_entropy(p, Branch.II)
-        elif q in ("survival", "bloch") and t is not None and not at_ep:
-            gen = effective_generator(p)
-            state = evolve_no_jump(gen, BlochState(np.array(spec.initial_bloch)), t)
-            if q == "survival":
-                extras["survival"] = float(state.weight)
-            else:
-                extras["bloch_x"] = float(state.r[0])
-                extras["bloch_y"] = float(state.r[1])
-                extras["bloch_z"] = float(state.r[2])
-    return PhaseCell(
-        coords=tuple(float(c) for c in coords),
-        axis_names=axis_names,
-        n=int(n),
-        phase=label.value,
-        discriminant=float(label.discriminant),
-        eigenvalues=spectrum_closed_form(p),
-        extras=extras,
-    )
+        for key in _EXTRA_KEYS.get(q, ()):
+            extras.setdefault(key, columns[key].tolist())
+    phases = [_PHASES[k] for k in code.tolist()]
+    return phases, d.tolist(), eigen, extras
 
 
 def run_sweep(spec: SweepSpec) -> list[PhaseCell]:
     """Evaluate the grid; rows ordered n-major, then axis2, then axis1.
 
-    Every cell is an independent pure function of its coordinates, so the
-    evaluation order (or a worker pool, if one is ever added) cannot change
-    the result.
+    Each block index is evaluated over the whole grid at once by a column
+    kernel (numpy arrays, with the few operations whose numpy versions
+    differ from libm done per element), then unpacked into cells.
+    Exceptional-point cells keep their label, eigenvalues and entropy but
+    omit metric_norm, survival and bloch.  Raises SpecValidationError,
+    naming the quantity, when a value overflows on the grid.
     """
     spec.validate()
     n_list = tuple(spec.n_list) or (spec.fixed.n,)
-    values1 = spec.axis1.values()
-    cells = []
-    if spec.axis2 is None:
-        for n in n_list:
-            for v1 in values1:
-                cells.append(_evaluate_cell(spec, n, (float(v1),)))
+    axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
+    axis_names = tuple(a.name for a in axes)
+    axis_values = [a.values() for a in axes]
+    if len(axes) == 1:
+        grid = [(axis_names[0], axis_values[0])]
+        coords = [(v,) for v in axis_values[0].tolist()]
     else:
-        values2 = spec.axis2.values()
-        for n in n_list:
-            for v2 in values2:
-                for v1 in values1:
-                    cells.append(_evaluate_cell(spec, n, (float(v1), float(v2))))
+        first, second = axis_values
+        grid = [
+            (axis_names[0], np.tile(first, second.size)),
+            (axis_names[1], np.repeat(second, first.size)),
+        ]
+        firsts = first.tolist()
+        coords = [(v1, v2) for v2 in second.tolist() for v1 in firsts]
+    cells = []
+    at_ep = Phase.EXCEPTIONAL_POINT
+    for n in map(int, n_list):
+        with np.errstate(all="ignore"):
+            phases, disc, (eig_I, eig_II), extras = _grid_columns(spec, n, grid)
+        keys = tuple(extras)
+        kept = [key in _KEPT_AT_EP for key in keys]
+        rows = zip(*extras.values()) if keys else [()] * len(coords)
+        for coord, phase, d, e_I, e_II, row in zip(coords, phases, disc, eig_I, eig_II, rows):
+            if phase is at_ep:
+                row_extras = {k: v for k, v, keep in zip(keys, row, kept) if keep}
+            else:
+                row_extras = dict(zip(keys, row))
+            cells.append(
+                PhaseCell(coord, axis_names, n, phase, d, Spectrum(e_I, e_II), row_extras)
+            )
     return cells
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _columns(cells: list[PhaseCell]) -> list[str]:
@@ -247,23 +373,6 @@ def _check_cells(cells) -> None:
         raise ValueError("cells come from sweeps with different axes")
 
 
-def _cell_row(cell: PhaseCell, columns: list[str]) -> list[str]:
-    n_axes = len(cell.axis_names)
-    row = [_fmt(c) for c in cell.coords]
-    row += [
-        str(cell.n),
-        cell.phase.value,
-        _fmt(cell.discriminant),
-        _fmt(cell.eigenvalues.eigenvalue_I.real),
-        _fmt(cell.eigenvalues.eigenvalue_I.imag),
-        _fmt(cell.eigenvalues.eigenvalue_II.real),
-        _fmt(cell.eigenvalues.eigenvalue_II.imag),
-    ]
-    for key in columns[n_axes + len(_BASE_COLUMNS):]:
-        row.append(_fmt(cell.extras[key]) if key in cell.extras else "")
-    return row
-
-
 def _open_for(target, mode: str):
     if hasattr(target, "write"):
         return target, False
@@ -271,15 +380,43 @@ def _open_for(target, mode: str):
 
 
 def export_csv(cells: list[PhaseCell], path) -> None:
-    """Write cells as RFC-4180 CSV; EP-omitted quantities become empty fields."""
+    """Write cells as RFC-4180 CSV; EP-omitted quantities become empty fields.
+
+    Each row is one %-format applied to the cell's fields, with a format per
+    set of extras present.  The fields are %.17g floats, block indices and
+    phase names, none of which needs CSV quoting.
+    """
     _check_cells(cells)
     columns = _columns(cells)
+    n_axes = len(cells[0].axis_names)
+    extra_keys = columns[n_axes + len(_BASE_COLUMNS):]
+    base = ",".join(["%.17g"] * n_axes + ["%s", "%s"] + ["%.17g"] * 5)
+    layouts: dict[tuple, tuple[str, list[str]]] = {}
+    lines = []
     stream, owned = _open_for(path, "w")
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
+        csv.writer(stream, lineterminator="\n").writerow(columns)
         for cell in cells:
-            writer.writerow(_cell_row(cell, columns))
+            extras = cell.extras
+            layout = layouts.get(tuple(extras))
+            if layout is None:
+                fields = [base] + ["%.17g" if k in extras else "" for k in extra_keys]
+                layout = layouts[tuple(extras)] = (
+                    ",".join(fields) + "\n",
+                    [k for k in extra_keys if k in extras],
+                )
+            row_format, keys = layout
+            e_I = cell.eigenvalues.eigenvalue_I
+            e_II = cell.eigenvalues.eigenvalue_II
+            lines.append(row_format % (
+                *cell.coords, cell.n, cell.phase.value, cell.discriminant,
+                e_I.real, e_I.imag, e_II.real, e_II.imag,
+                *[extras[k] for k in keys],
+            ))
+            if len(lines) == _CSV_CHUNK_ROWS:
+                stream.write("".join(lines))
+                lines.clear()
+        stream.write("".join(lines))
     finally:
         if owned:
             stream.close()
@@ -341,6 +478,13 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     }
 
 
+def _sequence(data: dict, key: str, default):
+    value = data.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise SpecValidationError(f"{key}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def spec_from_dict(data: dict) -> SweepSpec:
     """Inverse of spec_to_dict; also accepts CLI config files."""
     if not isinstance(data, dict):
@@ -368,13 +512,21 @@ def spec_from_dict(data: dict) -> SweepSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecValidationError(f"axes[{i}]: {exc!r}") from exc
+    quantities = data.get("quantities", ("phase",))
+    if not isinstance(quantities, (list, tuple)) or not all(isinstance(q, str) for q in quantities):
+        raise SpecValidationError("quantities: expected a list of names")
+    try:
+        n_list = tuple(int(n) for n in _sequence(data, "n_list", ()))
+        initial_bloch = tuple(float(x) for x in _sequence(data, "initial_bloch", (0.0, 0.0, 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError(str(exc)) from exc
     spec = SweepSpec(
         fixed=params,
         axis1=axes[0],
         axis2=axes[1] if len(axes) == 2 else None,
-        quantities=tuple(data.get("quantities", ("phase",))),
-        n_list=tuple(int(n) for n in data.get("n_list", ())),
-        initial_bloch=tuple(float(x) for x in data.get("initial_bloch", (0.0, 0.0, 1.0))),
+        quantities=tuple(quantities),
+        n_list=n_list,
+        initial_bloch=initial_bloch,
     )
     spec.validate()
     return spec

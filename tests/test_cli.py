@@ -202,6 +202,39 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_sweep_overflow_exits_one(capsys):
+    # (1e200)**2 overflows in the discriminant
+    code, out, err = run_cli(capsys, ["metric", "--grid", "gamma:0:1e200:3"])
+    assert code == 1 and out == ""
+    assert err.startswith("nhjc: error: discriminant:") and err.count("\n") == 1
+    # cosh(2 Gamma t) overflows once 2 Gamma t > 710
+    code, out, err = run_cli(capsys, ["dynamics", "--gamma", "4", "--grid", "t:0:1000:10"])
+    assert code == 1 and out == ""
+    assert err.startswith("nhjc: error: survival/bloch:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        (
+            "spectrum",
+            {"quantities": 5, "axes": [{"name": "delta", "min": 0, "max": 1, "steps": 2}]},
+            "quantities",
+        ),
+        ("spectrum", {"fixed": [1]}, "fixed"),
+        ("spectrum", {"axes": 5}, "axes"),
+        ("spectrum", {"preset": ["fig1"]}, "preset"),
+        ("exponent", {"fixed": {"omega": [1]}}, "fixed"),
+    ],
+)
+def test_config_type_errors_exit_one(capsys, tmp_path, command, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"nhjc: error: {field}:")
+
+
 def test_io_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["spectrum", "--config", str(tmp_path / "missing.json")]

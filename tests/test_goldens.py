@@ -1,0 +1,32 @@
+"""Preset outputs pinned by sha256: refactors must keep the exported bytes.
+
+The prefixes are the first 16 hex digits of each file's sha256, the same
+values the benchmark checks.  A deliberate change of output format updates
+them here and there together.
+"""
+
+import hashlib
+
+import pytest
+
+from nhjc.cli import cli_main
+
+GOLDENS = {
+    "fig1.csv": (["spectrum", "--preset", "fig1", "--format", "csv"], "184322a8a78b2e29"),
+    "fig1.json": (["spectrum", "--preset", "fig1", "--format", "json"], "2ea49d027d7acfab"),
+    "fig3.csv": (["entropy", "--preset", "fig3", "--format", "csv"], "e25ff7489bff950e"),
+    "fig3.json": (["entropy", "--preset", "fig3", "--format", "json"], "ff0e45e5a5d6f213"),
+    "fig2a.csv": (["phase-map", "--preset", "fig2a", "--format", "csv"], "a693e5abdb30fc25"),
+    "fig2d.csv": (["phase-map", "--preset", "fig2d", "--format", "csv"], "7486d2217f034766"),
+    "fig2a.svg": (["phase-map", "--preset", "fig2a", "--format", "svg"], "07b0808852700827"),
+    "dynamics.csv": (["dynamics", "--gamma", "4", "--r0", "0,0,1"], "9ceec7f7610ce01d"),
+    "exponent.txt": (["exponent"], "5fce419822ce78e8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_output_matches_golden(name, tmp_path):
+    argv, prefix = GOLDENS[name]
+    target = tmp_path / name
+    assert cli_main(argv + ["--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest()[:16] == prefix

@@ -288,6 +288,34 @@ def test_spec_from_dict_errors():
         spec_from_dict({"fixed": {"omega": "fast"}, "axes": [{"name": "gamma", "min": 0, "max": 1, "steps": 3}]})
 
 
+def test_spec_from_dict_type_errors():
+    axes = [{"name": "gamma", "min": 0.0, "max": 1.0, "steps": 3}]
+    with pytest.raises(SpecValidationError, match="quantities"):
+        spec_from_dict({"axes": axes, "quantities": 5})
+    with pytest.raises(SpecValidationError, match="quantities"):
+        spec_from_dict({"axes": axes, "quantities": [["phase"]]})
+    with pytest.raises(SpecValidationError, match="n_list"):
+        spec_from_dict({"axes": axes, "n_list": 3})
+    with pytest.raises(SpecValidationError, match="initial_bloch"):
+        spec_from_dict({"axes": axes, "initial_bloch": "xyz"})
+
+
+def test_run_sweep_overflow_names_the_quantity():
+    with pytest.raises(SpecValidationError, match="^discriminant:"):
+        run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1e200, 3)))
+    with pytest.raises(SpecValidationError, match="^discriminant:"):
+        # gamma**2 is finite, 4 gamma**2 (n+1) is not
+        run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1e154, 3)))
+    with pytest.raises(SpecValidationError, match="^survival/bloch:"):
+        run_sweep(
+            SweepSpec(
+                fixed=ModelParams(1.0, 5.0, 4.0, 0),
+                axis1=Axis("t", 0.0, 1000.0, 10),
+                quantities=("survival",),
+            )
+        )
+
+
 def test_axis_and_quantity_registries():
     assert AXIS_NAMES == ("gamma", "epsilon", "omega", "delta", "delta_sq", "t")
     assert QUANTITIES == ("eigenvalues", "phase", "metric_norm", "entropy", "survival", "bloch")
