@@ -342,7 +342,6 @@ def run_sweep(spec: SweepSpec) -> list[PhaseCell]:
         firsts = first.tolist()
         coords = [(v1, v2) for v2 in second.tolist() for v1 in firsts]
     cells = []
-    at_ep = Phase.EXCEPTIONAL_POINT
     for n in map(int, n_list):
         with np.errstate(all="ignore"):
             phases, disc, (eig_I, eig_II), extras = _grid_columns(spec, n, grid)
@@ -350,7 +349,7 @@ def run_sweep(spec: SweepSpec) -> list[PhaseCell]:
         kept = [key in _KEPT_AT_EP for key in keys]
         rows = zip(*extras.values()) if keys else [()] * len(coords)
         for coord, phase, d, e_I, e_II, row in zip(coords, phases, disc, eig_I, eig_II, rows):
-            if phase is at_ep:
+            if phase is Phase.EXCEPTIONAL_POINT:
                 row_extras = {k: v for k, v, keep in zip(keys, row, kept) if keep}
             else:
                 row_extras = dict(zip(keys, row))
