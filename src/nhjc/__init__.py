@@ -11,7 +11,6 @@ sweeps with CSV/JSON/SVG export (see the `nhjc` command-line tool).
 from .biortho import (
     BiorthoSystem,
     MetricBundle,
-    Normalization,
     eigensystem,
     eigenvector_ratios,
     intertwiner,
@@ -27,7 +26,6 @@ from .dynamics import (
     effective_generator,
     evolve_no_jump,
     normalized_state,
-    propagator,
     survival_probability,
 )
 from .entropy import (
@@ -52,15 +50,12 @@ from .errors import (
     ZeroWeightError,
 )
 from .model import (
-    BlockMatrix,
     Branch,
-    MatrixRole,
     ModelParams,
     Phase,
     PhaseLabel,
     Spectrum,
     build_block,
-    build_block_dagger,
     classify_phase,
     critical_gamma,
     ground_state_energy,

@@ -23,19 +23,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from . import numerics
-from .errors import ExceptionalPointError, WrongPhaseError
+from .errors import (
+    ExceptionalPointError,
+    InsufficientSamplesError,
+    NonPositiveDataError,
+    NotHermitianError,
+    NotPositiveDefiniteError,
+    WrongPhaseError,
+    ZeroCouplingError,
+)
 from .model import (
-    BlockMatrix,
-    MatrixRole,
     ModelParams,
     Phase,
     PhaseLabel,
     Spectrum,
+    _finite,
     build_block,
     classify_phase,
     critical_gamma,
@@ -44,7 +49,6 @@ from .model import (
 )
 
 __all__ = [
-    "Normalization",
     "BiorthoSystem",
     "MetricBundle",
     "eigenvector_ratios",
@@ -54,15 +58,9 @@ __all__ = [
     "projectors",
     "pseudo_hermiticity_residual",
     "metric_divergence_exponent",
+    "sqrt_hpd",
+    "loglog_slope",
 ]
-
-
-class Normalization(Enum):
-    """Eigenvector normalization conventions."""
-
-    BIORTHOGONAL = "Biorthogonal"
-    DIRAC_RIGHT = "DiracRight"
-    RAW = "Raw"
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ class BiorthoSystem:
     left_I: np.ndarray
     left_II: np.ndarray
     eigenvalues: Spectrum
-    normalization: Normalization
 
     def pairs(self):
         return ((self.right_I, self.left_I), (self.right_II, self.left_II))
@@ -82,12 +79,15 @@ class BiorthoSystem:
 
 @dataclass(frozen=True)
 class MetricBundle:
-    """Metric G, intertwiner g = sqrt(G), its inverse, and h = g H g^-1."""
+    """Metric G, intertwiner g = sqrt(G), its inverse, and h = g H g^-1.
 
-    G: BlockMatrix
-    g: BlockMatrix
-    g_inv: BlockMatrix
-    h: BlockMatrix
+    Each matrix is a complex 2x2 array.
+    """
+
+    G: np.ndarray
+    g: np.ndarray
+    g_inv: np.ndarray
+    h: np.ndarray
     phase: PhaseLabel
 
 
@@ -100,10 +100,10 @@ def eigenvector_ratios(p: ModelParams) -> tuple[complex, complex]:
     is recovered from that product so both ratios keep full relative
     accuracy down to gamma -> 0.
 
-    Requires gamma != 0.
+    Raises ZeroCouplingError at gamma = 0, where the block is decoupled.
     """
     if p.gamma == 0.0:
-        raise ZeroDivisionError("eigenvector ratios are undefined at gamma = 0")
+        raise ZeroCouplingError("eigenvector ratios are undefined at gamma = 0")
     b = p.omega - p.epsilon
     two_delta = 2.0 * math.sqrt(p.n + 1) * p.gamma
     s = sqrt_discriminant(p)
@@ -117,19 +117,14 @@ def eigenvector_ratios(p: ModelParams) -> tuple[complex, complex]:
     return 1.0 / a_two, a_two
 
 
-def eigensystem(
-    p: ModelParams, normalization: Normalization = Normalization.BIORTHOGONAL
-) -> BiorthoSystem:
-    """Left/right eigenvector pairs of one block.
+def eigensystem(p: ModelParams) -> BiorthoSystem:
+    """Biorthogonally normalized left/right eigenvector pairs of one block.
 
     Pairing follows the eigenvalues: the left partner of branch i is the
     eigenvector of H^dag with eigenvalue conj(R_i), which guarantees
-    <L_i|R_j> = 0 off the diagonal.  Normalizations:
-
-    - Raw: right (1, a_i), left (1, -conj(a_i)); first components +1.
-    - DiracRight: every vector scaled to unit Dirac norm.
-    - Biorthogonal: <L_i|R_j> = delta_ij with the symmetric convention
-      ||L_i|| = ||R_i||; the relative phase lands on the right vector.
+    <L_i|R_j> = 0 off the diagonal.  The pairs are scaled to
+    <L_i|R_i> = 1 with the symmetric convention ||L_i|| = ||R_i||; the
+    relative phase lands on the right vector.
 
     Raises
     ------
@@ -152,39 +147,69 @@ def eigensystem(
         else:
             rights = [e2, e1]
         lefts = [v.copy() for v in rights]
-        return BiorthoSystem(
-            rights[0], rights[1], lefts[0], lefts[1], eigenvalues, normalization
-        )
+        return BiorthoSystem(rights[0], rights[1], lefts[0], lefts[1], eigenvalues)
 
-    a_one, a_two = eigenvector_ratios(p)
-    rights = [np.array([1.0, a], dtype=complex) for a in (a_one, a_two)]
-    lefts = [np.array([1.0, -np.conj(a)], dtype=complex) for a in (a_one, a_two)]
+    rights, lefts = [], []
+    for a in eigenvector_ratios(p):
+        # right (1, a) and left (1, -conj a); where |a| > 1 the same vectors
+        # divided by a and -conj a, written with the reciprocal ratio w = 1/a,
+        # so that their overlap 1 - w^2 cannot overflow as gamma -> 0
+        # (|1 - a^2| = |a|^2 |1 - w^2|)
+        if abs(a) > 1.0:
+            w = 1.0 / a
+            right = np.array([w, 1.0], dtype=complex)
+            left = np.array([-np.conj(w), 1.0], dtype=complex)
+        else:
+            right = np.array([1.0, a], dtype=complex)
+            left = np.array([1.0, -np.conj(a)], dtype=complex)
+        c = complex(np.vdot(left, right))  # 1 - a^2 or 1 - w^2, never 0 off the EP
+        scale = 1.0 / math.sqrt(abs(c))
+        lefts.append(left * scale)
+        rights.append(right * (c.conjugate() / abs(c)) * scale)
+    return BiorthoSystem(rights[0], rights[1], lefts[0], lefts[1], eigenvalues)
 
-    if normalization is Normalization.DIRAC_RIGHT:
-        rights = [v / np.linalg.norm(v) for v in rights]
-        lefts = [v / np.linalg.norm(v) for v in lefts]
-    elif normalization is Normalization.BIORTHOGONAL:
-        for i in range(2):
-            c = complex(np.vdot(lefts[i], rights[i]))  # = 1 - a_i^2, never 0 off the EP
-            scale = 1.0 / math.sqrt(abs(c))
-            lefts[i] = lefts[i] * scale
-            rights[i] = rights[i] * (c.conjugate() / abs(c)) * scale
-    return BiorthoSystem(
-        rights[0], rights[1], lefts[0], lefts[1], eigenvalues, normalization
-    )
 
-
-def metric(p: ModelParams) -> BlockMatrix:
+def metric(p: ModelParams) -> np.ndarray:
     """Metric G = sum_i |L_i><L_i| from the biorthogonally normalized lefts.
 
     Hermitian positive definite in both phases; at gamma = 0 it reduces to
     the identity.  Diverges like |delta - delta_c|**-0.5 toward the EP.
     """
-    system = eigensystem(p, Normalization.BIORTHOGONAL)
+    system = eigensystem(p)
     g = np.outer(system.left_I, system.left_I.conj()) + np.outer(
         system.left_II, system.left_II.conj()
     )
-    return BlockMatrix(0.5 * (g + g.conj().T), MatrixRole.METRIC)
+    return _finite(0.5 * (g + g.conj().T))
+
+
+def sqrt_hpd(m) -> np.ndarray:
+    """Principal square root of a Hermitian positive-definite 2x2 matrix.
+
+    Closed form (M + s I) / sqrt(tr M + 2 s) with s = sqrt(det M) (Levinger,
+    Math. Mag. 53, 222 (1980)).  Raises NotHermitianError /
+    NotPositiveDefiniteError when the input fails the respective precondition.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2) or not np.isfinite(m).all():
+        raise ValueError(f"expected a finite 2x2 matrix, got shape {m.shape}")
+    scale = float(np.linalg.norm(m))
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(scale, 1.0):
+        raise NotHermitianError("matrix is not Hermitian")
+    a = m[0, 0].real
+    d = m[1, 1].real
+    b = 0.5 * (m[0, 1] + m[1, 0].conjugate())  # hermitize roundoff
+    det = a * d - (b.real * b.real + b.imag * b.imag)
+    if det <= 0.0 or a + d <= 0.0:
+        raise NotPositiveDefiniteError(f"determinant {det} and trace {a + d} must be positive")
+    s = math.sqrt(det)
+    root = np.array([[a + s, b], [b.conjugate(), d + s]], dtype=complex)
+    return root / math.sqrt(a + d + 2.0 * s)
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a 2x2 matrix from its adjugate."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
 def intertwiner(p: ModelParams) -> MetricBundle:
@@ -195,29 +220,23 @@ def intertwiner(p: ModelParams) -> MetricBundle:
     """
     label = classify_phase(p)
     big_g = metric(p)
-    small_g = numerics.sqrt_hpd(big_g.entries)
-    small_g_inv = numerics.inv2(small_g)
-    h = small_g @ build_block(p).entries @ small_g_inv
-    return MetricBundle(
-        big_g,
-        BlockMatrix(small_g, MatrixRole.INTERTWINER),
-        BlockMatrix(small_g_inv, MatrixRole.INTERTWINER_INVERSE),
-        BlockMatrix(h, MatrixRole.ISOSPECTRAL),
-        label,
-    )
+    small_g = _finite(sqrt_hpd(big_g))
+    small_g_inv = _finite(_inverse(small_g))
+    h = _finite(small_g @ build_block(p) @ small_g_inv)
+    return MetricBundle(big_g, small_g, small_g_inv, h, label)
 
 
-def projectors(p: ModelParams) -> tuple[BlockMatrix, BlockMatrix]:
+def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projectors rho_i = |R_i><L_i| / <L_i|R_i>.
 
     Trace one, idempotent, mutually annihilating, and complete; independent
-    of the normalization convention.
+    of how the eigenvector pairs are scaled.
     """
-    system = eigensystem(p, Normalization.BIORTHOGONAL)
+    system = eigensystem(p)
     out = []
     for right, left in system.pairs():
         c = complex(np.vdot(left, right))
-        out.append(BlockMatrix(np.outer(right, left.conj()) / c, MatrixRole.PROJECTOR))
+        out.append(_finite(np.outer(right, left.conj()) / c))
     return out[0], out[1]
 
 
@@ -232,9 +251,9 @@ def pseudo_hermiticity_residual(p: ModelParams) -> float:
         raise ExceptionalPointError("metric is singular at the exceptional point")
     if label.value is Phase.BROKEN:
         raise WrongPhaseError("H is pseudo-Hermitian under G only in the unbroken phase")
-    big_g = metric(p).entries
-    h = build_block(p).entries
-    return float(np.linalg.norm(h - numerics.inv2(big_g) @ h.conj().T @ big_g))
+    big_g = metric(p)
+    h = build_block(p)
+    return float(np.linalg.norm(h - _inverse(big_g) @ h.conj().T @ big_g))
 
 
 def metric_divergence_exponent(
@@ -258,5 +277,26 @@ def metric_divergence_exponent(
     for x in offsets:
         delta = delta_c + sign * x
         q = ModelParams(p.omega, p.epsilon, delta / math.sqrt(p.n + 1), p.n)
-        norms.append(float(np.linalg.norm(metric(q).entries)))
-    return numerics.loglog_slope(offsets, norms)
+        norms.append(float(np.linalg.norm(metric(q))))
+    return loglog_slope(offsets, norms)
+
+
+def loglog_slope(xs, ys) -> float:
+    """Ordinary least-squares slope of log(y) against log(x)."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("xs and ys must be 1-d arrays of equal length")
+    if xs.size < 3:
+        raise InsufficientSamplesError(f"need at least 3 samples, got {xs.size}")
+    if np.any(xs <= 0.0) or np.any(ys <= 0.0) or not (
+        np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
+    ):
+        raise NonPositiveDataError("log-log fit needs positive finite data")
+    lx = np.log(xs)
+    ly = np.log(ys)
+    lx -= lx.mean()
+    var = float(np.dot(lx, lx))
+    if var == 0.0:
+        raise InsufficientSamplesError("all x values coincide")
+    return float(np.dot(lx, ly - ly.mean()) / var)

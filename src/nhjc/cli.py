@@ -18,9 +18,8 @@ import sys
 from .biortho import metric_divergence_exponent
 from .dynamics import default_time_grid, effective_generator
 from .errors import SpecValidationError
-from .model import ModelParams
 from .plots import render_svg
-from .scan import Axis, export_csv, export_json, run_sweep, spec_from_dict
+from .scan import _params_from_dict, export_csv, export_json, run_sweep, spec_from_dict
 
 __all__ = ["build_parser", "cli_main", "main", "PRESETS"]
 
@@ -162,19 +161,6 @@ def _merged_options(args) -> dict:
     return merged
 
 
-def _fixed_params(merged: dict) -> ModelParams:
-    fixed = merged["fixed"]
-    try:
-        return ModelParams(
-            omega=float(fixed.get("omega", 1.0)),
-            epsilon=float(fixed.get("epsilon", 5.0)),
-            gamma=float(fixed.get("gamma", 1.0)),
-            n=int(fixed.get("n", 0)),
-        )
-    except TypeError as exc:
-        raise SpecValidationError(f"fixed: {exc}") from exc
-
-
 def _output_stream(args):
     if args.out is None:
         return sys.stdout, False
@@ -182,7 +168,7 @@ def _output_stream(args):
 
 
 def _run_exponent(args, merged) -> int:
-    p = _fixed_params(merged)
+    p = _params_from_dict(merged["fixed"])
     lines = [
         f"slope_below = {metric_divergence_exponent(p, 'below'):.6f}",
         f"slope_above = {metric_divergence_exponent(p, 'above'):.6f}",
@@ -202,7 +188,7 @@ def _run_sweep_command(args, merged) -> int:
         merged["quantities"] = _DEFAULT_QUANTITIES[command]
     if not merged["axes"] and command == "dynamics":
         # no grid given: 500 points on [0, 5/rate] for the fixed parameters
-        gen = effective_generator(_fixed_params(merged))
+        gen = effective_generator(_params_from_dict(merged["fixed"]))
         grid = default_time_grid(gen)
         merged["axes"] = [
             {"name": "t", "min": float(grid[0]), "max": float(grid[-1]), "steps": len(grid)}

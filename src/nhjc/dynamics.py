@@ -28,15 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .errors import ExceptionalPointError, ZeroWeightError
-from .model import (
-    BlockMatrix,
-    MatrixRole,
-    ModelParams,
-    Phase,
-    classify_phase,
-)
+from .model import ModelParams, Phase, classify_phase
 
 __all__ = [
     "SIGMA_X",
@@ -48,7 +41,6 @@ __all__ = [
     "evolve_no_jump",
     "survival_probability",
     "normalized_state",
-    "propagator",
     "default_time_grid",
 ]
 
@@ -173,11 +165,6 @@ def normalized_state(state: BlochState) -> BlochState:
     if state.weight <= _MIN_WEIGHT:
         raise ZeroWeightError(f"weight {state.weight} is too small to normalize")
     return BlochState(state.r, 1.0)
-
-
-def propagator(gen: EffectiveGenerator, t: float) -> BlockMatrix:
-    """exp(-i Heff t) as a matrix, for cross-checks against the closed form."""
-    return BlockMatrix(numerics.expm2(-1j * gen.matrix(), t), MatrixRole.PROPAGATOR)
 
 
 def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:

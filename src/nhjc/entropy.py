@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .biortho import eigenvector_ratios
-from .errors import ZeroCouplingError
 from .model import Branch, ModelParams
 
 __all__ = [
@@ -67,8 +66,6 @@ def alpha_coefficient(p: ModelParams, branch: Branch) -> complex:
     ratio); raises ZeroCouplingError at gamma = 0 where the ratio loses
     meaning.
     """
-    if p.gamma == 0.0:
-        raise ZeroCouplingError("alpha is undefined at gamma = 0 (decoupled block)")
     a_one, a_two = eigenvector_ratios(p)
     return a_one if branch is Branch.I else a_two
 
@@ -79,7 +76,10 @@ def _ratio_squared(p: ModelParams, branch: Branch, side: str) -> float:
     a = alpha_coefficient(p, branch)
     if side == "left":
         a = -a.conjugate()  # left coefficient; same modulus by construction
-    return abs(a) ** 2
+    try:
+        return abs(a) ** 2
+    except OverflowError:  # |a| ~ 1/gamma beyond 1e154: the product-state limit
+        return math.inf
 
 
 def reduced_spectrum(

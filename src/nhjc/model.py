@@ -26,18 +26,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotHermitianError
-
 __all__ = [
     "Branch",
     "Phase",
     "PhaseLabel",
-    "MatrixRole",
     "ModelParams",
-    "BlockMatrix",
     "Spectrum",
     "build_block",
-    "build_block_dagger",
     "sqrt_discriminant",
     "spectrum_closed_form",
     "classify_phase",
@@ -59,19 +54,6 @@ class Phase(Enum):
     UNBROKEN = "Unbroken"
     BROKEN = "Broken"
     EXCEPTIONAL_POINT = "ExceptionalPoint"
-
-
-class MatrixRole(Enum):
-    """What a 2x2 block stands for; Metric additionally enforces Hermiticity."""
-
-    HAMILTONIAN = "Hamiltonian"
-    HAMILTONIAN_DAGGER = "HamiltonianDagger"
-    METRIC = "Metric"
-    INTERTWINER = "Intertwiner"
-    INTERTWINER_INVERSE = "IntertwinerInverse"
-    ISOSPECTRAL = "Isospectral"
-    PROJECTOR = "Projector"
-    PROPAGATOR = "Propagator"
 
 
 @dataclass(frozen=True)
@@ -122,27 +104,11 @@ class ModelParams:
         )
 
 
-_METRIC_HERMITICITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """A 2x2 complex matrix tagged with the role it plays."""
-
-    entries: np.ndarray
-    role: MatrixRole
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        if self.role is MatrixRole.METRIC:
-            scale = float(np.linalg.norm(m))
-            if np.max(np.abs(m - m.conj().T)) > _METRIC_HERMITICITY_TOL * max(scale, 1.0):
-                raise NotHermitianError("metric block is not Hermitian")
-        object.__setattr__(self, "entries", m)
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m itself; ValueError if an entry overflowed to inf or nan."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 @dataclass(frozen=True)
@@ -164,8 +130,8 @@ class PhaseLabel:
     discriminant: float
 
 
-def build_block(p: ModelParams) -> BlockMatrix:
-    """Hamiltonian block on the (n+1)-th invariant subspace."""
+def build_block(p: ModelParams) -> np.ndarray:
+    """Hamiltonian block on the (n+1)-th invariant subspace, a complex 2x2 array."""
     d = math.sqrt(p.n + 1) * p.gamma
     m = np.array(
         [
@@ -174,13 +140,7 @@ def build_block(p: ModelParams) -> BlockMatrix:
         ],
         dtype=complex,
     )
-    return BlockMatrix(m, MatrixRole.HAMILTONIAN)
-
-
-def build_block_dagger(p: ModelParams) -> BlockMatrix:
-    """Hermitian conjugate of the Hamiltonian block."""
-    m = build_block(p).entries.conj().T.copy()
-    return BlockMatrix(m, MatrixRole.HAMILTONIAN_DAGGER)
+    return _finite(m)
 
 
 def sqrt_discriminant(p: ModelParams) -> complex:

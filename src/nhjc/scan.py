@@ -21,7 +21,6 @@ significant digits so CSV and JSON round-trip byte-for-byte.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -182,6 +181,14 @@ def _elementwise(fn, x: np.ndarray, quantity: str, what: str) -> np.ndarray:
 _square = (2.0).__rpow__
 
 
+def _square_or_inf(v: float) -> float:
+    # entropy._ratio_squared: |alpha|**2 overflows only as gamma -> 0
+    try:
+        return v ** 2.0
+    except OverflowError:
+        return math.inf
+
+
 def _binary_entropy(a2: np.ndarray) -> np.ndarray:
     # entropy._binary_entropy_from_ratio over a column
     out = np.zeros_like(a2)
@@ -262,20 +269,25 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
         modulus = np.hypot(ratio_re, ratio_im)
         for key, a in zip(("entropy_I", "entropy_II"), ratios):
             a_abs = np.where(coupled, np.where(real_root, np.abs(a), modulus), 0.0)
-            a2 = _elementwise(_square, a_abs, "entropy", "|alpha|**2")
+            a2 = np.fromiter(map(_square_or_inf, a_abs.tolist()), dtype=float, count=size)
             columns[key] = _binary_entropy(a2)
     if "metric_norm" in wanted:
-        # biortho.metric: G = sum_i |L_i><L_i| with L_i = (1, -conj a_i) / sqrt|1 - a_i^2|
+        # biortho.metric: G = sum_i |L_i><L_i| with L_i = (1, -conj a_i) / sqrt|1 - a_i^2|,
+        # or (-conj w, 1) / sqrt|1 - w^2| with w = 1 / a_i where |a_i| > 1
         g00 = g11 = g01 = 0.0
         for sign, a in zip((1.0, -1.0), ratios):
             z = np.empty(size, dtype=complex)
             z.real = np.where(real_root, a, ratio_re)
             z.imag = np.where(real_root, 0.0, sign * ratio_im)
-            scale = 1.0 / np.sqrt(np.abs(1.0 - z * z))
-            lower = -np.conj(z) * scale
-            g00 = g00 + scale * scale
-            g11 = g11 + (lower * np.conj(lower)).real
-            g01 = g01 + scale * np.conj(lower)
+            flip = np.abs(z) > 1.0
+            w = np.where(flip, 1.0 / z, z)
+            scale = 1.0 / np.sqrt(np.abs(1.0 - w * w))
+            other = -np.conj(w) * scale
+            first = np.where(flip, other, scale)
+            second = np.where(flip, scale, other)
+            g00 = g00 + (first * np.conj(first)).real
+            g11 = g11 + (second * np.conj(second)).real
+            g01 = g01 + first * np.conj(second)
         norm = np.sqrt(g00 * g00 + g11 * g11 + 2.0 * (g01 * np.conj(g01)).real)
         norm = np.where(coupled, norm, math.sqrt(2.0))  # G = I when decoupled
         if not np.isfinite(norm[~at_ep]).all():
@@ -477,6 +489,34 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     }
 
 
+def _whole(value, field: str) -> int:
+    """A config value that must be a whole number, as an int.
+
+    Bools, fractions and non-numbers raise instead of being cut by int().
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise SpecValidationError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _params_from_dict(fixed) -> ModelParams:
+    """The fixed parameters of a config; defaults omega 1, epsilon 5, gamma 1, n 0."""
+    if not isinstance(fixed, dict):
+        raise SpecValidationError("fixed: expected an object")
+    n = _whole(fixed.get("n", 0), "fixed.n")
+    try:
+        return ModelParams(
+            omega=float(fixed.get("omega", 1.0)),
+            epsilon=float(fixed.get("epsilon", 5.0)),
+            gamma=float(fixed.get("gamma", 1.0)),
+            n=n,
+        )
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError(f"fixed: {exc}") from exc
+
+
 def _sequence(data: dict, key: str, default):
     value = data.get(key, default)
     if not isinstance(value, (list, tuple)):
@@ -488,34 +528,22 @@ def spec_from_dict(data: dict) -> SweepSpec:
     """Inverse of spec_to_dict; also accepts CLI config files."""
     if not isinstance(data, dict):
         raise SpecValidationError("config: expected a JSON object")
-    fixed = data.get("fixed", {})
-    if not isinstance(fixed, dict):
-        raise SpecValidationError("fixed: expected an object")
-    try:
-        params = ModelParams(
-            omega=float(fixed.get("omega", 1.0)),
-            epsilon=float(fixed.get("epsilon", 5.0)),
-            gamma=float(fixed.get("gamma", 1.0)),
-            n=int(fixed.get("n", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError(f"fixed: {exc}") from exc
+    params = _params_from_dict(data.get("fixed", {}))
     raw_axes = data.get("axes", [])
     if not isinstance(raw_axes, list) or not 1 <= len(raw_axes) <= 2:
         raise SpecValidationError("axes: need a list of 1 or 2 axis objects")
     axes = []
     for i, raw in enumerate(raw_axes, start=1):
         try:
-            axes.append(
-                Axis(str(raw["name"]), float(raw["min"]), float(raw["max"]), int(raw["steps"]))
-            )
+            name, lo, hi, steps = str(raw["name"]), float(raw["min"]), float(raw["max"]), raw["steps"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecValidationError(f"axes[{i}]: {exc!r}") from exc
+        axes.append(Axis(name, lo, hi, _whole(steps, f"axes[{i}].steps")))
     quantities = data.get("quantities", ("phase",))
     if not isinstance(quantities, (list, tuple)) or not all(isinstance(q, str) for q in quantities):
         raise SpecValidationError("quantities: expected a list of names")
+    n_list = tuple(_whole(n, "n_list") for n in _sequence(data, "n_list", ()))
     try:
-        n_list = tuple(int(n) for n in _sequence(data, "n_list", ()))
         initial_bloch = tuple(float(x) for x in _sequence(data, "initial_bloch", (0.0, 0.0, 1.0)))
     except (TypeError, ValueError) as exc:
         raise SpecValidationError(str(exc)) from exc
@@ -592,10 +620,3 @@ def read_json(path) -> tuple[list[PhaseCell], SweepSpec]:
             )
         )
     return cells, spec
-
-
-def csv_string(cells: list[PhaseCell]) -> str:
-    """export_csv into a string (convenience for tests and stdout)."""
-    buf = io.StringIO()
-    export_csv(cells, buf)
-    return buf.getvalue()

@@ -1,21 +1,138 @@
 """Shared test utilities: independent reference algorithms and random draws.
 
-taylor_expm is deliberately a different algorithm from nhjc.numerics.expm2
-(plain Taylor series with scaling and squaring versus the trace/traceless
-closed form), so the two can face each other as oracle and subject.  The
-closed-form matrices further down are hand-derived for omega = 1, epsilon = 5
-and serve as entrywise pinning targets.
+eig2, expm2 and canonical_phase are brute-force 2x2 linear algebra used as
+oracles: solved in closed form (characteristic polynomial, null spaces,
+trace/traceless exponential splitting), they know nothing of the physical
+model and call no library eigensolver, so they share no code path with the
+model-specific formulas they verify.  taylor_expm is deliberately a different
+algorithm from expm2 (plain Taylor series with scaling and squaring versus
+the trace/traceless closed form), so the two can face each other as oracle
+and subject.  The closed-form matrices further down are hand-derived for
+omega = 1, epsilon = 5 and serve as entrywise pinning targets.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from nhjc.model import ModelParams
 
 _TAYLOR_TERMS = 30
+
+_EYE = np.eye(2, dtype=complex)
+
+# Defectiveness threshold: an eigenvalue collision alone is not enough (a
+# scalar matrix is degenerate but diagonalizable); for a double root the
+# matrix is defective exactly when m - lambda I is nonzero.
+_GAP_TOL = 1e-10
+
+
+def _as_matrix(m) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def canonical_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the largest-modulus component is real positive."""
+    j = int(np.argmax(np.abs(v)))
+    a = complex(v[j])
+    if a == 0.0:
+        return v.copy()
+    return v * (a.conjugate() / abs(a))
+
+
+def _char_roots(m: np.ndarray) -> tuple[complex, complex]:
+    # lambda^2 + b lambda + c with b = -tr, c = det; the root q is formed
+    # from the non-cancelling combination, the other follows from Viete.
+    b = -(m[0, 0] + m[1, 1])
+    c = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    s = cmath.sqrt(b * b - 4.0 * c)
+    if (b.conjugate() * s).real < 0.0:
+        s = -s
+    q = -0.5 * (b + s)
+    if q == 0.0:
+        return 0.0 + 0.0j, -b
+    return q, c / q
+
+
+def _null_vector(a: np.ndarray) -> np.ndarray:
+    """Unit null vector of a numerically singular 2x2 matrix.
+
+    Uses the better-conditioned row; for the zero matrix any vector works
+    and e_1 is returned.
+    """
+    n0 = abs(a[0, 0]) ** 2 + abs(a[0, 1]) ** 2
+    n1 = abs(a[1, 0]) ** 2 + abs(a[1, 1]) ** 2
+    if n0 == 0.0 and n1 == 0.0:
+        return np.array([1.0 + 0.0j, 0.0 + 0.0j])
+    row = a[0] if n0 >= n1 else a[1]
+    v = np.array([-row[1], row[0]])
+    v /= math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+    return canonical_phase(v)
+
+
+@dataclass(frozen=True)
+class EigenPair2:
+    """Eigensystem of a 2x2 matrix.
+
+    right_vectors[i] solves M v = values[i] v; left_vectors[i] solves
+    M^dag l = conj(values[i]) l, i.e. the left partner of the same branch
+    under the biorthogonal pairing.  All vectors have unit Dirac norm and
+    canonical phase.  `defective` marks a genuine eigenvector collapse.
+    """
+
+    values: tuple[complex, complex]
+    right_vectors: tuple[np.ndarray, np.ndarray]
+    left_vectors: tuple[np.ndarray, np.ndarray]
+    defective: bool
+
+
+def eig2(m) -> EigenPair2:
+    """Full eigensystem from the characteristic polynomial and null spaces."""
+    m = _as_matrix(m)
+    l1, l2 = _char_roots(m)
+    scale = float(np.linalg.norm(m))
+    mh = m.conj().T
+    rights, lefts = [], []
+    for lam in (l1, l2):
+        rights.append(_null_vector(m - lam * _EYE))
+        lefts.append(_null_vector(mh - lam.conjugate() * _EYE))
+    gap = abs(l1 - l2)
+    tol = _GAP_TOL * max(scale, 1.0)
+    defective = gap < tol and float(
+        np.abs(m - 0.5 * (l1 + l2) * _EYE).max()
+    ) > tol
+    return EigenPair2(
+        (complex(l1), complex(l2)), (rights[0], rights[1]), (lefts[0], lefts[1]), defective
+    )
+
+
+def expm2(m, t: float = 1.0) -> np.ndarray:
+    """exp(M t) through the trace/traceless splitting.
+
+    With N = M - (tr M / 2) I one has N^2 = q^2 I for q^2 = -det N, hence
+    exp(N t) = cosh(q t) I + sinh(q t)/q N exactly; a short Taylor series
+    takes over below |q t| = 1e-6 where sinh(q t)/q loses accuracy.
+    """
+    m = _as_matrix(m)
+    half_tr = 0.5 * (m[0, 0] + m[1, 1])
+    n = m - half_tr * _EYE
+    q = cmath.sqrt(-(n[0, 0] * n[1, 1] - n[0, 1] * n[1, 0]))
+    z = q * t
+    if abs(z) < 1e-6:
+        core = _EYE + n * t + (n @ n) * (0.5 * t * t)
+    else:
+        core = cmath.cosh(z) * _EYE + (cmath.sinh(z) / q) * n
+    return cmath.exp(half_tr * t) * core
+
 
 
 def taylor_expm(m, t: float = 1.0) -> np.ndarray:
@@ -62,6 +179,11 @@ def random_params(rng, phase: str | None = None, margin: float = 1e-3, n_max: in
         if phase == "broken" and d >= 0.0:
             continue
         return p
+
+
+def random_complex(rng, scale: float = 1.0) -> np.ndarray:
+    """2x2 matrix with independent standard complex normal entries, times scale."""
+    return scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
 
 
 def random_bloch(rng) -> np.ndarray:

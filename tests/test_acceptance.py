@@ -15,6 +15,8 @@ from helpers import (
     broken_isospectral,
     broken_metric,
     broken_projectors,
+    eig2,
+    expm2,
     match_order,
     random_bloch,
     random_params,
@@ -25,12 +27,11 @@ from helpers import (
     unbroken_metric,
     unbroken_projectors,
 )
-from nhjc.biortho import metric, metric_divergence_exponent, intertwiner, projectors
+from nhjc.biortho import metric, metric_divergence_exponent, intertwiner, projectors, sqrt_hpd
 from nhjc.cli import cli_main
 from nhjc.dynamics import BlochState, effective_generator, evolve_no_jump
 from nhjc.entropy import LN2, entanglement_entropy, reduced_spectrum
 from nhjc.model import Branch, ModelParams, build_block, spectrum_closed_form
-from nhjc.numerics import eig2, expm2, sqrt_hpd
 from nhjc.scan import Axis, SweepSpec, run_sweep
 
 
@@ -41,7 +42,7 @@ def test_criterion_01_eigenvalue_branches():
         p = ModelParams(1.0, 5.0, float(d), 0)
         closed = spectrum_closed_form(p)
         got = match_order(
-            eig2(build_block(p).entries).values,
+            eig2(build_block(p)).values,
             (closed.eigenvalue_I, closed.eigenvalue_II),
         )
         assert abs(got[0] - closed.eigenvalue_I) <= 1e-12
@@ -116,8 +117,8 @@ def test_criterion_03_metric_bundle_pinning():
         (unbroken.g_inv, unbroken_intertwiner_inv(1.0)),
         (unbroken.h, unbroken_isospectral(0, 1.0)),
     ):
-        assert np.abs(got.entries - want).max() <= 1e-10
-    h = unbroken.h.entries
+        assert np.abs(got - want).max() <= 1e-10
+    h = unbroken.h
     assert np.abs(h - h.conj().T).max() <= 1e-12
 
     broken = intertwiner(ModelParams(1.0, 5.0, 4.0, 0))
@@ -127,8 +128,8 @@ def test_criterion_03_metric_bundle_pinning():
         (broken.g_inv, broken_intertwiner_inv(4.0)),
         (broken.h, broken_isospectral(0, 4.0)),
     ):
-        assert np.abs(got.entries - want).max() <= 1e-10
-    ht = broken.h.entries
+        assert np.abs(got - want).max() <= 1e-10
+    ht = broken.h
     root12 = math.sqrt(12.0)
     assert abs(ht[0, 1] - root12) <= 1e-12
     assert abs(ht[1, 0] + root12) <= 1e-12
@@ -140,7 +141,7 @@ def test_criterion_04_projector_algebra():
     eye = np.eye(2)
     for _ in range(10_000):
         p = random_params(rng)
-        rho_one, rho_two = (b.entries for b in projectors(p))
+        rho_one, rho_two = projectors(p)
         assert abs(np.trace(rho_one) - 1.0) <= 1e-10
         assert abs(np.trace(rho_two) - 1.0) <= 1e-10
         assert np.abs(rho_one @ rho_one - rho_one).max() <= 1e-10
@@ -152,11 +153,11 @@ def test_criterion_04_projector_algebra():
     got = projectors(ModelParams(1.0, 5.0, 1.0, 0))
     want = unbroken_projectors(1.0)
     for g_mat, w_mat in zip(got, want):
-        assert np.abs(g_mat.entries - w_mat).max() <= 1e-10
+        assert np.abs(g_mat - w_mat).max() <= 1e-10
     got = projectors(ModelParams(1.0, 5.0, 4.0, 0))
     want = broken_projectors(4.0)
     for g_mat, w_mat in zip(got, want):
-        assert np.abs(g_mat.entries - w_mat).max() <= 1e-10
+        assert np.abs(g_mat - w_mat).max() <= 1e-10
     print("PASS criterion 4: projector algebra over 10^4 draws plus pinned forms")
 
 
@@ -171,8 +172,8 @@ def test_criterion_05_critical_exponent():
 
 def test_criterion_06_metric_norm_conservation():
     p = ModelParams(1.0, 5.0, 1.0, 0)
-    big_g = metric(p).entries
-    h = build_block(p).entries
+    big_g = metric(p)
+    h = build_block(p)
     ts = np.linspace(0.0, 10.0, 21)
     us = [expm2(-1j * h, float(t)) for t in ts]
     rng = np.random.default_rng(606)
@@ -187,7 +188,7 @@ def test_criterion_06_metric_norm_conservation():
             assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
 
     pb = ModelParams(1.0, 5.0, 4.0, 0)
-    hb = build_block(pb).entries
+    hb = build_block(pb)
     usb = [expm2(-1j * hb, float(t)) for t in ts]
     for _ in range(100):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -235,7 +236,7 @@ def test_criterion_08_entanglement_entropy():
     for _ in range(500):
         p = random_params(rng)
         closed = spectrum_closed_form(p)
-        pair = eig2(build_block(p).entries)
+        pair = eig2(build_block(p))
         for branch, target in (
             (Branch.I, closed.eigenvalue_I),
             (Branch.II, closed.eigenvalue_II),
@@ -265,7 +266,7 @@ def test_criterion_09_oracle_equivalence():
         p = random_params(rng)
         closed = spectrum_closed_form(p)
         got = match_order(
-            eig2(build_block(p).entries).values,
+            eig2(build_block(p)).values,
             (closed.eigenvalue_I, closed.eigenvalue_II),
         )
         assert abs(got[0] - closed.eigenvalue_I) <= 1e-12

@@ -3,12 +3,14 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import nhjc
 from nhjc.cli import PRESETS, cli_main
 from nhjc.scan import read_csv, read_json
 
@@ -225,6 +227,18 @@ def test_sweep_overflow_exits_one(capsys):
         ("spectrum", {"axes": 5}, "axes"),
         ("spectrum", {"preset": ["fig1"]}, "preset"),
         ("exponent", {"fixed": {"omega": [1]}}, "fixed"),
+        (
+            "spectrum",
+            {"n_list": [1.5], "axes": [{"name": "delta", "min": 0, "max": 1, "steps": 3}]},
+            "n_list",
+        ),
+        (
+            "spectrum",
+            {"axes": [{"name": "delta", "min": 0, "max": 1, "steps": 3.7}]},
+            "axes[1].steps",
+        ),
+        ("exponent", {"fixed": {"n": 1.5}}, "fixed.n"),
+        ("dynamics", {"fixed": {"gamma": 4, "n": True}}, "fixed.n"),
     ],
 )
 def test_config_type_errors_exit_one(capsys, tmp_path, command, config, field):
@@ -266,11 +280,15 @@ def test_preset_registry_complete():
 
 
 def test_console_script_entry_point():
+    # the child imports the same nhjc as this process, installed or not
+    src = os.path.dirname(os.path.dirname(nhjc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "nhjc.cli", "spectrum", "--grid", "gamma:0:3:4"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0].startswith("gamma,n,phase")

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import match_order, random_bloch, random_params
+from helpers import eig2, expm2, match_order, random_bloch, random_params
 
-from nhjc import numerics
 from nhjc.dynamics import (
     SIGMA_Y,
     BlochState,
@@ -15,11 +14,10 @@ from nhjc.dynamics import (
     effective_generator,
     evolve_no_jump,
     normalized_state,
-    propagator,
     survival_probability,
 )
 from nhjc.errors import ExceptionalPointError, ZeroWeightError
-from nhjc.model import MatrixRole, ModelParams, spectrum_closed_form
+from nhjc.model import ModelParams, spectrum_closed_form
 
 BROKEN = ModelParams(1.0, 5.0, 4.0, 0)  # Gamma = sqrt(12)
 UNBROKEN = ModelParams(1.0, 5.0, 1.0, 0)  # Lambda = sqrt(3)
@@ -72,7 +70,7 @@ def test_generator_matrix_structure_and_spectrum():
         assert np.array_equal(m, expected)
         # isospectral to the Hamiltonian block
         s = spectrum_closed_form(p)
-        got = match_order(numerics.eig2(m).values, (s.eigenvalue_I, s.eigenvalue_II))
+        got = match_order(eig2(m).values, (s.eigenvalue_I, s.eigenvalue_II))
         assert abs(got[0] - s.eigenvalue_I) < 1e-10 * max(1.0, abs(s.eigenvalue_I))
         assert abs(got[1] - s.eigenvalue_II) < 1e-10 * max(1.0, abs(s.eigenvalue_II))
 
@@ -105,7 +103,7 @@ def test_evolution_matches_matrix_exponential():
         gen = effective_generator(p)
         t = float(rng.uniform(0.0, 3.0 / gen.rate))
         state = BlochState(random_bloch(rng), weight=float(rng.uniform(0.2, 2.0)))
-        u = numerics.expm2(-1j * gen.matrix(), t)
+        u = expm2(-1j * gen.matrix(), t)
         oracle = u @ state.matrix() @ u.conj().T
         evolved = evolve_no_jump(gen, state, t).matrix()
         scale = max(1.0, float(np.linalg.norm(oracle)))
@@ -179,15 +177,6 @@ def test_normalized_state():
     np.testing.assert_array_equal(normalized_state(state).r, state.r)
     with pytest.raises(ZeroWeightError):
         normalized_state(BlochState(np.array([0.0, 0.0, 1.0]), weight=0.0))
-
-
-def test_propagator_role_and_value():
-    gen = effective_generator(UNBROKEN)
-    block = propagator(gen, 0.8)
-    assert block.role is MatrixRole.PROPAGATOR
-    np.testing.assert_allclose(
-        block.entries, numerics.expm2(-1j * gen.matrix(), 0.8), atol=1e-15
-    )
 
 
 def test_default_time_grid():

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_params
+from helpers import eig2, random_params
 
-from nhjc import numerics
 from nhjc.entropy import (
     LN2,
     EntropyPoint,
@@ -73,7 +72,7 @@ def test_reduced_spectrum_matches_partial_trace():
     rng = np.random.default_rng(92)
     for _ in range(300):
         p = random_params(rng)
-        pair = numerics.eig2(build_block(p).entries)
+        pair = eig2(build_block(p))
         s = spectrum_closed_form(p)
         for branch, target in ((Branch.I, s.eigenvalue_I), (Branch.II, s.eigenvalue_II)):
             k = 0 if abs(pair.values[0] - target) <= abs(pair.values[1] - target) else 1

@@ -1,32 +1,20 @@
-"""Tests for the closed-form 2x2 linear algebra oracles."""
+"""Tests for the closed-form 2x2 linear algebra oracles in helpers."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import taylor_expm
-
-from nhjc import numerics
-from nhjc.errors import (
-    InsufficientSamplesError,
-    NonPositiveDataError,
-    NotHermitianError,
-    NotPositiveDefiniteError,
-)
+from helpers import canonical_phase, eig2, expm2, random_complex, taylor_expm
 
 EYE = np.eye(2, dtype=complex)
-
-
-def random_complex(rng, scale=1.0):
-    return scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
 
 
 # --- eig2 -------------------------------------------------------------------
 
 
 def test_eig2_diagonal_matrix():
-    pair = numerics.eig2(np.diag([2.5, -1.5]))
+    pair = eig2(np.diag([2.5, -1.5]))
     assert pair.values == (2.5, -1.5)
     assert not pair.defective
     np.testing.assert_allclose(pair.right_vectors[0], [1.0, 0.0], atol=1e-15)
@@ -35,7 +23,7 @@ def test_eig2_diagonal_matrix():
 
 def test_eig2_complex_conjugate_pair():
     # block at omega=1, eps=5, gamma=3: roots 0.5 +- i sqrt(20)/2
-    pair = numerics.eig2([[2.5, 3.0], [-3.0, -1.5]])
+    pair = eig2([[2.5, 3.0], [-3.0, -1.5]])
     got = sorted(pair.values, key=lambda z: z.imag)
     assert abs(got[0] - (0.5 - 2.2360679774997896j)) < 1e-14
     assert abs(got[1] - (0.5 + 2.2360679774997896j)) < 1e-14
@@ -46,7 +34,7 @@ def test_eig2_residuals_random():
     rng = np.random.default_rng(21)
     for _ in range(500):
         m = random_complex(rng, scale=rng.uniform(0.1, 10.0))
-        pair = numerics.eig2(m)
+        pair = eig2(m)
         scale = max(1.0, float(np.linalg.norm(m)))
         for lam, right, left in zip(pair.values, pair.right_vectors, pair.left_vectors):
             assert np.linalg.norm(m @ right - lam * right) < 1e-10 * scale
@@ -58,7 +46,7 @@ def test_eig2_residuals_random():
 def test_eig2_vectors_have_canonical_phase():
     rng = np.random.default_rng(22)
     for _ in range(50):
-        pair = numerics.eig2(random_complex(rng))
+        pair = eig2(random_complex(rng))
         for v in pair.right_vectors + pair.left_vectors:
             top = v[int(np.argmax(np.abs(v)))]
             assert top.real > 0.0
@@ -70,7 +58,7 @@ def test_eig2_spectral_reconstruction():
     kept = 0
     while kept < 100:
         m = random_complex(rng)
-        pair = numerics.eig2(m)
+        pair = eig2(m)
         if pair.defective:
             continue
         overlaps = [np.vdot(l, r) for r, l in zip(pair.right_vectors, pair.left_vectors)]
@@ -88,71 +76,35 @@ def test_eig2_spectral_reconstruction():
 
 def test_eig2_flags_defective_block():
     # exceptional point of the omega=1, eps=5, gamma=2 block
-    pair = numerics.eig2([[2.5, 2.0], [-2.0, -1.5]])
+    pair = eig2([[2.5, 2.0], [-2.0, -1.5]])
     assert pair.defective
     assert abs(pair.values[0] - 0.5) < 1e-12
     assert abs(pair.values[1] - 0.5) < 1e-12
 
 
 def test_eig2_scalar_matrix_is_not_defective():
-    pair = numerics.eig2(3.0 * EYE)
+    pair = eig2(3.0 * EYE)
     assert pair.values == (3.0, 3.0)
     assert not pair.defective  # degenerate but diagonalizable
 
 
 def test_eig2_jordan_block_is_defective():
-    pair = numerics.eig2([[1.0, 1.0], [0.0, 1.0]])
+    pair = eig2([[1.0, 1.0], [0.0, 1.0]])
     assert pair.defective
 
 
 def test_eig2_input_validation():
     with pytest.raises(ValueError):
-        numerics.eig2(np.zeros((3, 3)))
+        eig2(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        numerics.eig2([[np.nan, 0.0], [0.0, 1.0]])
-
-
-# --- sqrt_hpd ---------------------------------------------------------------
-
-
-def test_sqrt_hpd_identity_and_scalar():
-    np.testing.assert_allclose(numerics.sqrt_hpd(EYE), EYE, atol=1e-15)
-    np.testing.assert_allclose(numerics.sqrt_hpd(4.0 * EYE), 2.0 * EYE, atol=1e-15)
-
-
-def test_sqrt_hpd_diagonal():
-    got = numerics.sqrt_hpd(np.diag([9.0, 16.0]))
-    np.testing.assert_allclose(got, np.diag([3.0, 4.0]), atol=1e-14)
-
-
-def test_sqrt_hpd_random_reconstruction():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        b = random_complex(rng)
-        m = b @ b.conj().T + rng.uniform(0.05, 1.0) * EYE
-        g = numerics.sqrt_hpd(m)
-        scale = max(1.0, float(np.linalg.norm(m)))
-        assert np.max(np.abs(g - g.conj().T)) < 1e-13 * scale
-        assert np.max(np.abs(g @ g - m)) < 1e-12 * scale
-        assert g[0, 0].real > 0.0 and np.linalg.det(g).real > 0.0
-
-
-def test_sqrt_hpd_rejects_bad_input():
-    with pytest.raises(NotHermitianError):
-        numerics.sqrt_hpd([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError):
-        numerics.sqrt_hpd(-EYE)
-    with pytest.raises(NotPositiveDefiniteError):
-        numerics.sqrt_hpd(np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositiveDefiniteError):
-        numerics.sqrt_hpd(np.diag([1.0, 0.0]))
+        eig2([[np.nan, 0.0], [0.0, 1.0]])
 
 
 # --- expm2 ------------------------------------------------------------------
 
 
 def test_expm2_zero_matrix():
-    np.testing.assert_allclose(numerics.expm2(np.zeros((2, 2))), EYE, atol=1e-15)
+    np.testing.assert_allclose(expm2(np.zeros((2, 2))), EYE, atol=1e-15)
 
 
 def test_expm2_pauli_rotation():
@@ -160,7 +112,7 @@ def test_expm2_pauli_rotation():
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     phi = 0.7
     expected = math.cos(phi) * EYE + 1j * math.sin(phi) * sigma_y
-    np.testing.assert_allclose(numerics.expm2(1j * phi * sigma_y), expected, atol=1e-14)
+    np.testing.assert_allclose(expm2(1j * phi * sigma_y), expected, atol=1e-14)
 
 
 def test_expm2_hyperbolic():
@@ -168,12 +120,12 @@ def test_expm2_hyperbolic():
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     x = 0.3
     expected = math.cosh(x) * EYE + math.sinh(x) * sigma_y
-    np.testing.assert_allclose(numerics.expm2(sigma_y, x), expected, atol=1e-14)
+    np.testing.assert_allclose(expm2(sigma_y, x), expected, atol=1e-14)
 
 
 def test_expm2_nilpotent_is_exact():
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    got = numerics.expm2(n, 0.25)
+    got = expm2(n, 0.25)
     assert np.array_equal(got, EYE + 0.25 * n)
 
 
@@ -183,7 +135,7 @@ def test_expm2_matches_taylor_reference():
         m = random_complex(rng)
         t = float(rng.uniform(0.0, 2.0))
         ref = taylor_expm(m, t)
-        got = numerics.expm2(m, t)
+        got = expm2(m, t)
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, float(np.linalg.norm(ref)))
 
 
@@ -192,7 +144,7 @@ def test_expm2_small_argument_branch():
     for _ in range(50):
         m = random_complex(rng, scale=1e-8)
         ref = taylor_expm(m, 1.0)
-        assert np.max(np.abs(numerics.expm2(m, 1.0) - ref)) < 1e-14
+        assert np.max(np.abs(expm2(m, 1.0) - ref)) < 1e-14
 
 
 def test_expm2_group_properties():
@@ -200,64 +152,22 @@ def test_expm2_group_properties():
     for _ in range(100):
         m = random_complex(rng)
         t = float(rng.uniform(0.1, 2.0))
-        forward = numerics.expm2(m, t)
-        backward = numerics.expm2(m, -t)
+        forward = expm2(m, t)
+        backward = expm2(m, -t)
         assert np.max(np.abs(forward @ backward - EYE)) < 1e-11
         det = np.linalg.det(forward)
         assert abs(det - np.exp(t * np.trace(m))) < 1e-11 * max(1.0, abs(det))
-
-
-# --- inv2 -------------------------------------------------------------------
-
-
-def test_inv2_random():
-    rng = np.random.default_rng(51)
-    for _ in range(100):
-        m = random_complex(rng)
-        if abs(np.linalg.det(m)) < 1e-3:
-            continue
-        assert np.max(np.abs(m @ numerics.inv2(m) - EYE)) < 1e-12
-
-
-def test_inv2_singular():
-    with pytest.raises(ZeroDivisionError):
-        numerics.inv2([[1.0, 2.0], [2.0, 4.0]])
-
-
-# --- loglog_slope -----------------------------------------------------------
-
-
-def test_loglog_slope_exact_power_law():
-    xs = np.geomspace(1e-4, 1e-1, 20)
-    assert math.isclose(numerics.loglog_slope(xs, 3.0 * xs**-0.5), -0.5, abs_tol=1e-12)
-    assert math.isclose(numerics.loglog_slope(xs, 0.1 * xs**2.0), 2.0, abs_tol=1e-12)
-
-
-def test_loglog_slope_errors():
-    xs = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(InsufficientSamplesError):
-        numerics.loglog_slope([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(InsufficientSamplesError):
-        numerics.loglog_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(NonPositiveDataError):
-        numerics.loglog_slope(xs, [1.0, -2.0, 3.0])
-    with pytest.raises(NonPositiveDataError):
-        numerics.loglog_slope([0.0, 2.0, 3.0], xs)
-    with pytest.raises(NonPositiveDataError):
-        numerics.loglog_slope(xs, [1.0, np.inf, 3.0])
-    with pytest.raises(ValueError):
-        numerics.loglog_slope(xs, [1.0, 2.0])
 
 
 # --- canonical_phase --------------------------------------------------------
 
 
 def test_canonical_phase():
-    got = numerics.canonical_phase(np.array([1.0j, 0.0]))
+    got = canonical_phase(np.array([1.0j, 0.0]))
     np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-15)
     zero = np.zeros(2, dtype=complex)
-    assert np.array_equal(numerics.canonical_phase(zero), zero)
+    assert np.array_equal(canonical_phase(zero), zero)
     v = np.array([0.3 - 0.1j, -0.8 + 0.2j])
-    w = numerics.canonical_phase(v)
+    w = canonical_phase(v)
     assert w[1].real > 0.0 and abs(w[1].imag) < 1e-15
     assert math.isclose(float(np.linalg.norm(w)), float(np.linalg.norm(v)), rel_tol=1e-15)

@@ -15,7 +15,6 @@ from nhjc.scan import (
     QUANTITIES,
     Axis,
     SweepSpec,
-    csv_string,
     export_csv,
     export_json,
     read_csv,
@@ -195,7 +194,9 @@ def test_csv_string_matches_file(tmp_path):
     cells = run_sweep(simple_spec())
     path = tmp_path / "sweep.csv"
     export_csv(cells, path)
-    assert csv_string(cells) == path.read_text()
+    buf = io.StringIO()
+    export_csv(cells, buf)
+    assert buf.getvalue() == path.read_text()
 
 
 def test_csv_accepts_stream():
@@ -298,6 +299,18 @@ def test_spec_from_dict_type_errors():
         spec_from_dict({"axes": axes, "n_list": 3})
     with pytest.raises(SpecValidationError, match="initial_bloch"):
         spec_from_dict({"axes": axes, "initial_bloch": "xyz"})
+    # whole numbers are not cut down by int()
+    for n_list in ([1.5], [True], ["2"]):
+        with pytest.raises(SpecValidationError, match="n_list"):
+            spec_from_dict({"axes": axes, "n_list": n_list})
+    for steps in (3.7, True, math.inf):
+        with pytest.raises(SpecValidationError, match=r"axes\[1\]\.steps"):
+            spec_from_dict({"axes": [dict(axes[0], steps=steps)]})
+    for n in (1.5, False):
+        with pytest.raises(SpecValidationError, match=r"fixed\.n"):
+            spec_from_dict({"axes": axes, "fixed": {"n": n}})
+    spec = spec_from_dict({"axes": [dict(axes[0], steps=3.0)], "n_list": [2.0]})
+    assert spec.axis1.steps == 3 and spec.n_list == (2,)
 
 
 def test_run_sweep_overflow_names_the_quantity():

@@ -72,6 +72,10 @@ SPECS["omega_epsilon_fine"] = SweepSpec(
     Axis("epsilon", 0.29, 4.87, 99),
     quantities=("phase",),
 )
+# One coupling so small that the ratio a_II ~ -4 / gamma squares past
+# overflow, then a grid across the EP at gamma = 2.
+for _g in (1e-100, 1e-160, 1e-200, 1e-300):
+    SPECS[f"tiny_gamma_{_g:.0e}"] = SweepSpec(FIXED, Axis("gamma", _g, 3.0, 7), quantities=ALL)
 _rng = np.random.default_rng(2506)
 for _k in range(3):
     _omega, _epsilon = (float(x) for x in _rng.uniform(-3.0, 3.0, 2))
@@ -115,7 +119,7 @@ def expected_extras(spec, p, t):
     out = {}
     for q in spec.quantities:
         if q == "metric_norm" and not at_ep:
-            out["metric_norm"] = float(np.linalg.norm(metric(p).entries))
+            out["metric_norm"] = float(np.linalg.norm(metric(p)))
         elif q == "entropy":
             out["entropy_I"] = entanglement_entropy(p, Branch.I)
             out["entropy_II"] = entanglement_entropy(p, Branch.II)
