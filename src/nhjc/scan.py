@@ -535,7 +535,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
     axes = []
     for i, raw in enumerate(raw_axes, start=1):
         try:
-            name, lo, hi, steps = str(raw["name"]), float(raw["min"]), float(raw["max"]), raw["steps"]
+            name, lo, hi = str(raw["name"]), float(raw["min"]), float(raw["max"])
+            steps = raw["steps"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecValidationError(f"axes[{i}]: {exc!r}") from exc
         axes.append(Axis(name, lo, hi, _whole(steps, f"axes[{i}].steps")))
