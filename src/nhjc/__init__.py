@@ -45,6 +45,7 @@ from .errors import (
     NotHermitianError,
     NotPositiveDefiniteError,
     SpecValidationError,
+    SweepFileError,
     WrongPhaseError,
     ZeroCouplingError,
     ZeroWeightError,
@@ -67,6 +68,7 @@ from .scan import (
     Axis,
     PhaseCell,
     SweepSpec,
+    SweepTable,
     export_csv,
     export_json,
     read_csv,

@@ -41,3 +41,7 @@ class SpecValidationError(ValueError):
 
 class EmptySweepError(ValueError):
     """Export or rendering was asked to process an empty cell list."""
+
+
+class SweepFileError(ValueError):
+    """A CSV or JSON sweep file is malformed; the message names the row or field."""

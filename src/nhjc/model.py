@@ -21,6 +21,7 @@ all quantities are available in closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,6 +57,18 @@ class Phase(Enum):
     EXCEPTIONAL_POINT = "ExceptionalPoint"
 
 
+def _is_block_index(n) -> bool:
+    """n is a whole, non-negative real number (not a bool)."""
+    # type and finiteness first: int() raises its own errors on inf, nan and strings
+    return (
+        not isinstance(n, bool)
+        and isinstance(n, numbers.Real)
+        and math.isfinite(n)
+        and n == int(n)
+        and n >= 0
+    )
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of one invariant subspace.
@@ -83,7 +96,7 @@ class ModelParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if isinstance(self.n, bool) or self.n != int(self.n) or self.n < 0:
+        if not _is_block_index(self.n):
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
 
     @property

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import EmptySweepError
+import numpy as np
+
 from .model import Phase
+from .scan import _as_table
 
 __all__ = ["render_svg"]
 
@@ -124,16 +126,18 @@ def _data_range(values) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _line_series(cells, kind: str) -> list[tuple[str, list[float]]]:
+def _line_series(table, kind: str) -> list[tuple[str, list[float]]]:
     def extra(key):
-        return [c.extras.get(key, math.nan) for c in cells]
+        if key not in table.extras:
+            return [math.nan] * len(table)
+        return np.where(table.omitted[key], math.nan, table.extras[key]).tolist()
 
     if kind == "spectrum":
         return [
-            ("Re I", [c.eigenvalues.eigenvalue_I.real for c in cells]),
-            ("Re II", [c.eigenvalues.eigenvalue_II.real for c in cells]),
-            ("Im I", [c.eigenvalues.eigenvalue_I.imag for c in cells]),
-            ("Im II", [c.eigenvalues.eigenvalue_II.imag for c in cells]),
+            ("Re I", table.eigenvalue_I.real.tolist()),
+            ("Re II", table.eigenvalue_II.real.tolist()),
+            ("Im I", table.eigenvalue_I.imag.tolist()),
+            ("Im II", table.eigenvalue_II.imag.tolist()),
         ]
     if kind == "entropy":
         return [("S I", extra("entropy_I")), ("S II", extra("entropy_II"))]
@@ -141,22 +145,22 @@ def _line_series(cells, kind: str) -> list[tuple[str, list[float]]]:
         return [("|G|", extra("metric_norm"))]
     if kind == "dynamics":
         series = []
-        if any("survival" in c.extras for c in cells):
+        if "survival" in table.extras:
             series.append(("D(t)", extra("survival")))
         for key, label in (("bloch_x", "r_x"), ("bloch_y", "r_y"), ("bloch_z", "r_z")):
-            if any(key in c.extras for c in cells):
+            if key in table.extras:
                 series.append((label, extra(key)))
         return series
     raise ValueError(f"unknown plot kind {kind!r}")
 
 
-def _ep_marker_x(cells, spec) -> float | None:
+def _ep_marker_x(table, spec) -> float | None:
     # vertical marker at the exceptional point, when it can be computed
     if spec is None:
         return None
-    axis = cells[0].axis_names[0]
+    axis = table.axis_names[0]
     gap = abs(spec.fixed.omega - spec.fixed.epsilon)
-    n = cells[0].n
+    n = int(table.n[0])
     if axis == "delta":
         return 0.5 * gap
     if axis == "delta_sq":
@@ -166,9 +170,9 @@ def _ep_marker_x(cells, spec) -> float | None:
     return None
 
 
-def _render_lines(cells, kind: str, spec) -> str:
-    xs = [c.coords[0] for c in cells]
-    series = _line_series(cells, kind)
+def _render_lines(table, kind: str, spec) -> str:
+    xs = table.coords[0].tolist()
+    series = _line_series(table, kind)
     finite = [
         (label, values) for label, values in series
         if any(math.isfinite(v) for v in values)
@@ -180,7 +184,7 @@ def _render_lines(cells, kind: str, spec) -> str:
     ylo, yhi = _data_range(all_y)
     sy = _Scale(ylo, yhi, _HEIGHT - _BOTTOM, _TOP)
     parts = _header(kind)
-    parts += _axes(sx, sy, cells[0].axis_names[0], kind)
+    parts += _axes(sx, sy, table.axis_names[0], kind)
     legend = []
     for i, (label, values) in enumerate(finite):
         stroke = _PALETTE[i % len(_PALETTE)]
@@ -189,7 +193,7 @@ def _render_lines(cells, kind: str, spec) -> str:
         pts_y = [v for v in values if math.isfinite(v)]
         parts.append(_polyline(pts_x, pts_y, sx, sy, stroke, dash))
         legend.append((label, stroke, dash))
-    marker = _ep_marker_x(cells, spec)
+    marker = _ep_marker_x(table, spec)
     if marker is not None and sx.lo <= marker <= sx.hi:
         mx = _px(sx(marker))
         parts.append(
@@ -216,28 +220,30 @@ def _boundary_points(axis_names, x_values, spec, n):
     return branches
 
 
-def _render_raster(cells, spec) -> str:
-    if len({c.n for c in cells}) != 1:
+def _render_raster(table, spec) -> str:
+    n = int(table.n[0])
+    if (table.n != n).any():
         raise ValueError("raster rendering expects a single block index")
-    xs = sorted({c.coords[0] for c in cells})
-    ys = sorted({c.coords[1] for c in cells})
+    cx, cy = table.coords
+    xs = np.unique(cx).tolist()
+    ys = np.unique(cy).tolist()
     half_x = 0.5 * (xs[1] - xs[0]) if len(xs) > 1 else 0.5
     half_y = 0.5 * (ys[1] - ys[0]) if len(ys) > 1 else 0.5
     sx = _Scale(xs[0] - half_x, xs[-1] + half_x, _LEFT, _WIDTH - _RIGHT)
     sy = _Scale(ys[0] - half_y, ys[-1] + half_y, _HEIGHT - _BOTTOM, _TOP)
-    names = cells[0].axis_names
-    parts = _header(f"phase map (n={cells[0].n})")
+    names = table.axis_names
+    parts = _header(f"phase map (n={n})")
     parts += _axes(sx, sy, names[0], names[1])
     w = _px(abs(sx(2 * half_x) - sx(0)))
     h = _px(abs(sy(0) - sy(2 * half_y)))
-    for c in cells:
-        x = _px(sx(c.coords[0] - half_x))
-        y = _px(sy(c.coords[1] + half_y))
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
-            f'fill="{_PHASE_FILL[c.phase]}"/>'
-        )
-    for branch in _boundary_points(names, xs, spec, cells[0].n):
+    # the scales do the same float operations on arrays as on scalars
+    corners = zip(sx(cx - half_x).tolist(), sy(cy + half_y).tolist(), table.phase.tolist())
+    fills = [_PHASE_FILL[p] for p in Phase]
+    parts += [
+        f'<rect x="{_px(x)}" y="{_px(y)}" width="{w}" height="{h}" fill="{fills[k]}"/>'
+        for x, y, k in corners
+    ]
+    for branch in _boundary_points(names, xs, spec, n):
         inside = [(x, y) for x, y in branch if sy.lo <= y <= sy.hi]
         if len(inside) >= 2:
             parts.append(
@@ -254,31 +260,30 @@ def _render_raster(cells, spec) -> str:
 
 
 def render_svg(cells, path, kind: str = "auto", spec=None) -> None:
-    """Render cells to a standalone SVG file or stream.
+    """Render a SweepTable (or a list of cells) to a standalone SVG file or stream.
 
     kind: "auto", "spectrum", "entropy", "metric", "dynamics", or "raster".
     `spec` (the SweepSpec that produced the cells) is optional and enables
     the phase-boundary overlay and the exceptional-point marker.
     """
-    if not cells:
-        raise EmptySweepError("no cells to render")
+    table = _as_table(cells, "render")
     if kind == "auto":
-        if len(cells[0].axis_names) == 2:
+        if len(table.axis_names) == 2:
             kind = "raster"
-        elif any("entropy_I" in c.extras for c in cells):
+        elif "entropy_I" in table.extras:
             kind = "entropy"
-        elif any(k in c.extras for c in cells for k in ("survival", "bloch_x")):
+        elif "survival" in table.extras or "bloch_x" in table.extras:
             kind = "dynamics"
-        elif any("metric_norm" in c.extras for c in cells):
+        elif "metric_norm" in table.extras:
             kind = "metric"
         else:
             kind = "spectrum"
     if kind == "raster":
-        if len(cells[0].axis_names) != 2:
+        if len(table.axis_names) != 2:
             raise ValueError("raster rendering needs a two-axis sweep")
-        text = _render_raster(cells, spec)
+        text = _render_raster(table, spec)
     else:
-        text = _render_lines(cells, kind, spec)
+        text = _render_lines(table, kind, spec)
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -13,6 +13,14 @@ grid, repeating the operations of the scalar functions in model, entropy,
 biortho and dynamics.  Those functions remain the per-point reference; the
 columns match them bit for bit, metric_norm to rounding.
 
+A sweep result is a SweepTable: the axis coordinates, n, phase,
+discriminant, both eigenvalues and each extra quantity as arrays, with a
+mask per extra for the cells that omit it.  It reads as a sequence of
+PhaseCell, built only when a caller indexes or iterates.  run_sweep,
+read_csv and read_json return it; the exporters and plots.render_svg read
+its columns and also accept a plain list of cells.  SweepSpec.validate
+refuses grids of more than MAX_CELLS cells before anything is allocated.
+
 Exports are deterministic: fixed row order (block index outermost, then
 axis2-major, then axis1), fixed column order, floats printed with 17
 significant digits so CSV and JSON round-trip byte-for-byte.
@@ -23,12 +31,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
-from .errors import EmptySweepError, SpecValidationError
-from .model import ModelParams, Phase, Spectrum
+from .errors import EmptySweepError, SpecValidationError, SweepFileError
+from .model import ModelParams, Phase, Spectrum, _is_block_index
 
 __all__ = [
     "AXIS_NAMES",
@@ -36,6 +48,8 @@ __all__ = [
     "Axis",
     "SweepSpec",
     "PhaseCell",
+    "SweepTable",
+    "MAX_CELLS",
     "run_sweep",
     "export_csv",
     "export_json",
@@ -51,6 +65,13 @@ QUANTITIES = ("eigenvalues", "phase", "metric_norm", "entropy", "survival", "blo
 # export_csv joins and writes this many rows at a time, so the text of a
 # large sweep is never held in memory at once
 _CSV_CHUNK_ROWS = 512
+
+# SweepSpec.validate rejects grids with more cells than this
+# (len(n_list) * steps1 * steps2) before anything is allocated
+MAX_CELLS = 10**7
+
+# export_json's stand-in for an omitted extra while it assembles a cell
+_OMITTED = object()
 
 _BASE_COLUMNS = (
     "n",
@@ -93,7 +114,14 @@ class SweepSpec:
     initial_bloch: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def validate(self) -> None:
+        """Raise SpecValidationError listing every problem with the spec.
+
+        Besides the per-field checks, the grid may hold at most MAX_CELLS
+        cells (len(n_list) * axis1.steps * axis2.steps), so an oversized
+        sweep is refused before anything is allocated.
+        """
         problems = []
+        cells = max(1, len(self.n_list))
         axes = [("axis1", self.axis1)]
         if self.axis2 is not None:
             axes.append(("axis2", self.axis2))
@@ -107,8 +135,12 @@ class SweepSpec:
                 problems.append(f"{label}: min/max must be finite")
             elif not axis.min < axis.max:
                 problems.append(f"{label}: min {axis.min} must be < max {axis.max}")
-            if axis.steps < 2:
+            if isinstance(axis.steps, bool) or not isinstance(axis.steps, numbers.Integral):
+                problems.append(f"{label}.steps: expected an integer, got {axis.steps!r}")
+            elif axis.steps < 2:
                 problems.append(f"{label}.steps: need at least 2, got {axis.steps}")
+            else:
+                cells *= axis.steps
             if axis.name == "delta_sq" and axis.min < 0.0:
                 problems.append(f"{label}: delta_sq must be non-negative")
             if axis.name == "t" and axis.min < 0.0:
@@ -127,8 +159,10 @@ class SweepSpec:
         if {"survival", "bloch"} & set(self.quantities) and "t" not in axis_names:
             problems.append("quantities: survival/bloch require a 't' axis")
         for n in self.n_list:
-            if isinstance(n, bool) or n != int(n) or n < 0:
+            if not _is_block_index(n):
                 problems.append(f"n_list: entries must be non-negative integers, got {n!r}")
+        if cells > MAX_CELLS:
+            problems.append(f"grid: {cells} cells exceed the cap of {MAX_CELLS}")
         r = self.initial_bloch
         if len(r) != 3 or not all(math.isfinite(float(x)) for x in r):
             problems.append("initial_bloch: need 3 finite components")
@@ -151,7 +185,117 @@ class PhaseCell:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-_PHASES = (Phase.UNBROKEN, Phase.BROKEN, Phase.EXCEPTIONAL_POINT)
+_PHASES = tuple(Phase)  # the phase code of a table indexes this
+_PHASE_CODE = {p.value: k for k, p in enumerate(_PHASES)}
+
+
+def _complex(re, im) -> np.ndarray:
+    # re + 1j * im would turn a -0.0 real part into 0.0
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+class SweepTable(Sequence):
+    """A sweep result held as columns; reads as a sequence of PhaseCell.
+
+    Columns, one entry per cell in row order: `coords` (one float array per
+    name in `axis_names`), `n`, `phase` (codes indexing `tuple(Phase)`:
+    0 unbroken, 1 broken, 2 exceptional point), `discriminant`,
+    `eigenvalue_I` and `eigenvalue_II` (complex).  `extras` maps each extra
+    quantity to a float array and `omitted` maps the same keys to bool
+    arrays marking the cells that omit the value, so an omitted value stays
+    distinct from a stored NaN; a key every cell omits is dropped.
+
+    `len`, iteration, `t[i]` and `==` behave as on the list of cells the
+    table stands for; a PhaseCell is built only when a caller indexes or
+    iterates, and a slice is again a table.
+    """
+
+    __slots__ = (
+        "axis_names", "coords", "n", "phase", "discriminant",
+        "eigenvalue_I", "eigenvalue_II", "extras", "omitted",
+    )
+
+    def __init__(self, axis_names, coords, n, phase, discriminant,
+                 eigenvalue_I, eigenvalue_II, extras, omitted):
+        self.axis_names = tuple(axis_names)
+        self.coords = tuple(np.asarray(c, dtype=float) for c in coords)
+        self.n = np.asarray(n, dtype=np.int64)
+        self.phase = np.asarray(phase, dtype=np.int8)
+        self.discriminant = np.asarray(discriminant, dtype=float)
+        self.eigenvalue_I = np.asarray(eigenvalue_I, dtype=complex)
+        self.eigenvalue_II = np.asarray(eigenvalue_II, dtype=complex)
+        masks = {k: np.asarray(m, dtype=bool) for k, m in omitted.items()}
+        kept = [k for k in extras if not masks[k].all()]
+        self.extras = {k: np.asarray(extras[k], dtype=float) for k in kept}
+        self.omitted = {k: masks[k] for k in kept}
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    def __repr__(self) -> str:
+        return f"<SweepTable: {len(self)} cells over {self.axis_names}>"
+
+    def _arrays(self):
+        return (*self.coords, self.n, self.phase, self.discriminant,
+                self.eigenvalue_I, self.eigenvalue_II)
+
+    def _cells(self, rows: slice):
+        keys = tuple(self.extras)
+        if keys:
+            extras = zip(*(self.extras[k][rows].tolist() for k in keys))
+            omitted = zip(*(self.omitted[k][rows].tolist() for k in keys))
+        else:
+            extras = omitted = repeat(())
+        coords = zip(*(c[rows].tolist() for c in self.coords))
+        for coord, n, code, d, e_I, e_II, values, omit in zip(
+            coords, self.n[rows].tolist(), self.phase[rows].tolist(),
+            self.discriminant[rows].tolist(), self.eigenvalue_I[rows].tolist(),
+            self.eigenvalue_II[rows].tolist(), extras, omitted,
+        ):
+            yield PhaseCell(
+                coord, self.axis_names, n, _PHASES[code], d, Spectrum(e_I, e_II),
+                {k: v for k, v, o in zip(keys, values, omit) if not o},
+            )
+
+    def __iter__(self):
+        return self._cells(slice(None))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable(
+                self.axis_names, [c[index] for c in self.coords], self.n[index],
+                self.phase[index], self.discriminant[index], self.eigenvalue_I[index],
+                self.eigenvalue_II[index], {k: v[index] for k, v in self.extras.items()},
+                {k: m[index] for k, m in self.omitted.items()},
+            )
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("SweepTable index out of range")
+        return next(self._cells(slice(i, i + 1)))
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        if self is other or len(self) == len(other) == 0:
+            return True
+        return (
+            len(self) == len(other)
+            and self.axis_names == other.axis_names
+            and self.extras.keys() == other.extras.keys()
+            and all(map(np.array_equal, self._arrays(), other._arrays()))
+            and all(
+                np.array_equal(m, other.omitted[k])
+                and np.array_equal(self.extras[k][~m], other.extras[k][~m])
+                for k, m in self.omitted.items()
+            )
+        )
+
 
 # Extra columns per quantity, in the order a cell's extras list them.
 _EXTRA_KEYS = {
@@ -203,12 +347,12 @@ def _binary_entropy(a2: np.ndarray) -> np.ndarray:
 
 
 def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
-    """Every column of block n over the whole grid, as lists in grid order.
+    """Every column of block n over the whole grid, as arrays in grid order.
 
     Each column repeats the floating-point operations of the scalar function
     it stands for (classify_phase, spectrum_closed_form, entanglement_entropy,
     effective_generator + evolve_no_jump), so it matches them bit for bit;
-    metric_norm follows metric() to within rounding.  Returns (phases,
+    metric_norm follows metric() to within rounding.  Returns (phase codes,
     discriminant, (eigenvalue_I, eigenvalue_II), extras by key); extras
     that EP-band cells omit hold NaN there.
     """
@@ -248,9 +392,7 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
     center = 0.5 * (2 * n + 1) * omega
     eigen = []
     for part_re, part_im in ((center + half_re, 0.0 + half_im), (center - half_re, 0.0 - half_im)):
-        z = np.empty(size, dtype=complex)
-        z.real, z.imag = part_re, part_im
-        eigen.append(z.tolist())
+        eigen.append(_complex(part_re, part_im))
 
     wanted = set(spec.quantities)
     columns: dict[str, np.ndarray] = {}
@@ -322,66 +464,96 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
     extras = {}
     for q in spec.quantities:
         for key in _EXTRA_KEYS.get(q, ()):
-            extras.setdefault(key, columns[key].tolist())
-    phases = [_PHASES[k] for k in code.tolist()]
-    return phases, d.tolist(), eigen, extras
+            extras.setdefault(key, columns[key])
+    return code, d, eigen, extras
 
 
-def run_sweep(spec: SweepSpec) -> list[PhaseCell]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid; rows ordered n-major, then axis2, then axis1.
 
     Each block index is evaluated over the whole grid at once by a column
     kernel (numpy arrays, with the few operations whose numpy versions
-    differ from libm done per element), then unpacked into cells.
-    Exceptional-point cells keep their label, eigenvalues and entropy but
-    omit metric_norm, survival and bloch.  Raises SpecValidationError,
-    naming the quantity, when a value overflows on the grid.
+    differ from libm done per element), and the result is a SweepTable of
+    those columns: no PhaseCell is built until the table is indexed or
+    iterated.  Exceptional-point cells keep their label, eigenvalues and
+    entropy but omit metric_norm, survival and bloch.  Raises
+    SpecValidationError, naming the quantity, when a value overflows on the
+    grid.
     """
     spec.validate()
-    n_list = tuple(spec.n_list) or (spec.fixed.n,)
+    n_list = [int(n) for n in spec.n_list or (spec.fixed.n,)]
     axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
-    axis_names = tuple(a.name for a in axes)
-    axis_values = [a.values() for a in axes]
     if len(axes) == 1:
-        grid = [(axis_names[0], axis_values[0])]
-        coords = [(v,) for v in axis_values[0].tolist()]
+        grid = [(axes[0].name, axes[0].values())]
     else:
-        first, second = axis_values
+        first, second = (a.values() for a in axes)
         grid = [
-            (axis_names[0], np.tile(first, second.size)),
-            (axis_names[1], np.repeat(second, first.size)),
+            (axes[0].name, np.tile(first, second.size)),
+            (axes[1].name, np.repeat(second, first.size)),
         ]
-        firsts = first.tolist()
-        coords = [(v1, v2) for v2 in second.tolist() for v1 in firsts]
-    cells = []
-    for n in map(int, n_list):
+    blocks = []
+    for n in n_list:
         with np.errstate(all="ignore"):
-            phases, disc, (eig_I, eig_II), extras = _grid_columns(spec, n, grid)
-        keys = tuple(extras)
-        kept = [key in _KEPT_AT_EP for key in keys]
-        rows = zip(*extras.values()) if keys else [()] * len(coords)
-        for coord, phase, d, e_I, e_II, row in zip(coords, phases, disc, eig_I, eig_II, rows):
-            if phase is Phase.EXCEPTIONAL_POINT:
-                row_extras = {k: v for k, v, keep in zip(keys, row, kept) if keep}
-            else:
-                row_extras = dict(zip(keys, row))
-            cells.append(
-                PhaseCell(coord, axis_names, n, phase, d, Spectrum(e_I, e_II), row_extras)
-            )
-    return cells
+            blocks.append(_grid_columns(spec, n, grid))
+    codes, disc, eigen, extras = zip(*blocks)
+    code = np.concatenate(codes)
+    at_ep = code == 2
+    return SweepTable(
+        tuple(a.name for a in axes),
+        [np.tile(values, len(n_list)) for _, values in grid],
+        np.repeat(n_list, grid[0][1].size),
+        code,
+        np.concatenate(disc),
+        np.concatenate([e[0] for e in eigen]),
+        np.concatenate([e[1] for e in eigen]),
+        {key: np.concatenate([e[key] for e in extras]) for key in extras[0]},
+        {key: np.zeros_like(at_ep) if key in _KEPT_AT_EP else at_ep for key in extras[0]},
+    )
 
 
-def _columns(cells: list[PhaseCell]) -> list[str]:
-    extra_keys = sorted({k for c in cells for k in c.extras})
-    return list(cells[0].axis_names) + list(_BASE_COLUMNS) + extra_keys
-
-
-def _check_cells(cells) -> None:
-    if not cells:
-        raise EmptySweepError("no cells to export")
+def _as_table(cells, action: str) -> SweepTable:
+    """cells as a SweepTable: the table itself, or a list of PhaseCell in columns."""
+    if not len(cells):
+        raise EmptySweepError(f"no cells to {action}")
+    if isinstance(cells, SweepTable):
+        return cells
     names = cells[0].axis_names
     if any(c.axis_names != names for c in cells):
         raise ValueError("cells come from sweeps with different axes")
+    keys = dict.fromkeys(k for c in cells for k in c.extras)
+    return SweepTable(
+        names,
+        zip(*(c.coords for c in cells)),
+        [c.n for c in cells],
+        [_PHASE_CODE[c.phase.value] for c in cells],
+        [c.discriminant for c in cells],
+        [c.eigenvalues.eigenvalue_I for c in cells],
+        [c.eigenvalues.eigenvalue_II for c in cells],
+        {k: [c.extras.get(k, math.nan) for c in cells] for k in keys},
+        {k: [k not in c.extras for c in cells] for k in keys},
+    )
+
+
+def _export_columns(table: SweepTable):
+    """Header, value lists and per-column omitted masks in export order.
+
+    Extras come sorted by key; a mask is None where no cell omits the value.
+    """
+    keys = sorted(table.extras)
+    values = [c.tolist() for c in table.coords] + [
+        table.n.tolist(),
+        [_PHASES[k].value for k in table.phase.tolist()],
+        table.discriminant.tolist(),
+        table.eigenvalue_I.real.tolist(),
+        table.eigenvalue_I.imag.tolist(),
+        table.eigenvalue_II.real.tolist(),
+        table.eigenvalue_II.imag.tolist(),
+    ]
+    omitted = [None] * len(values)
+    for k in keys:
+        values.append(table.extras[k].tolist())
+        omitted.append(table.omitted[k].tolist() if table.omitted[k].any() else None)
+    return [*table.axis_names, *_BASE_COLUMNS, *keys], values, omitted
 
 
 def _open_for(target, mode: str):
@@ -390,51 +562,74 @@ def _open_for(target, mode: str):
     return open(target, mode, newline="" if "b" not in mode else None), True
 
 
-def export_csv(cells: list[PhaseCell], path) -> None:
-    """Write cells as RFC-4180 CSV; EP-omitted quantities become empty fields.
+def export_csv(cells: Sequence[PhaseCell], path) -> None:
+    """Write a SweepTable (or a list of cells) as RFC-4180 CSV.
 
-    Each row is one %-format applied to the cell's fields, with a format per
-    set of extras present.  The fields are %.17g floats, block indices and
-    phase names, none of which needs CSV quoting.
+    EP-omitted quantities become empty fields.  Every row is one %-format
+    over the columns; the fields are %.17g floats, block indices and phase
+    names, none of which needs CSV quoting.
     """
-    _check_cells(cells)
-    columns = _columns(cells)
-    n_axes = len(cells[0].axis_names)
-    extra_keys = columns[n_axes + len(_BASE_COLUMNS):]
-    base = ",".join(["%.17g"] * n_axes + ["%s", "%s"] + ["%.17g"] * 5)
-    layouts: dict[tuple, tuple[str, list[str]]] = {}
-    lines = []
+    table = _as_table(cells, "export")
+    header, values, omitted = _export_columns(table)
+    fields = ["%.17g"] * len(header)
+    n_axes = len(table.axis_names)
+    fields[n_axes:n_axes + 2] = ["%s", "%s"]  # n, phase
+    for i, mask in enumerate(omitted):
+        if mask is not None:
+            values[i] = ["" if o else "%.17g" % v for v, o in zip(values[i], mask)]
+            fields[i] = "%s"
+    row_format = (",".join(fields) + "\n").__mod__
+    rows = zip(*values)
     stream, owned = _open_for(path, "w")
     try:
-        csv.writer(stream, lineterminator="\n").writerow(columns)
-        for cell in cells:
-            extras = cell.extras
-            layout = layouts.get(tuple(extras))
-            if layout is None:
-                fields = [base] + ["%.17g" if k in extras else "" for k in extra_keys]
-                layout = layouts[tuple(extras)] = (
-                    ",".join(fields) + "\n",
-                    [k for k in extra_keys if k in extras],
-                )
-            row_format, keys = layout
-            e_I = cell.eigenvalues.eigenvalue_I
-            e_II = cell.eigenvalues.eigenvalue_II
-            lines.append(row_format % (
-                *cell.coords, cell.n, cell.phase.value, cell.discriminant,
-                e_I.real, e_I.imag, e_II.real, e_II.imag,
-                *[extras[k] for k in keys],
-            ))
-            if len(lines) == _CSV_CHUNK_ROWS:
-                stream.write("".join(lines))
-                lines.clear()
-        stream.write("".join(lines))
+        csv.writer(stream, lineterminator="\n").writerow(header)
+        while chunk := "".join(map(row_format, islice(rows, _CSV_CHUNK_ROWS))):
+            stream.write(chunk)
     finally:
         if owned:
             stream.close()
 
 
-def read_csv(path) -> list[PhaseCell]:
-    """Parse a file produced by export_csv back into cells."""
+def _parsed(fn, raw, field: str, where) -> list:
+    """fn over a column of raw values; a value it rejects names its row."""
+    try:
+        return list(map(fn, raw))
+    except (TypeError, ValueError, KeyError):
+        for k, value in enumerate(raw):
+            try:
+                fn(value)
+            except (TypeError, ValueError, KeyError):
+                raise SweepFileError(f"{where(k)}: bad {field} {value!r}") from None
+        raise
+
+
+def _float_or_omitted(value) -> float:
+    return math.nan if value == "" else float(value)
+
+
+def _parse_table(axis_names, column, extra_keys, where) -> SweepTable:
+    """A table from raw columns: column(key) lists one value per row, "" for
+    an omitted extra; where(k) names row k in error messages."""
+    eigen = {k: _parsed(float, column(k), k, where) for k in _BASE_COLUMNS[3:]}
+    return SweepTable(
+        axis_names,
+        [_parsed(float, column(a), a, where) for a in axis_names],
+        _parsed(int, column("n"), "n", where),
+        _parsed(_PHASE_CODE.__getitem__, column("phase"), "phase", where),
+        _parsed(float, column("discriminant"), "discriminant", where),
+        _complex(eigen["eigenvalue_I_re"], eigen["eigenvalue_I_im"]),
+        _complex(eigen["eigenvalue_II_re"], eigen["eigenvalue_II_im"]),
+        {k: _parsed(_float_or_omitted, column(k), k, where) for k in extra_keys},
+        {k: [v == "" for v in column(k)] for k in extra_keys},
+    )
+
+
+def read_csv(path) -> SweepTable:
+    """Parse a file produced by export_csv back into a SweepTable.
+
+    Malformed input (a missing column, a short row, a bad value) raises
+    SweepFileError naming the column or the line.
+    """
     stream, owned = _open_for(path, "r")
     try:
         rows = list(csv.reader(stream))
@@ -443,29 +638,22 @@ def read_csv(path) -> list[PhaseCell]:
             stream.close()
     if not rows:
         raise EmptySweepError("empty CSV")
-    header = rows[0]
+    header, body = rows[0], rows[1:]
+    missing = [c for c in _BASE_COLUMNS if c not in header]
+    if missing:
+        raise SweepFileError(f"CSV header: missing column(s) {', '.join(missing)}")
     n_axes = header.index("n")
-    axis_names = tuple(header[:n_axes])
-    extra_keys = header[n_axes + len(_BASE_COLUMNS):]
-    cells = []
-    for row in rows[1:]:
-        rec = dict(zip(header, row))
-        extras = {k: float(rec[k]) for k in extra_keys if rec[k] != ""}
-        cells.append(
-            PhaseCell(
-                coords=tuple(float(v) for v in row[:n_axes]),
-                axis_names=axis_names,
-                n=int(rec["n"]),
-                phase=Phase(rec["phase"]),
-                discriminant=float(rec["discriminant"]),
-                eigenvalues=Spectrum(
-                    complex(float(rec["eigenvalue_I_re"]), float(rec["eigenvalue_I_im"])),
-                    complex(float(rec["eigenvalue_II_re"]), float(rec["eigenvalue_II_im"])),
-                ),
-                extras=extras,
-            )
-        )
-    return cells
+    extra_at = n_axes + len(_BASE_COLUMNS)
+    if tuple(header[n_axes:extra_at]) != _BASE_COLUMNS:
+        raise SweepFileError(f"CSV header: expected {','.join(_BASE_COLUMNS)} after the axes")
+    width = len(header)
+    for k, row in enumerate(body):
+        if len(row) != width:
+            raise SweepFileError(f"line {k + 2}: {len(row)} fields, the header has {width}")
+    columns = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
+    return _parse_table(
+        header[:n_axes], columns.__getitem__, header[extra_at:], lambda k: f"line {k + 2}"
+    )
 
 
 def spec_to_dict(spec: SweepSpec) -> dict:
@@ -560,28 +748,19 @@ def spec_from_dict(data: dict) -> SweepSpec:
     return spec
 
 
-def _cell_to_obj(cell: PhaseCell, extra_keys: list[str]) -> dict:
-    obj = dict(zip(cell.axis_names, cell.coords))
-    obj["n"] = cell.n
-    obj["phase"] = cell.phase.value
-    obj["discriminant"] = cell.discriminant
-    obj["eigenvalue_I_re"] = cell.eigenvalues.eigenvalue_I.real
-    obj["eigenvalue_I_im"] = cell.eigenvalues.eigenvalue_I.imag
-    obj["eigenvalue_II_re"] = cell.eigenvalues.eigenvalue_II.real
-    obj["eigenvalue_II_im"] = cell.eigenvalues.eigenvalue_II.imag
-    for key in extra_keys:
-        if key in cell.extras:
-            obj[key] = cell.extras[key]
-    return obj
-
-
-def export_json(cells: list[PhaseCell], path, spec: SweepSpec) -> None:
-    """Write cells plus a `meta` object echoing the sweep spec."""
-    _check_cells(cells)
-    extra_keys = sorted({k for c in cells for k in c.extras})
+def export_json(cells: Sequence[PhaseCell], path, spec: SweepSpec) -> None:
+    """Write a SweepTable (or a list of cells) plus a `meta` object echoing
+    the sweep spec."""
+    table = _as_table(cells, "export")
+    header, values, omitted = _export_columns(table)
+    for i, mask in enumerate(omitted):
+        if mask is not None:
+            values[i] = [_OMITTED if o else v for v, o in zip(values[i], mask)]
     payload = {
         "meta": spec_to_dict(spec),
-        "cells": [_cell_to_obj(c, extra_keys) for c in cells],
+        "cells": [
+            {k: v for k, v in zip(header, row) if v is not _OMITTED} for row in zip(*values)
+        ],
     }
     stream, owned = _open_for(path, "w")
     try:
@@ -592,32 +771,36 @@ def export_json(cells: list[PhaseCell], path, spec: SweepSpec) -> None:
             stream.close()
 
 
-def read_json(path) -> tuple[list[PhaseCell], SweepSpec]:
-    """Parse a file produced by export_json back into (cells, spec)."""
+def read_json(path) -> tuple[SweepTable, SweepSpec]:
+    """Parse a file produced by export_json back into (table, spec).
+
+    Malformed input (no `meta`, a cell without a field, a bad value) raises
+    SweepFileError naming the field or the cell.
+    """
     stream, owned = _open_for(path, "r")
     try:
         payload = json.load(stream)
     finally:
         if owned:
             stream.close()
+    for key, kind in (("meta", dict), ("cells", list)):
+        if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
+            raise SweepFileError(f"JSON: missing or malformed field {key!r}")
+    objs = payload["cells"]
     spec = spec_from_dict(payload["meta"])
     axis_names = tuple(a.name for a in (spec.axis1, spec.axis2) if a is not None)
-    known = set(axis_names) | set(_BASE_COLUMNS)
-    cells = []
-    for obj in payload["cells"]:
-        extras = {k: float(v) for k, v in obj.items() if k not in known}
-        cells.append(
-            PhaseCell(
-                coords=tuple(float(obj[a]) for a in axis_names),
-                axis_names=axis_names,
-                n=int(obj["n"]),
-                phase=Phase(obj["phase"]),
-                discriminant=float(obj["discriminant"]),
-                eigenvalues=Spectrum(
-                    complex(obj["eigenvalue_I_re"], obj["eigenvalue_I_im"]),
-                    complex(obj["eigenvalue_II_re"], obj["eigenvalue_II_im"]),
-                ),
-                extras=extras,
-            )
-        )
-    return cells, spec
+    known = (*axis_names, *_BASE_COLUMNS)
+    for k, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise SweepFileError(f"cells[{k}]: expected an object")
+        missing = [f for f in known if f not in obj]
+        if missing:
+            raise SweepFileError(f"cells[{k}]: missing field(s) {', '.join(missing)}")
+    extra_keys = sorted(set().union(*objs).difference(known))
+    table = _parse_table(
+        axis_names,
+        lambda key: [obj.get(key, "") for obj in objs],
+        extra_keys,
+        lambda k: f"cells[{k}]",
+    )
+    return table, spec

@@ -215,6 +215,14 @@ def test_sweep_overflow_exits_one(capsys):
     assert err.startswith("nhjc: error: survival/bloch:") and err.count("\n") == 1
 
 
+def test_oversized_grid_exits_one(capsys):
+    # 10^12 cells: refused by validation before any array is allocated
+    argv = ["phase-map", "--grid", "gamma:0:1:1000000", "--grid", "epsilon:0:1:1000000"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("nhjc: error: grid:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, config, field",
     [

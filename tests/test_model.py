@@ -35,6 +35,13 @@ def test_params_validation():
         ModelParams(1.0, 5.0, 1.0, True)
 
 
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, "2", 2 + 0j, None])
+def test_params_reject_non_finite_or_non_numeric_n(n):
+    # int() alone raises OverflowError or TypeError on these
+    with pytest.raises(ValueError, match="n must be a non-negative integer"):
+        ModelParams(1.0, 5.0, 1.0, n)
+
+
 def test_params_derived_quantities():
     p = ModelParams(1.0, 5.0, 1.0, 0)
     assert p.delta == 1.0

@@ -1,5 +1,6 @@
 """Tests for parameter sweeps and their CSV/JSON exports."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from nhjc.entropy import LN2
-from nhjc.errors import EmptySweepError, SpecValidationError
+from nhjc.errors import EmptySweepError, SpecValidationError, SweepFileError
 from nhjc.model import ModelParams, Phase
 from nhjc.scan import (
     AXIS_NAMES,
+    MAX_CELLS,
     QUANTITIES,
     Axis,
     SweepSpec,
@@ -58,6 +60,25 @@ def test_validation_rejects_bad_axes():
         simple_spec(
             axis1=Axis("gamma", 0.0, 1.0, 5), axis2=Axis("gamma", 0.0, 2.0, 5)
         ).validate()
+
+
+def test_validation_rejects_non_integer_steps():
+    for steps in (3.7, True, "5"):
+        with pytest.raises(SpecValidationError, match=r"axis1\.steps: expected an integer"):
+            simple_spec(axis1=Axis("gamma", 0.0, 1.0, steps)).validate()
+    simple_spec(axis1=Axis("gamma", 0.0, 1.0, np.int64(5))).validate()
+
+
+def test_validation_caps_total_cells():
+    # checked by validation only: none of these grids is allocated
+    big = Axis("gamma", 0.0, 1.0, 10**6)
+    with pytest.raises(SpecValidationError, match="grid: 1000000000000 cells exceed the cap"):
+        simple_spec(axis1=big, axis2=Axis("epsilon", 0.0, 1.0, 10**6)).validate()
+    at_cap = simple_spec(axis1=Axis("gamma", 0.0, 1.0, 10**4), axis2=Axis("epsilon", 0.0, 1.0, 10**3))
+    assert 10**4 * 10**3 == MAX_CELLS
+    at_cap.validate()
+    with pytest.raises(SpecValidationError, match="cap"):
+        dataclasses.replace(at_cap, n_list=(0, 1)).validate()
 
 
 def test_validation_rejects_bad_quantities_and_state():
@@ -212,7 +233,57 @@ def test_export_rejects_empty_or_mixed_cells(tmp_path):
     gamma_cells = run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1.0, 2)))
     delta_cells = run_sweep(simple_spec())
     with pytest.raises(ValueError, match="different axes"):
-        export_csv(gamma_cells + delta_cells, tmp_path / "mixed.csv")
+        export_csv([*gamma_cells, *delta_cells], tmp_path / "mixed.csv")
+
+
+_CSV_HEADER = (
+    "delta,n,phase,discriminant,eigenvalue_I_re,eigenvalue_I_im,eigenvalue_II_re,eigenvalue_II_im"
+)
+_CSV_ROW = "0,0,Unbroken,16,3,0,-2,0"
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (f"{_CSV_HEADER}\n{_CSV_ROW}\n0,0,Unbroken\n", "line 3: 3 fields"),
+        (f"{_CSV_HEADER}\n{_CSV_ROW},1\n", "line 2: 9 fields"),
+        (f"{_CSV_HEADER.replace(',phase', '')}\n0,0,16,3,0,-2,0\n", "missing column.*phase"),
+        (f"{_CSV_HEADER.replace(',n,', ',')}\n0,Unbroken,16,3,0,-2,0\n", "missing column.*n"),
+        (f"{_CSV_HEADER}\n{_CSV_ROW.replace('Unbroken', 'Sideways')}\n", "line 2: bad phase 'Sideways'"),
+        (f"{_CSV_HEADER}\n{_CSV_ROW.replace(',16,', ',x,')}\n", "line 2: bad discriminant 'x'"),
+    ],
+)
+def test_read_csv_names_the_malformed_row_or_column(text, match):
+    with pytest.raises(SweepFileError, match=match):
+        read_csv(io.StringIO(text))
+
+
+def _json_payload(**changes):
+    spec = simple_spec()
+    buf = io.StringIO()
+    export_json(run_sweep(spec), buf, spec)
+    payload = json.loads(buf.getvalue())
+    payload.update(changes)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ({"cells": []}, "'meta'"),
+        ([], "'meta'"),
+        (_json_payload(cells=None), "'cells'"),
+        (_json_payload(cells=[1]), r"cells\[0\]: expected an object"),
+        (_json_payload(cells=[{"delta": 0.0, "n": 0}]), r"cells\[0\]: missing field.*phase"),
+        (
+            _json_payload(cells=[dict(_json_payload()["cells"][0], phase="Sideways")]),
+            r"cells\[0\]: bad phase 'Sideways'",
+        ),
+    ],
+)
+def test_read_json_names_the_malformed_field(payload, match):
+    with pytest.raises(SweepFileError, match=match):
+        read_json(io.StringIO(json.dumps(payload)))
 
 
 def test_json_roundtrip_and_meta(tmp_path):
