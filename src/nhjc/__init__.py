@@ -26,15 +26,11 @@ from .dynamics import (
     effective_generator,
     evolve_no_jump,
     normalized_state,
-    survival_probability,
 )
 from .entropy import (
     LN2,
-    EntropyPoint,
     ReducedSpectrum,
-    alpha_coefficient,
     entanglement_entropy,
-    entropy_curve,
     reduced_spectrum,
 )
 from .errors import (
@@ -61,7 +57,6 @@ from .model import (
     critical_gamma,
     ground_state_energy,
     spectrum_closed_form,
-    sqrt_discriminant,
 )
 from .plots import render_svg
 from .scan import (

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ExceptionalPointError,
     InsufficientSamplesError,
     NonPositiveDataError,
     NotHermitianError,
@@ -41,11 +40,10 @@ from .model import (
     PhaseLabel,
     Spectrum,
     _finite,
+    _root,
+    _spectrum,
     build_block,
-    classify_phase,
     critical_gamma,
-    spectrum_closed_form,
-    sqrt_discriminant,
 )
 
 __all__ = [
@@ -91,6 +89,9 @@ class MetricBundle:
     phase: PhaseLabel
 
 
+_COALESCE = "eigenvectors coalesce near the exceptional point (discriminant {d:.3e})"
+
+
 def eigenvector_ratios(p: ModelParams) -> tuple[complex, complex]:
     """Second-over-first component ratios of the two right eigenvectors.
 
@@ -98,22 +99,26 @@ def eigenvector_ratios(p: ModelParams) -> tuple[complex, complex]:
     i.e. a = [(omega - epsilon) +- sqrt(D)] / (2 gamma sqrt(n+1)), and their
     product is exactly 1.  On the unbroken side the nearly-cancelling branch
     is recovered from that product so both ratios keep full relative
-    accuracy down to gamma -> 0.
+    accuracy down to gamma -> 0.  At the exceptional point both branches
+    give the same ratio.
 
     Raises ZeroCouplingError at gamma = 0, where the block is decoupled.
     """
     if p.gamma == 0.0:
         raise ZeroCouplingError("eigenvector ratios are undefined at gamma = 0")
+    return _ratios(p, _root(p)[1])
+
+
+def _ratios(p: ModelParams, root: complex) -> tuple[complex, complex]:
     b = p.omega - p.epsilon
     two_delta = 2.0 * math.sqrt(p.n + 1) * p.gamma
-    s = sqrt_discriminant(p)
-    if s.imag != 0.0:
-        # broken phase: |b + s| = |b - s|, no cancellation either way
-        return (b + s) / two_delta, (b - s) / two_delta
+    if root.imag != 0.0:
+        # broken phase: |b + root| = |b - root|, no cancellation either way
+        return (b + root) / two_delta, (b - root) / two_delta
     if b >= 0.0:
-        a_one = (b + s.real) / two_delta
+        a_one = (b + root.real) / two_delta
         return a_one, 1.0 / a_one
-    a_two = (b - s.real) / two_delta
+    a_two = (b - root.real) / two_delta
     return 1.0 / a_two, a_two
 
 
@@ -131,13 +136,11 @@ def eigensystem(p: ModelParams) -> BiorthoSystem:
     ExceptionalPointError
         Inside the tolerance band, where the block is defective.
     """
-    label = classify_phase(p)
-    if label.value is Phase.EXCEPTIONAL_POINT:
-        raise ExceptionalPointError(
-            f"eigenvectors coalesce near the exceptional point (discriminant {label.discriminant:.3e})"
-        )
-    eigenvalues = spectrum_closed_form(p)
+    return _system(p, _root(p, _COALESCE)[1])
 
+
+def _system(p: ModelParams, root: complex) -> BiorthoSystem:
+    eigenvalues = _spectrum(p, root)
     if p.gamma == 0.0:
         # decoupled block: the Hamiltonian is already diagonal
         e1 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
@@ -150,7 +153,7 @@ def eigensystem(p: ModelParams) -> BiorthoSystem:
         return BiorthoSystem(rights[0], rights[1], lefts[0], lefts[1], eigenvalues)
 
     rights, lefts = [], []
-    for a in eigenvector_ratios(p):
+    for a in _ratios(p, root):
         # right (1, a) and left (1, -conj a); where |a| > 1 the same vectors
         # divided by a and -conj a, written with the reciprocal ratio w = 1/a,
         # so that their overlap 1 - w^2 cannot overflow as gamma -> 0
@@ -175,7 +178,11 @@ def metric(p: ModelParams) -> np.ndarray:
     Hermitian positive definite in both phases; at gamma = 0 it reduces to
     the identity.  Diverges like |delta - delta_c|**-0.5 toward the EP.
     """
-    system = eigensystem(p)
+    return _metric(p, _root(p, _COALESCE)[1])
+
+
+def _metric(p: ModelParams, root: complex) -> np.ndarray:
+    system = _system(p, root)
     g = np.outer(system.left_I, system.left_I.conj()) + np.outer(
         system.left_II, system.left_II.conj()
     )
@@ -218,8 +225,8 @@ def intertwiner(p: ModelParams) -> MetricBundle:
     h is Hermitian in the unbroken phase and non-Hermitian (yet isospectral
     to H) in the broken phase.
     """
-    label = classify_phase(p)
-    big_g = metric(p)
+    label, root = _root(p, _COALESCE)
+    big_g = _metric(p, root)
     small_g = _finite(sqrt_hpd(big_g))
     small_g_inv = _finite(_inverse(small_g))
     h = _finite(small_g @ build_block(p) @ small_g_inv)
@@ -246,12 +253,10 @@ def pseudo_hermiticity_residual(p: ModelParams) -> float:
     Raises WrongPhaseError in the broken phase, where G intertwines H with
     the wrong sign structure and the residual is O(1) by construction.
     """
-    label = classify_phase(p)
-    if label.value is Phase.EXCEPTIONAL_POINT:
-        raise ExceptionalPointError("metric is singular at the exceptional point")
+    label, root = _root(p, "metric is singular at the exceptional point")
     if label.value is Phase.BROKEN:
         raise WrongPhaseError("H is pseudo-Hermitian under G only in the unbroken phase")
-    big_g = metric(p)
+    big_g = _metric(p, root)
     h = build_block(p)
     return float(np.linalg.norm(h - _inverse(big_g) @ h.conj().T @ big_g))
 

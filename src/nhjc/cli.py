@@ -23,8 +23,6 @@ from .scan import _params_from_dict, export_csv, export_json, run_sweep, spec_fr
 
 __all__ = ["build_parser", "cli_main", "main", "PRESETS"]
 
-_SWEEP_COMMANDS = ("spectrum", "phase-map", "metric", "entropy", "dynamics")
-
 _DEFAULT_QUANTITIES = {
     "spectrum": ["eigenvalues", "phase"],
     "phase-map": ["phase"],

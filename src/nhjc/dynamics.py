@@ -9,7 +9,8 @@ and on a block the effective Hamiltonian is similar to
     Heff = shift * I + i Gamma sigma_y,      shift = (2n+1) omega / 2,
 
 with Gamma = sqrt(-D)/2 real in the broken phase and Gamma = i Lambda,
-Lambda = sqrt(D)/2, in the unbroken phase.  The Pauli matrices act on the
+Lambda = sqrt(D)/2, in the unbroken phase; both rates are |sqrt(D)| / 2 of
+the one root that `model` forms per block.  The Pauli matrices act on the
 two-dimensional invariant subspace {|n, up>, |n+1, down>}, so the Bloch
 vector below is a coordinate on that subspace, not the lab-frame spin.
 
@@ -19,6 +20,8 @@ D(t) = cosh(2 Gamma t) + r_y sinh(2 Gamma t) grows and the normalized state
 purifies toward the sigma_y = +1 eigenstate (r_y = -1 is the unstable fixed
 point).  Unbroken phase: S = exp(i Lambda t sigma_y) is unitary, the weight
 stays 1 and the (r_x, r_z) components rotate with period pi / Lambda.
+A weight past the float range (2 Gamma t beyond about 710) raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExceptionalPointError, ZeroWeightError
-from .model import ModelParams, Phase, classify_phase
+from .errors import ZeroWeightError
+from .model import ModelParams, Phase, _root
 
 __all__ = [
     "SIGMA_X",
@@ -39,7 +42,6 @@ __all__ = [
     "EffectiveGenerator",
     "effective_generator",
     "evolve_no_jump",
-    "survival_probability",
     "normalized_state",
     "default_time_grid",
 ]
@@ -80,28 +82,21 @@ class BlochState:
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Parameters of Heff = shift * I + i gamma_eff sigma_y on block n.
+    """Parameters of Heff = shift * I + i Gamma sigma_y on block n.
 
-    gamma_eff is real (= Gamma > 0) in the broken phase and purely imaginary
-    (= i Lambda, Lambda > 0) in the unbroken phase.
+    rate is Gamma > 0 in the broken phase and Lambda > 0 in the unbroken
+    phase, where Gamma = i Lambda.
     """
 
     n: int
-    gamma_eff: complex
+    rate: float
     shift: float
-
-    @property
-    def is_broken(self) -> bool:
-        return self.gamma_eff.imag == 0.0
-
-    @property
-    def rate(self) -> float:
-        """Gamma in the broken phase, Lambda in the unbroken phase."""
-        return abs(self.gamma_eff)
+    is_broken: bool
 
     def matrix(self) -> np.ndarray:
         """The 2x2 generator; isospectral to the Hamiltonian block."""
-        return self.shift * np.eye(2, dtype=complex) + 1j * self.gamma_eff * SIGMA_Y
+        big_gamma = self.rate if self.is_broken else 1j * self.rate
+        return self.shift * np.eye(2, dtype=complex) + 1j * big_gamma * SIGMA_Y
 
 
 def effective_generator(p: ModelParams) -> EffectiveGenerator:
@@ -110,18 +105,9 @@ def effective_generator(p: ModelParams) -> EffectiveGenerator:
     Raises ExceptionalPointError inside the tolerance band, where the
     similarity to shift * I + i Gamma sigma_y breaks down.
     """
-    label = classify_phase(p)
-    if label.value is Phase.EXCEPTIONAL_POINT:
-        raise ExceptionalPointError(
-            "no-jump generator is defective at the exceptional point"
-        )
+    label, root = _root(p, "no-jump generator is defective at the exceptional point")
     shift = 0.5 * (2 * p.n + 1) * p.omega
-    d = label.discriminant
-    if label.value is Phase.BROKEN:
-        gamma_eff = complex(0.5 * math.sqrt(-d), 0.0)
-    else:
-        gamma_eff = complex(0.0, 0.5 * math.sqrt(d))
-    return EffectiveGenerator(p.n, gamma_eff, shift)
+    return EffectiveGenerator(p.n, 0.5 * abs(root), shift, label.value is Phase.BROKEN)
 
 
 def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> BlochState:
@@ -129,35 +115,27 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
 
     Broken phase: weight picks up D(t) = cosh(2 Gamma t) + r_y sinh(2 Gamma t)
     and the Bloch vector flows toward (0, 1, 0).  Unbroken phase: weight is
-    unchanged and (r_x, r_z) rotate by the angle 2 Lambda t.
+    unchanged and (r_x, r_z) rotate by the angle 2 Lambda t.  Raises
+    ValueError when cosh(2 Gamma t) overflows.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     rx, ry, rz = rho0.r
+    angle = 2.0 * gen.rate * t
     if gen.is_broken:
-        big_gamma = gen.gamma_eff.real
-        ch = math.cosh(2.0 * big_gamma * t)
-        sh = math.sinh(2.0 * big_gamma * t)
+        try:
+            ch = math.cosh(angle)
+            sh = math.sinh(angle)
+        except OverflowError:
+            raise ValueError(
+                f"no-jump weight overflows: cosh(2 Gamma t) at 2 Gamma t = {angle}"
+            ) from None
         d = ch + ry * sh
         return BlochState(
             np.array([rx / d, (sh + ry * ch) / d, rz / d]), rho0.weight * d
         )
-    theta = 2.0 * gen.gamma_eff.imag * t
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = math.cos(angle), math.sin(angle)
     return BlochState(np.array([rx * ct - rz * st, ry, rx * st + rz * ct]), rho0.weight)
-
-
-def survival_probability(gen: EffectiveGenerator, rho0: BlochState, t: float) -> float:
-    """Trace of the evolved unnormalized state: D(t) broken, constant unbroken."""
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
-    if gen.is_broken:
-        big_gamma = gen.gamma_eff.real
-        ry = float(rho0.r[1])
-        return rho0.weight * (
-            math.cosh(2.0 * big_gamma * t) + ry * math.sinh(2.0 * big_gamma * t)
-        )
-    return float(rho0.weight)
 
 
 def normalized_state(state: BlochState) -> BlochState:

@@ -13,14 +13,14 @@ In the broken phase |alpha|^2 = 1 identically, for any (omega, epsilon, n):
 both branches sit at the maximum S = ln 2.  On the unbroken side S grows
 from 0 at gamma -> 0 to ln 2 at the exceptional point, which is also the
 limit value returned exactly at the EP.  Left eigenvectors give the same
-reduced spectrum.
+reduced spectrum.  alpha_i are the ratios of `biortho.eigenvector_ratios`;
+an entropy curve is a sweep over `delta_sq` with the `entropy` quantity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .biortho import eigenvector_ratios
 from .model import Branch, ModelParams
@@ -28,11 +28,8 @@ from .model import Branch, ModelParams
 __all__ = [
     "LN2",
     "ReducedSpectrum",
-    "EntropyPoint",
-    "alpha_coefficient",
     "reduced_spectrum",
     "entanglement_entropy",
-    "entropy_curve",
 ]
 
 LN2 = math.log(2.0)
@@ -50,30 +47,11 @@ class ReducedSpectrum:
     branch: Branch
 
 
-@dataclass(frozen=True)
-class EntropyPoint:
-    """Entropy of both branches at one value of delta^2 = (n+1) gamma^2."""
-
-    delta_sq: float
-    S_I: float
-    S_II: float
-
-
-def alpha_coefficient(p: ModelParams, branch: Branch) -> complex:
-    """Eigenvector coefficient alpha = [(omega-eps) +- sqrt(D)] / (2 gamma sqrt(n+1)).
-
-    Well defined at the exceptional point (both branches give the same
-    ratio); raises ZeroCouplingError at gamma = 0 where the ratio loses
-    meaning.
-    """
-    a_one, a_two = eigenvector_ratios(p)
-    return a_one if branch is Branch.I else a_two
-
-
 def _ratio_squared(p: ModelParams, branch: Branch, side: str) -> float:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    a = alpha_coefficient(p, branch)
+    a_one, a_two = eigenvector_ratios(p)
+    a = a_one if branch is Branch.I else a_two
     if side == "left":
         a = -a.conjugate()  # left coefficient; same modulus by construction
     try:
@@ -116,25 +94,3 @@ def entanglement_entropy(p: ModelParams, branch: Branch) -> float:
     if p.gamma == 0.0:
         return 0.0
     return _binary_entropy_from_ratio(_ratio_squared(p, branch, "right"))
-
-
-def entropy_curve(p: ModelParams, delta_sq_values: Iterable[float]) -> list[EntropyPoint]:
-    """Entropy of both branches along a grid of delta^2 = (n+1) gamma^2.
-
-    omega, epsilon and n are taken from `p`; gamma is solved from each
-    delta^2 value, which must be non-negative.
-    """
-    points = []
-    for delta_sq in delta_sq_values:
-        delta_sq = float(delta_sq)
-        if delta_sq < 0.0 or not math.isfinite(delta_sq):
-            raise ValueError(f"delta^2 must be finite and non-negative, got {delta_sq}")
-        q = ModelParams(p.omega, p.epsilon, math.sqrt(delta_sq / (p.n + 1)), p.n)
-        points.append(
-            EntropyPoint(
-                delta_sq,
-                entanglement_entropy(q, Branch.I),
-                entanglement_entropy(q, Branch.II),
-            )
-        )
-    return points

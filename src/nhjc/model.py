@@ -16,6 +16,10 @@ whose spectrum is real for (omega - epsilon)^2 > 4 gamma^2 (n+1), a complex
 conjugate pair for the opposite sign, and defective on the boundary (the
 exceptional point).  Everything in this package works on these blocks, where
 all quantities are available in closed form.
+
+The discriminant D, its exceptional-point band, the phase and sqrt(D) are
+formed in `_root` alone, once per scalar call; a D past the float range
+raises ValueError there.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ExceptionalPointError
+
 __all__ = [
     "Branch",
     "Phase",
@@ -34,7 +40,6 @@ __all__ = [
     "ModelParams",
     "Spectrum",
     "build_block",
-    "sqrt_discriminant",
     "spectrum_closed_form",
     "classify_phase",
     "critical_gamma",
@@ -99,23 +104,6 @@ class ModelParams:
         if not _is_block_index(self.n):
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
 
-    @property
-    def delta(self) -> float:
-        """Effective coupling delta_{n+1} = sqrt(n+1) * gamma."""
-        return math.sqrt(self.n + 1) * self.gamma
-
-    @property
-    def discriminant(self) -> float:
-        """(omega - epsilon)**2 - 4 gamma**2 (n+1); its sign selects the phase."""
-        return (self.omega - self.epsilon) ** 2 - 4.0 * self.gamma**2 * (self.n + 1)
-
-    @property
-    def ep_tolerance(self) -> float:
-        """Half-width of the relative tolerance band around the exceptional point."""
-        return 1e-10 * max(
-            1.0, (self.omega - self.epsilon) ** 2, 4.0 * self.gamma**2 * (self.n + 1)
-        )
-
 
 def _finite(m: np.ndarray) -> np.ndarray:
     """m itself; ValueError if an entry overflowed to inf or nan."""
@@ -130,9 +118,6 @@ class Spectrum:
 
     eigenvalue_I: complex
     eigenvalue_II: complex
-
-    def branch(self, which: Branch) -> complex:
-        return self.eigenvalue_I if which is Branch.I else self.eigenvalue_II
 
 
 @dataclass(frozen=True)
@@ -156,12 +141,40 @@ def build_block(p: ModelParams) -> np.ndarray:
     return _finite(m)
 
 
-def sqrt_discriminant(p: ModelParams) -> complex:
-    """Square root of the discriminant, +i sqrt(|D|) on the broken side."""
-    d = p.discriminant
-    if d >= 0.0:
-        return complex(math.sqrt(d), 0.0)
-    return complex(0.0, math.sqrt(-d))
+def _root(p: ModelParams, ep_message: str | None = None) -> tuple[PhaseLabel, complex]:
+    """Phase label and sqrt(D) of one block, from one evaluation of D.
+
+    The squares (omega - epsilon)**2 and 4 gamma**2 (n+1) are formed once;
+    D is their difference and the EP band is |D| <= 1e-10 times the largest
+    of 1 and either square.  The root is +i sqrt(|D|) on the broken side.
+    Raises ValueError when a square is not a finite float and, given
+    ep_message, ExceptionalPointError(ep_message) inside the EP band, with
+    a `{d}` field filled by D.
+    """
+    try:
+        b2 = (p.omega - p.epsilon) ** 2
+        c2 = 4.0 * p.gamma**2 * (p.n + 1)
+    except OverflowError:
+        b2 = c2 = math.inf
+    if not (math.isfinite(b2) and math.isfinite(c2)):
+        raise ValueError(
+            f"discriminant: (omega - epsilon)**2 - 4 gamma**2 (n+1) overflows at {p}"
+        )
+    d = b2 - c2
+    if abs(d) <= 1e-10 * max(1.0, b2, c2):
+        if ep_message is not None:
+            raise ExceptionalPointError(ep_message.format(d=d))
+        phase = Phase.EXCEPTIONAL_POINT
+    else:
+        phase = Phase.UNBROKEN if d > 0.0 else Phase.BROKEN
+    root = complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
+    return PhaseLabel(phase, d), root
+
+
+def _spectrum(p: ModelParams, root: complex) -> Spectrum:
+    center = 0.5 * (2 * p.n + 1) * p.omega
+    half_root = 0.5 * root
+    return Spectrum(center + half_root, center - half_root)
 
 
 def spectrum_closed_form(p: ModelParams) -> Spectrum:
@@ -170,17 +183,12 @@ def spectrum_closed_form(p: ModelParams) -> Spectrum:
     Branch I is the '+' root.  In the broken phase the pair is exactly
     complex conjugate with Im(eigenvalue_I) > 0.
     """
-    center = 0.5 * (2 * p.n + 1) * p.omega
-    half_root = 0.5 * sqrt_discriminant(p)
-    return Spectrum(center + half_root, center - half_root)
+    return _spectrum(p, _root(p)[1])
 
 
 def classify_phase(p: ModelParams) -> PhaseLabel:
     """Label the spectral phase, with a relative tolerance band at the EP."""
-    d = p.discriminant
-    if abs(d) <= p.ep_tolerance:
-        return PhaseLabel(Phase.EXCEPTIONAL_POINT, d)
-    return PhaseLabel(Phase.UNBROKEN if d > 0.0 else Phase.BROKEN, d)
+    return _root(p)[0]
 
 
 def critical_gamma(p: ModelParams) -> float:

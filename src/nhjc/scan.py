@@ -374,7 +374,7 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
     omega, gamma = params["omega"], params["gamma"]
     b = omega - params["epsilon"]
 
-    # ModelParams.discriminant / ep_tolerance and classify_phase
+    # model._root: D, its EP band and classify_phase
     b2 = _elementwise(_square, b, "discriminant", "(omega - epsilon)**2")
     c2 = 4.0 * _elementwise(_square, gamma, "discriminant", "gamma**2") * (n + 1)
     d = b2 - c2
@@ -383,7 +383,7 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
     at_ep = np.abs(d) <= 1e-10 * np.maximum(1.0, np.maximum(b2, c2))
     code = np.where(at_ep, 2, np.where(d > 0.0, 0, 1))
 
-    # spectrum_closed_form: center +- sqrt_discriminant / 2
+    # spectrum_closed_form: center +- sqrt(D) / 2
     root = np.sqrt(np.abs(d))
     real_root = d >= 0.0
     half = 0.5 * root
@@ -774,7 +774,8 @@ def export_json(cells: Sequence[PhaseCell], path, spec: SweepSpec) -> None:
 def read_json(path) -> tuple[SweepTable, SweepSpec]:
     """Parse a file produced by export_json back into (table, spec).
 
-    Malformed input (no `meta`, a cell without a field, a bad value) raises
+    Malformed input (no `meta`, a cell without a field, a bad value, a bool
+    where a number belongs, an n that is not a whole number) raises
     SweepFileError naming the field or the cell.
     """
     stream, owned = _open_for(path, "r")
@@ -796,6 +797,11 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
         missing = [f for f in known if f not in obj]
         if missing:
             raise SweepFileError(f"cells[{k}]: missing field(s) {', '.join(missing)}")
+        # int() and float() would take 1.5 as n = 1 and true as 1.0
+        bad = [f for f, v in obj.items()
+               if isinstance(v, bool) or (f == "n" and not _is_block_index(v))]
+        if bad:
+            raise SweepFileError(f"cells[{k}]: bad {bad[0]} {obj[bad[0]]!r}")
     extra_keys = sorted(set().union(*objs).difference(known))
     table = _parse_table(
         axis_names,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhjc.model import ModelParams
+from nhjc.model import ModelParams, classify_phase
 
 _TAYLOR_TERMS = 30
 
@@ -171,7 +171,7 @@ def random_params(rng, phase: str | None = None, margin: float = 1e-3, n_max: in
         n = int(rng.integers(0, n_max + 1))
         p = ModelParams(omega, epsilon, gamma, n)
         scale = max(1.0, (omega - epsilon) ** 2, 4.0 * gamma**2 * (n + 1))
-        d = p.discriminant
+        d = classify_phase(p).discriminant
         if abs(d) < margin * scale:
             continue
         if phase == "unbroken" and d <= 0.0:

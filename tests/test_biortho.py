@@ -64,9 +64,10 @@ def test_ratios_solve_characteristic_quadratic():
     rng = np.random.default_rng(62)
     for _ in range(100):
         p = random_params(rng)
+        delta = math.sqrt(p.n + 1) * p.gamma
         for a in eigenvector_ratios(p):
-            residual = p.delta * a * a + (p.epsilon - p.omega) * a + p.delta
-            assert abs(residual) < 1e-10 * max(1.0, abs(p.delta) * abs(a) ** 2)
+            residual = delta * a * a + (p.epsilon - p.omega) * a + delta
+            assert abs(residual) < 1e-10 * max(1.0, abs(delta) * abs(a) ** 2)
 
 
 def test_ratios_no_cancellation_at_small_gamma():

@@ -14,7 +14,6 @@ from nhjc.dynamics import (
     effective_generator,
     evolve_no_jump,
     normalized_state,
-    survival_probability,
 )
 from nhjc.errors import ExceptionalPointError, ZeroWeightError
 from nhjc.model import ModelParams, spectrum_closed_form
@@ -48,13 +47,10 @@ def test_bloch_state_matrix():
 def test_effective_generator_frozen_cases():
     gen = effective_generator(BROKEN)
     assert gen.is_broken
-    assert math.isclose(gen.gamma_eff.real, math.sqrt(12.0), rel_tol=1e-15)
-    assert gen.gamma_eff.imag == 0.0
+    assert math.isclose(gen.rate, math.sqrt(12.0), rel_tol=1e-15)
     assert gen.shift == 0.5
     gen = effective_generator(UNBROKEN)
     assert not gen.is_broken
-    assert gen.gamma_eff.real == 0.0
-    assert math.isclose(gen.gamma_eff.imag, math.sqrt(3.0), rel_tol=1e-15)
     assert math.isclose(gen.rate, math.sqrt(3.0), rel_tol=1e-15)
     with pytest.raises(ExceptionalPointError):
         effective_generator(ModelParams(1.0, 5.0, 2.0, 0))
@@ -66,7 +62,9 @@ def test_generator_matrix_structure_and_spectrum():
         p = random_params(rng)
         gen = effective_generator(p)
         m = gen.matrix()
-        expected = gen.shift * np.eye(2) + 1j * gen.gamma_eff * SIGMA_Y
+        # i Gamma sigma_y, with Gamma = i Lambda in the unbroken phase
+        coupling = 1j * gen.rate if gen.is_broken else -gen.rate
+        expected = gen.shift * np.eye(2) + coupling * SIGMA_Y
         assert np.array_equal(m, expected)
         # isospectral to the Hamiltonian block
         s = spectrum_closed_form(p)
@@ -156,19 +154,32 @@ def test_broken_phase_fixed_points():
 
 
 def test_survival_probability():
+    # the weight of the evolved state: D(t) broken, constant unbroken
     gen = effective_generator(BROKEN)
     state = BlochState(np.array([0.3, -0.2, 0.5]), weight=1.5)
     for t in (0.0, 0.1, 0.7):
+        x = 2.0 * math.sqrt(12.0) * t
         assert math.isclose(
-            survival_probability(gen, state, t),
             evolve_no_jump(gen, state, t).weight,
+            1.5 * (math.cosh(x) - 0.2 * math.sinh(x)),
             rel_tol=1e-14,
         )
-    assert survival_probability(gen, state, 0.0) == 1.5
+    assert evolve_no_jump(gen, state, 0.0).weight == 1.5
     gen_u = effective_generator(UNBROKEN)
-    assert survival_probability(gen_u, state, 2.0) == 1.5
+    assert evolve_no_jump(gen_u, state, 2.0).weight == 1.5
     with pytest.raises(ValueError):
-        survival_probability(gen, state, -1.0)
+        evolve_no_jump(gen, state, -1.0)
+
+
+@pytest.mark.parametrize("two_gamma_t", [711.0, 1000.0])
+@pytest.mark.parametrize("r_y", [-1.0, 0.0, 1.0])
+def test_weight_overflow_raises_value_error(two_gamma_t, r_y):
+    # cosh(2 Gamma t) overflows past 710.5: a documented ValueError
+    gen = effective_generator(BROKEN)
+    state = BlochState(np.array([0.0, r_y, 0.0]))
+    with pytest.raises(ValueError, match="no-jump weight overflows") as info:
+        evolve_no_jump(gen, state, two_gamma_t / (2.0 * gen.rate))
+    assert type(info.value) is ValueError
 
 
 def test_normalized_state():

@@ -7,16 +7,11 @@ import pytest
 
 from helpers import eig2, random_params
 
-from nhjc.entropy import (
-    LN2,
-    EntropyPoint,
-    alpha_coefficient,
-    entanglement_entropy,
-    entropy_curve,
-    reduced_spectrum,
-)
-from nhjc.errors import ZeroCouplingError
+from nhjc.biortho import eigenvector_ratios
+from nhjc.entropy import LN2, entanglement_entropy, reduced_spectrum
+from nhjc.errors import SpecValidationError, ZeroCouplingError
 from nhjc.model import Branch, ModelParams, build_block, spectrum_closed_form
+from nhjc.scan import Axis, SweepSpec, run_sweep
 
 SQRT3 = math.sqrt(3.0)
 DELTA_ONE = ModelParams(1.0, 5.0, 1.0, 0)
@@ -24,19 +19,19 @@ DELTA_FOUR = ModelParams(1.0, 5.0, 4.0, 0)
 
 
 def test_alpha_frozen_values():
-    assert math.isclose(alpha_coefficient(DELTA_ONE, Branch.I).real, SQRT3 - 2.0, rel_tol=1e-14)
-    assert math.isclose(alpha_coefficient(DELTA_ONE, Branch.II).real, -SQRT3 - 2.0, rel_tol=1e-14)
-    a = alpha_coefficient(DELTA_FOUR, Branch.I)
+    # alpha_I, alpha_II are the eigenvector ratios of branches I and II
+    a_one, a_two = eigenvector_ratios(DELTA_ONE)
+    assert math.isclose(a_one.real, SQRT3 - 2.0, rel_tol=1e-14)
+    assert math.isclose(a_two.real, -SQRT3 - 2.0, rel_tol=1e-14)
+    a = eigenvector_ratios(DELTA_FOUR)[0]
     assert abs(a - (-0.5 + 0.8660254037844386j)) < 1e-15
     with pytest.raises(ZeroCouplingError):
-        alpha_coefficient(ModelParams(1.0, 5.0, 0.0, 0), Branch.I)
+        eigenvector_ratios(ModelParams(1.0, 5.0, 0.0, 0))
 
 
 def test_alpha_at_exceptional_point():
     # both branches coalesce at alpha = -1 for omega=1, eps=5, delta=2
-    p = ModelParams(1.0, 5.0, 2.0, 0)
-    assert alpha_coefficient(p, Branch.I) == -1.0
-    assert alpha_coefficient(p, Branch.II) == -1.0
+    assert eigenvector_ratios(ModelParams(1.0, 5.0, 2.0, 0)) == (-1.0, -1.0)
 
 
 def test_reduced_spectrum_frozen():
@@ -114,18 +109,25 @@ def test_entropy_nearly_decoupled():
 
 
 def test_entropy_curve():
-    grid = [0.5, 2.0, 4.0, 9.0, 16.0]
-    points = entropy_curve(ModelParams(1.0, 5.0, 1.0, 0), grid)
-    assert [pt.delta_sq for pt in points] == grid
-    assert all(isinstance(pt, EntropyPoint) for pt in points)
-    # monotone growth toward the plateau, then exactly ln 2 past delta^2 = 4
-    assert 0.0 < points[0].S_I < points[1].S_I < LN2
-    for pt in points[2:]:
-        assert abs(pt.S_I - LN2) < 1e-12
-        assert abs(pt.S_II - LN2) < 1e-12
+    # the curve S(delta^2) is a delta_sq sweep of the entropy quantity
+    def curve(n):
+        spec = SweepSpec(
+            ModelParams(1.0, 5.0, 1.0, n), Axis("delta_sq", 0.0, 16.0, 9),
+            quantities=("entropy",),
+        )
+        return run_sweep(spec)
+
+    table = curve(0)
+    s_one, s_two = table.extras["entropy_I"], table.extras["entropy_II"]
+    # 0 when decoupled, monotone growth toward the plateau, then exactly
+    # ln 2 from the EP (delta^2 = 4) on
+    assert s_one[0] == 0.0 and 0.0 < s_one[1] < LN2
+    for s in (s_one, s_two):
+        assert np.all(np.abs(s[2:] - LN2) < 1e-12)
+    for delta_sq, s in zip(table.coords[0], s_one):
+        assert s == entanglement_entropy(ModelParams(1.0, 5.0, math.sqrt(delta_sq), 0), Branch.I)
     # block index enters only through gamma = sqrt(delta^2 / (n+1))
-    shifted = entropy_curve(ModelParams(1.0, 5.0, 1.0, 3), grid)
-    for a, b in zip(points, shifted):
-        assert math.isclose(a.S_I, b.S_I, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        entropy_curve(DELTA_ONE, [-1.0])
+    shifted = curve(3).extras["entropy_I"]
+    np.testing.assert_allclose(shifted, s_one, rtol=1e-12)
+    with pytest.raises(SpecValidationError):
+        run_sweep(SweepSpec(DELTA_ONE, Axis("delta_sq", -1.0, 1.0, 3), quantities=("entropy",)))

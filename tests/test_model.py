@@ -7,16 +7,27 @@ import pytest
 
 from helpers import random_params
 
+from nhjc import biortho, dynamics, model
+from nhjc.biortho import (
+    eigensystem,
+    eigenvector_ratios,
+    intertwiner,
+    metric,
+    projectors,
+    pseudo_hermiticity_residual,
+)
+from nhjc.dynamics import effective_generator
+from nhjc.entropy import entanglement_entropy, reduced_spectrum
 from nhjc.model import (
     Branch,
     ModelParams,
     Phase,
+    _root,
     build_block,
     classify_phase,
     critical_gamma,
     ground_state_energy,
     spectrum_closed_form,
-    sqrt_discriminant,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -44,12 +55,13 @@ def test_params_reject_non_finite_or_non_numeric_n(n):
 
 def test_params_derived_quantities():
     p = ModelParams(1.0, 5.0, 1.0, 0)
-    assert p.delta == 1.0
-    assert p.discriminant == 12.0
-    assert ModelParams(1.0, 5.0, 3.0, 0).discriminant == -20.0
-    assert ModelParams(1.0, 5.0, 2.0, 0).discriminant == 0.0
-    assert ModelParams(1.0, 5.0, 1.0, 3).discriminant == 0.0  # critical at n=3
-    assert math.isclose(ModelParams(1.0, 5.0, 1.5, 1).delta, 1.5 * math.sqrt(2.0))
+    assert build_block(p)[0, 1] == 1.0  # delta = sqrt(n+1) gamma
+    assert classify_phase(p).discriminant == 12.0
+    assert classify_phase(ModelParams(1.0, 5.0, 3.0, 0)).discriminant == -20.0
+    assert classify_phase(ModelParams(1.0, 5.0, 2.0, 0)).discriminant == 0.0
+    assert classify_phase(ModelParams(1.0, 5.0, 1.0, 3)).discriminant == 0.0  # critical at n=3
+    delta = build_block(ModelParams(1.0, 5.0, 1.5, 1))[0, 1].real
+    assert math.isclose(delta, 1.5 * math.sqrt(2.0))
 
 
 def test_discriminant_even_in_gamma():
@@ -57,7 +69,7 @@ def test_discriminant_even_in_gamma():
     for _ in range(50):
         p = random_params(rng, margin=0.0)
         q = ModelParams(p.omega, p.epsilon, -p.gamma, p.n)
-        assert p.discriminant == q.discriminant
+        assert classify_phase(p).discriminant == classify_phase(q).discriminant
 
 
 def test_build_block_entries():
@@ -112,9 +124,58 @@ def test_broken_pair_is_exactly_conjugate():
 
 
 def test_sqrt_discriminant_branch():
-    assert sqrt_discriminant(ModelParams(1.0, 5.0, 1.0, 0)) == math.sqrt(12.0)
-    root = sqrt_discriminant(ModelParams(1.0, 5.0, 3.0, 0))
+    assert _root(ModelParams(1.0, 5.0, 1.0, 0))[1] == math.sqrt(12.0)
+    root = _root(ModelParams(1.0, 5.0, 3.0, 0))[1]
     assert root.real == 0.0 and math.isclose(root.imag, math.sqrt(20.0))
+
+
+SCALAR_API = [
+    classify_phase,
+    spectrum_closed_form,
+    eigenvector_ratios,
+    eigensystem,
+    metric,
+    intertwiner,
+    projectors,
+    pseudo_hermiticity_residual,
+    effective_generator,
+    lambda p: entanglement_entropy(p, Branch.I),
+    lambda p: reduced_spectrum(p, Branch.II, "left"),
+]
+
+
+def test_each_scalar_call_forms_the_root_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _root(*args)
+
+    for module in (model, biortho, dynamics):
+        monkeypatch.setattr(module, "_root", counted)
+    for call in SCALAR_API:
+        calls.clear()
+        call(ModelParams(1.0, 5.0, 1.0, 2))
+        assert len(calls) == 1, call
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ModelParams(1.0, 5.0, 1e154, 0),  # 4 gamma**2 rounds to inf
+        ModelParams(1.0, 5.0, 3e154, 0),  # gamma**2 overflows
+        ModelParams(1.0, 5.0, -5e200, 3),
+        ModelParams(1e308, 5.0, 1.0, 0),  # (omega - epsilon)**2 overflows
+    ],
+    ids=["gamma=1e154", "gamma=3e154", "gamma=-5e200", "omega=1e308"],
+)
+def test_unrepresentable_discriminant_raises_value_error(p):
+    # one documented ValueError, never an OverflowError, a non-finite value
+    # or an exceptional-point verdict from an infinite discriminant
+    for call in SCALAR_API:
+        with pytest.raises(ValueError, match="^discriminant: ") as info:
+            call(p)
+        assert type(info.value) is ValueError
 
 
 def test_classify_phase():
@@ -165,9 +226,3 @@ def test_block_matrix_validation():
         build_block(ModelParams(1e308, 5.0, 1.0, 5))
     ok = build_block(ModelParams(1.0, 5.0, 1.0, 0))
     assert ok.shape == (2, 2) and ok.dtype == complex
-
-
-def test_spectrum_branch_accessor():
-    s = spectrum_closed_form(ModelParams(1.0, 5.0, 1.0, 0))
-    assert s.branch(Branch.I) == s.eigenvalue_I
-    assert s.branch(Branch.II) == s.eigenvalue_II

@@ -279,6 +279,14 @@ def _json_payload(**changes):
             _json_payload(cells=[dict(_json_payload()["cells"][0], phase="Sideways")]),
             r"cells\[0\]: bad phase 'Sideways'",
         ),
+        (
+            _json_payload(cells=[dict(_json_payload()["cells"][0], n=1.5)]),
+            r"cells\[0\]: bad n 1\.5",
+        ),
+        (
+            _json_payload(cells=[dict(_json_payload()["cells"][0], discriminant=True)]),
+            r"cells\[0\]: bad discriminant True",
+        ),
     ],
 )
 def test_read_json_names_the_malformed_field(payload, match):
