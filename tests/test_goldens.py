@@ -1,8 +1,8 @@
 """Preset outputs pinned by sha256: refactors must keep the exported bytes.
 
-The prefixes are the first 16 hex digits of each file's sha256, the same
-values the benchmark checks.  A deliberate change of output format updates
-them here and there together.
+The prefixes are the first 16 hex digits of each file's sha256.  The
+benchmark checks a subset of these values; a deliberate change of output
+format updates them here and there together.
 """
 
 import hashlib
@@ -17,10 +17,14 @@ GOLDENS = {
     "fig3.csv": (["entropy", "--preset", "fig3", "--format", "csv"], "e25ff7489bff950e"),
     "fig3.json": (["entropy", "--preset", "fig3", "--format", "json"], "ff0e45e5a5d6f213"),
     "fig2a.csv": (["phase-map", "--preset", "fig2a", "--format", "csv"], "a693e5abdb30fc25"),
+    "fig2b.csv": (["phase-map", "--preset", "fig2b", "--format", "csv"], "fd1208081bf30e54"),
+    "fig2c.csv": (["phase-map", "--preset", "fig2c", "--format", "csv"], "7a81aed03e285377"),
     "fig2d.csv": (["phase-map", "--preset", "fig2d", "--format", "csv"], "7486d2217f034766"),
     "fig2a.svg": (["phase-map", "--preset", "fig2a", "--format", "svg"], "07b0808852700827"),
     "dynamics.csv": (["dynamics", "--gamma", "4", "--r0", "0,0,1"], "9ceec7f7610ce01d"),
     "exponent.txt": (["exponent"], "5fce419822ce78e8"),
+    # line 202 is the EP cell, whose metric_norm field is empty
+    "metric.csv": (["metric", "--grid", "gamma:0:4:401", "--format", "csv"], "bbcfa54240c418eb"),
 }
 
 
