@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .model import Phase
-from .scan import _as_table
+from .scan import _as_table, _formatted
 
 __all__ = ["render_svg"]
 
@@ -236,11 +236,15 @@ def _render_raster(table, spec) -> str:
     parts += _axes(sx, sy, names[0], names[1])
     w = _px(abs(sx(2 * half_x) - sx(0)))
     h = _px(abs(sy(0) - sy(2 * half_y)))
-    # the scales do the same float operations on arrays as on scalars
-    corners = zip(sx(cx - half_x).tolist(), sy(cy + half_y).tolist(), table.phase.tolist())
+    # the scales do the same float operations on arrays as on scalars, and
+    # "%.2f" is _px: a grid repeats each corner along a whole row or column
+    corners = zip(
+        _formatted(sx(cx - half_x), "%.2f"), _formatted(sy(cy + half_y), "%.2f"),
+        table.phase.tolist(),
+    )
     fills = [_PHASE_FILL[p] for p in Phase]
     parts += [
-        f'<rect x="{_px(x)}" y="{_px(y)}" width="{w}" height="{h}" fill="{fills[k]}"/>'
+        f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fills[k]}"/>'
         for x, y, k in corners
     ]
     for branch in _boundary_points(names, xs, spec, n):

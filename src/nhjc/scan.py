@@ -23,12 +23,15 @@ refuses grids of more than MAX_CELLS cells before anything is allocated.
 
 Exports are deterministic: fixed row order (block index outermost, then
 axis2-major, then axis1), fixed column order, floats printed with 17
-significant digits so CSV and JSON round-trip byte-for-byte.
+significant digits so CSV and JSON round-trip byte-for-byte.  CSV is plain
+comma-separated text that never needs quoting, and read_csv accepts that
+dialect only: a quoted field is an error.  export_csv works column by
+column and formats each distinct value of a column once, since grids repeat
+axis values and the spectrum repeats its real parts.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -186,7 +189,8 @@ class PhaseCell:
 
 
 _PHASES = tuple(Phase)  # the phase code of a table indexes this
-_PHASE_CODE = {p.value: k for k, p in enumerate(_PHASES)}
+_PHASE_NAMES = tuple(p.value for p in _PHASES)
+_PHASE_CODE = {name: k for k, name in enumerate(_PHASE_NAMES)}
 
 
 def _complex(re, im) -> np.ndarray:
@@ -542,7 +546,7 @@ def _export_columns(table: SweepTable):
     keys = sorted(table.extras)
     values = [c.tolist() for c in table.coords] + [
         table.n.tolist(),
-        [_PHASES[k].value for k in table.phase.tolist()],
+        list(map(_PHASE_NAMES.__getitem__, table.phase.tolist())),
         table.discriminant.tolist(),
         table.eigenvalue_I.real.tolist(),
         table.eigenvalue_I.imag.tolist(),
@@ -562,29 +566,50 @@ def _open_for(target, mode: str):
     return open(target, mode, newline="" if "b" not in mode else None), True
 
 
-def export_csv(cells: Sequence[PhaseCell], path) -> None:
-    """Write a SweepTable (or a list of cells) as RFC-4180 CSV.
+def _formatted(column: np.ndarray, fmt: str, omitted: np.ndarray | None = None) -> list[str]:
+    """fmt % v for each value of an 8-byte numeric column, "" where omitted.
 
-    EP-omitted quantities become empty fields.  Every row is one %-format
-    over the columns; the fields are %.17g floats, block indices and phase
-    names, none of which needs CSV quoting.
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, so 0.0 and -0.0, which format differently, stay distinct.
+    """
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    text = [fmt % v for v in bits.view(column.dtype).tolist()]
+    if omitted is not None:
+        text.append("")
+        index = np.where(omitted, len(bits), index)
+    return np.array(text, dtype=object)[index].tolist()
+
+
+def export_csv(cells: Sequence[PhaseCell], path) -> None:
+    """Write a SweepTable (or a list of cells) as CSV.
+
+    Fields are separated by "," and lines end in "\\n".  No field is
+    quoted, since none needs it: the fields are %.17g floats, block indices,
+    phase names, and empty fields for the quantities EP cells omit.  Each
+    distinct value of a column is formatted once.
     """
     table = _as_table(cells, "export")
-    header, values, omitted = _export_columns(table)
-    fields = ["%.17g"] * len(header)
-    n_axes = len(table.axis_names)
-    fields[n_axes:n_axes + 2] = ["%s", "%s"]  # n, phase
-    for i, mask in enumerate(omitted):
-        if mask is not None:
-            values[i] = ["" if o else "%.17g" % v for v, o in zip(values[i], mask)]
-            fields[i] = "%s"
-    row_format = (",".join(fields) + "\n").__mod__
-    rows = zip(*values)
+    keys = sorted(table.extras)
+    floats = (
+        table.discriminant,
+        table.eigenvalue_I.real,
+        table.eigenvalue_I.imag,
+        table.eigenvalue_II.real,
+        table.eigenvalue_II.imag,
+    )
+    columns = [
+        *(_formatted(c, "%.17g") for c in table.coords),
+        _formatted(table.n, "%d"),
+        list(map(_PHASE_NAMES.__getitem__, table.phase.tolist())),
+        *(_formatted(c, "%.17g") for c in floats),
+        *(_formatted(table.extras[k], "%.17g", table.omitted[k]) for k in keys),
+    ]
+    rows = map(",".join, zip(*columns))
     stream, owned = _open_for(path, "w")
     try:
-        csv.writer(stream, lineterminator="\n").writerow(header)
-        while chunk := "".join(map(row_format, islice(rows, _CSV_CHUNK_ROWS))):
-            stream.write(chunk)
+        stream.write(",".join([*table.axis_names, *_BASE_COLUMNS, *keys]) + "\n")
+        while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+            stream.write("\n".join(chunk) + "\n")
     finally:
         if owned:
             stream.close()
@@ -627,18 +652,20 @@ def _parse_table(axis_names, column, extra_keys, where) -> SweepTable:
 def read_csv(path) -> SweepTable:
     """Parse a file produced by export_csv back into a SweepTable.
 
-    Malformed input (a missing column, a short row, a bad value) raises
-    SweepFileError naming the column or the line.
+    Reads exactly what export_csv writes: unquoted fields separated by ",",
+    lines ending in "\\n" or "\\r\\n".  Malformed input (a missing column, a
+    line with the wrong number of fields, a bad value, a quoted field)
+    raises SweepFileError naming the column or the line.
     """
     stream, owned = _open_for(path, "r")
     try:
-        rows = list(csv.reader(stream))
+        lines = stream.read().splitlines()
     finally:
         if owned:
             stream.close()
-    if not rows:
+    if not lines:
         raise EmptySweepError("empty CSV")
-    header, body = rows[0], rows[1:]
+    header, body = lines[0].split(","), lines[1:]
     missing = [c for c in _BASE_COLUMNS if c not in header]
     if missing:
         raise SweepFileError(f"CSV header: missing column(s) {', '.join(missing)}")
@@ -647,10 +674,14 @@ def read_csv(path) -> SweepTable:
     if tuple(header[n_axes:extra_at]) != _BASE_COLUMNS:
         raise SweepFileError(f"CSV header: expected {','.join(_BASE_COLUMNS)} after the axes")
     width = len(header)
-    for k, row in enumerate(body):
-        if len(row) != width:
-            raise SweepFileError(f"line {k + 2}: {len(row)} fields, the header has {width}")
-    columns = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
+    commas = list(map(str.count, body, repeat(",")))
+    if commas.count(width - 1) != len(body):
+        k = next(k for k, c in enumerate(commas) if c != width - 1)
+        fields = commas[k] + 1 if body[k] else 0
+        raise SweepFileError(f"line {k + 2}: {fields} fields, the header has {width}")
+    values = ",".join(body).split(",") if body else []
+    del lines, body  # the values hold the same text; free the lines before parsing
+    columns = {name: values[i::width] for i, name in enumerate(header)}
     return _parse_table(
         header[:n_axes], columns.__getitem__, header[extra_at:], lambda k: f"line {k + 2}"
     )

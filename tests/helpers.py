@@ -7,7 +7,8 @@ model and call no library eigensolver, so they share no code path with the
 model-specific formulas they verify.  taylor_expm is deliberately a different
 algorithm from expm2 (plain Taylor series with scaling and squaring versus
 the trace/traceless closed form), so the two can face each other as oracle
-and subject.  The closed-form matrices further down are hand-derived for
+and subject.  reference_csv writes a sweep one value at a time, the oracle
+for export_csv's column-wise formatting.  The closed-form matrices further down are hand-derived for
 omega = 1, epsilon = 5 and serve as entrywise pinning targets.
 """
 
@@ -200,6 +201,30 @@ def match_order(values, targets):
     if abs(a - x) + abs(b - y) <= abs(a - y) + abs(b - x):
         return a, b
     return b, a
+
+
+def reference_csv(cells) -> str:
+    """CSV text of a sweep by the per-value rule, one cell at a time.
+
+    "%.17g" % v for every float, "" for an omitted extra, str() for the
+    block index and the phase name; extras sorted by key.  This is the
+    format export_csv must reproduce byte for byte.
+    """
+    cells = list(cells)
+    keys = sorted({k for c in cells for k in c.extras})
+    lines = [",".join([
+        *cells[0].axis_names, "n", "phase", "discriminant", "eigenvalue_I_re",
+        "eigenvalue_I_im", "eigenvalue_II_re", "eigenvalue_II_im", *keys,
+    ])]
+    for c in cells:
+        e_I, e_II = c.eigenvalues.eigenvalue_I, c.eigenvalues.eigenvalue_II
+        floats = [c.discriminant, e_I.real, e_I.imag, e_II.real, e_II.imag]
+        lines.append(",".join([
+            *("%.17g" % v for v in c.coords), str(c.n), str(c.phase.value),
+            *("%.17g" % v for v in floats),
+            *("%.17g" % c.extras[k] if k in c.extras else "" for k in keys),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

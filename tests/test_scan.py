@@ -240,6 +240,7 @@ _CSV_HEADER = (
     "delta,n,phase,discriminant,eigenvalue_I_re,eigenvalue_I_im,eigenvalue_II_re,eigenvalue_II_im"
 )
 _CSV_ROW = "0,0,Unbroken,16,3,0,-2,0"
+_QUOTED = '"Unbroken"'
 
 
 @pytest.mark.parametrize(
@@ -251,11 +252,25 @@ _CSV_ROW = "0,0,Unbroken,16,3,0,-2,0"
         (f"{_CSV_HEADER.replace(',n,', ',')}\n0,Unbroken,16,3,0,-2,0\n", "missing column.*n"),
         (f"{_CSV_HEADER}\n{_CSV_ROW.replace('Unbroken', 'Sideways')}\n", "line 2: bad phase 'Sideways'"),
         (f"{_CSV_HEADER}\n{_CSV_ROW.replace(',16,', ',x,')}\n", "line 2: bad discriminant 'x'"),
+        (f"{_CSV_HEADER}\n{_CSV_ROW}\n\n{_CSV_ROW}\n", "line 3: 0 fields"),
+        # fields are never quoted, so a quote is part of the value
+        (f"{_CSV_HEADER}\n{_CSV_ROW.replace('Unbroken', _QUOTED)}\n", f"line 2: bad phase '{_QUOTED}'"),
+        # 8 + 7 + 9 fields: the right total, but line 3 is short
+        (f"{_CSV_HEADER}\n{_CSV_ROW}\n{_CSV_ROW[:-2]}\n{_CSV_ROW},1\n", "line 3: 7 fields"),
     ],
 )
 def test_read_csv_names_the_malformed_row_or_column(text, match):
     with pytest.raises(SweepFileError, match=match):
         read_csv(io.StringIO(text))
+
+
+def test_read_csv_line_ends_and_header_only():
+    text = f"{_CSV_HEADER}\n{_CSV_ROW}\n{_CSV_ROW.replace('0,0,', '1,0,', 1)}\n"
+    table = read_csv(io.StringIO(text))
+    assert len(table) == 2 and table[1].coords == (1.0,)
+    assert read_csv(io.StringIO(text.replace("\n", "\r\n"))) == table
+    empty = read_csv(io.StringIO(f"{_CSV_HEADER}\n"))
+    assert len(empty) == 0 and empty.axis_names == ("delta",)
 
 
 def _json_payload(**changes):

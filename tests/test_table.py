@@ -5,6 +5,7 @@ every exporter must write the same bytes for the table as for that list.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from nhjc.scan import (
     run_sweep,
     spec_from_dict,
 )
+
+from helpers import reference_csv
 
 FIXED = ModelParams(1.0, 5.0, 1.0, 0)
 
@@ -163,3 +166,52 @@ def test_results_keep_the_benchmark_contract():
         assert not result != swept
     other = run_sweep(SPECS["metric_entropy_ep"])
     assert back != other and back_json != other
+
+
+# formatted by bit pattern: 0.0 and -0.0 print differently, NaN and the
+# extremes must survive %.17g and float() unchanged
+_EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1)
+
+
+def _edge_table():
+    def edges(shift):
+        return np.roll(np.array(_EDGES), shift)
+
+    def pair(re, im):  # re + 1j * im would turn inf parts into NaN
+        z = np.empty(size, complex)
+        z.real, z.imag = edges(re), edges(im)
+        return z
+
+    size = len(_EDGES)
+    omitted = np.zeros(size, bool)
+    omitted[1] = True  # beside the NaN that metric_norm stores in cell 0
+    metric = edges(-2)
+    return SweepTable(
+        ("gamma", "t"), [edges(0), edges(1)], [0, 0, 0, 0, 3, 3, 3, 3],
+        [0, 1, 2, 0, 1, 2, 0, 1], edges(3), pair(4, 5), pair(6, 7),
+        {"metric_norm": metric, "entropy_I": edges(-1)},
+        {"metric_norm": omitted, "entropy_I": np.zeros(size, bool)},
+    )
+
+
+def _bits(table):
+    """float.hex of every stored float, omitted masks, n and phase codes."""
+    floats = [*table.coords, table.discriminant, table.eigenvalue_I.real,
+              table.eigenvalue_I.imag, table.eigenvalue_II.real, table.eigenvalue_II.imag]
+    floats += [table.extras[k][~table.omitted[k]] for k in sorted(table.extras)]
+    return (
+        [[float.hex(v) for v in c.tolist()] for c in floats],
+        {k: m.tolist() for k, m in table.omitted.items()},
+        table.n.tolist(),
+        table.phase.tolist(),
+    )
+
+
+def test_csv_matches_the_per_value_rule_on_edge_columns():
+    table = _edge_table()
+    assert "\n-0,0," in _csv(table)  # cell 1: gamma -0.0, t 0.0
+    for part in (table, table[:1], table[5:6]):
+        for cells in (part, list(part)):
+            text = _csv(cells)
+            assert text == reference_csv(cells)
+            assert _bits(read_csv(io.StringIO(text))) == _bits(part)
