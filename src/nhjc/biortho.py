@@ -261,15 +261,16 @@ def pseudo_hermiticity_residual(p: ModelParams) -> float:
     return float(np.linalg.norm(h - _inverse(big_g) @ h.conj().T @ big_g))
 
 
-def metric_divergence_exponent(
-    p: ModelParams,
-    side: str = "below",
-    points: int = 20,
-    window: tuple[float, float] = (1e-4, 1e-1),
-) -> float:
+# metric_divergence_exponent fits this many offsets |delta - delta_c|,
+# spaced geometrically on this window
+_EXPONENT_POINTS = 20
+_EXPONENT_WINDOW = (1e-4, 1e-1)
+
+
+def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
     """Log-log slope of ||G||_F against |delta - delta_c| near the EP.
 
-    Samples `points` geometrically spaced offsets inside `window` on the
+    Samples 20 geometrically spaced offsets in [1e-4, 1e-1] on the
     requested side of delta_c = |omega - epsilon| / 2 and fits an OLS slope;
     the divergence exponent is -1/2 on both sides.
     """
@@ -277,7 +278,7 @@ def metric_divergence_exponent(
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     delta_c = math.sqrt(p.n + 1) * critical_gamma(p)
     sign = -1.0 if side == "below" else 1.0
-    offsets = np.geomspace(window[0], window[1], points)
+    offsets = np.geomspace(*_EXPONENT_WINDOW, _EXPONENT_POINTS)
     norms = []
     for x in offsets:
         delta = delta_c + sign * x

@@ -19,7 +19,7 @@ from .biortho import metric_divergence_exponent
 from .dynamics import default_time_grid, effective_generator
 from .errors import SpecValidationError
 from .plots import render_svg
-from .scan import _params_from_dict, export_csv, export_json, run_sweep, spec_from_dict
+from .scan import _opened, _params_from_dict, export_csv, export_json, run_sweep, spec_from_dict
 
 __all__ = ["build_parser", "cli_main", "main", "PRESETS"]
 
@@ -159,24 +159,14 @@ def _merged_options(args) -> dict:
     return merged
 
 
-def _output_stream(args):
-    if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", newline=""), True
-
-
 def _run_exponent(args, merged) -> int:
     p = _params_from_dict(merged["fixed"])
     lines = [
         f"slope_below = {metric_divergence_exponent(p, 'below'):.6f}",
         f"slope_above = {metric_divergence_exponent(p, 'above'):.6f}",
     ]
-    stream, owned = _output_stream(args)
-    try:
+    with _opened(sys.stdout if args.out is None else args.out, "w") as stream:
         stream.write("\n".join(lines) + "\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -207,18 +197,15 @@ def _run_sweep_command(args, merged) -> int:
     if merged["initial_bloch"] is not None:
         spec_dict["initial_bloch"] = merged["initial_bloch"]
     spec = spec_from_dict(spec_dict)
-    cells = run_sweep(spec)
-    stream, owned = _output_stream(args)
-    try:
-        if args.format == "csv":
-            export_csv(cells, stream)
-        elif args.format == "json":
-            export_json(cells, stream, spec)
-        else:
-            render_svg(cells, stream, kind=_SVG_KIND[command], spec=spec)
-    finally:
-        if owned:
-            stream.close()
+    table = run_sweep(spec)
+    # not `args.out or sys.stdout`: --out "" names no file and must fail as i/o
+    target = sys.stdout if args.out is None else args.out
+    if args.format == "csv":
+        export_csv(table, target)
+    elif args.format == "json":
+        export_json(table, target, spec)
+    else:
+        render_svg(table, target, kind=_SVG_KIND[command], spec=spec)
     return 0
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .model import Phase
-from .scan import _as_table, _formatted
+from .scan import SweepTable, _formatted, _opened, _require_table
 
 __all__ = ["render_svg"]
 
@@ -263,14 +263,17 @@ def _render_raster(table, spec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_svg(cells, path, kind: str = "auto", spec=None) -> None:
-    """Render a SweepTable (or a list of cells) to a standalone SVG file or stream.
+def render_svg(table: SweepTable, path, kind: str = "auto", spec=None) -> None:
+    """Render a SweepTable to a standalone SVG file (a path) or text stream.
 
     kind: "auto", "spectrum", "entropy", "metric", "dynamics", or "raster".
-    `spec` (the SweepSpec that produced the cells) is optional and enables
-    the phase-boundary overlay and the exceptional-point marker.
+    `spec` (the SweepSpec that produced the table) is optional and enables
+    the phase-boundary overlay and the exceptional-point marker.  The text
+    is complete before the target is opened, so a plot that fails writes
+    nothing.  Raises ValueError for anything but a SweepTable and
+    EmptySweepError for a table with no cells.
     """
-    table = _as_table(cells, "render")
+    _require_table(table, "render")
     if kind == "auto":
         if len(table.axis_names) == 2:
             kind = "raster"
@@ -288,8 +291,5 @@ def render_svg(cells, path, kind: str = "auto", spec=None) -> None:
         text = _render_raster(table, spec)
     else:
         text = _render_lines(table, kind, spec)
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as stream:
-            stream.write(text)
+    with _opened(path, "w") as stream:
+        stream.write(text)

@@ -15,11 +15,11 @@ columns match them bit for bit, metric_norm to rounding.
 
 A sweep result is a SweepTable: the axis coordinates, n, phase,
 discriminant, both eigenvalues and each extra quantity as arrays, with a
-mask per extra for the cells that omit it.  It reads as a sequence of
-PhaseCell, built only when a caller indexes or iterates.  run_sweep,
-read_csv and read_json return it; the exporters and plots.render_svg read
-its columns and also accept a plain list of cells.  SweepSpec.validate
-refuses grids of more than MAX_CELLS cells before anything is allocated.
+mask per extra for the cells that omit it.  Indexing or iterating it
+yields PhaseCell, built only then.  run_sweep, read_csv and read_json return
+it, and the exporters and plots.render_svg accept nothing else: they read
+its columns.  SweepSpec.validate refuses grids of more than MAX_CELLS cells
+before anything is allocated.
 
 Exports are deterministic: fixed row order (block index outermost, then
 axis2-major, then axis1), fixed column order, floats printed with 17
@@ -32,11 +32,11 @@ axis values and the spectrum repeats its real parts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
@@ -200,8 +200,8 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
-class SweepTable(Sequence):
-    """A sweep result held as columns; reads as a sequence of PhaseCell.
+class SweepTable:
+    """A sweep result held as columns; indexing and iteration yield PhaseCell.
 
     Columns, one entry per cell in row order: `coords` (one float array per
     name in `axis_names`), `n`, `phase` (codes indexing `tuple(Phase)`:
@@ -211,9 +211,9 @@ class SweepTable(Sequence):
     arrays marking the cells that omit the value, so an omitted value stays
     distinct from a stored NaN; a key every cell omits is dropped.
 
-    `len`, iteration, `t[i]` and `==` behave as on the list of cells the
-    table stands for; a PhaseCell is built only when a caller indexes or
-    iterates, and a slice is again a table.
+    `len(t)` counts the cells, `t[i]` (an integer, negative from the end)
+    and iteration build the PhaseCell of a row only when asked, and two
+    tables are `==` when they hold the same cells.
     """
 
     __slots__ = (
@@ -267,13 +267,6 @@ class SweepTable(Sequence):
         return self._cells(slice(None))
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SweepTable(
-                self.axis_names, [c[index] for c in self.coords], self.n[index],
-                self.phase[index], self.discriminant[index], self.eigenvalue_I[index],
-                self.eigenvalue_II[index], {k: v[index] for k, v in self.extras.items()},
-                {k: m[index] for k, m in self.omitted.items()},
-            )
         i = operator.index(index)
         if i < 0:
             i += len(self)
@@ -282,8 +275,6 @@ class SweepTable(Sequence):
         return next(self._cells(slice(i, i + 1)))
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            return list(self) == other
         if not isinstance(other, SweepTable):
             return NotImplemented
         if self is other or len(self) == len(other) == 0:
@@ -515,55 +506,19 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     )
 
 
-def _as_table(cells, action: str) -> SweepTable:
-    """cells as a SweepTable: the table itself, or a list of PhaseCell in columns."""
-    if not len(cells):
+def _require_table(table, action: str) -> None:
+    """ValueError unless table is a SweepTable; EmptySweepError if it has no cells."""
+    if not isinstance(table, SweepTable):
+        raise ValueError(f"expected a SweepTable, got {type(table).__name__}")
+    if not len(table):
         raise EmptySweepError(f"no cells to {action}")
-    if isinstance(cells, SweepTable):
-        return cells
-    names = cells[0].axis_names
-    if any(c.axis_names != names for c in cells):
-        raise ValueError("cells come from sweeps with different axes")
-    keys = dict.fromkeys(k for c in cells for k in c.extras)
-    return SweepTable(
-        names,
-        zip(*(c.coords for c in cells)),
-        [c.n for c in cells],
-        [_PHASE_CODE[c.phase.value] for c in cells],
-        [c.discriminant for c in cells],
-        [c.eigenvalues.eigenvalue_I for c in cells],
-        [c.eigenvalues.eigenvalue_II for c in cells],
-        {k: [c.extras.get(k, math.nan) for c in cells] for k in keys},
-        {k: [k not in c.extras for c in cells] for k in keys},
-    )
 
 
-def _export_columns(table: SweepTable):
-    """Header, value lists and per-column omitted masks in export order.
-
-    Extras come sorted by key; a mask is None where no cell omits the value.
-    """
-    keys = sorted(table.extras)
-    values = [c.tolist() for c in table.coords] + [
-        table.n.tolist(),
-        list(map(_PHASE_NAMES.__getitem__, table.phase.tolist())),
-        table.discriminant.tolist(),
-        table.eigenvalue_I.real.tolist(),
-        table.eigenvalue_I.imag.tolist(),
-        table.eigenvalue_II.real.tolist(),
-        table.eigenvalue_II.imag.tolist(),
-    ]
-    omitted = [None] * len(values)
-    for k in keys:
-        values.append(table.extras[k].tolist())
-        omitted.append(table.omitted[k].tolist() if table.omitted[k].any() else None)
-    return [*table.axis_names, *_BASE_COLUMNS, *keys], values, omitted
-
-
-def _open_for(target, mode: str):
+def _opened(target, mode: str):
+    """A stream as is, left open on exit, or a path opened in mode and closed on exit."""
     if hasattr(target, "write"):
-        return target, False
-    return open(target, mode, newline="" if "b" not in mode else None), True
+        return contextlib.nullcontext(target)
+    return open(target, mode, newline="")
 
 
 def _formatted(column: np.ndarray, fmt: str, omitted: np.ndarray | None = None) -> list[str]:
@@ -580,15 +535,17 @@ def _formatted(column: np.ndarray, fmt: str, omitted: np.ndarray | None = None) 
     return np.array(text, dtype=object)[index].tolist()
 
 
-def export_csv(cells: Sequence[PhaseCell], path) -> None:
-    """Write a SweepTable (or a list of cells) as CSV.
+def export_csv(table: SweepTable, path) -> None:
+    """Write a SweepTable as CSV to a path or a text stream.
 
     Fields are separated by "," and lines end in "\\n".  No field is
     quoted, since none needs it: the fields are %.17g floats, block indices,
     phase names, and empty fields for the quantities EP cells omit.  Each
-    distinct value of a column is formatted once.
+    distinct value of a column is formatted once, all of them before the
+    target is opened.  Raises ValueError for anything but a SweepTable and
+    EmptySweepError for a table with no cells.
     """
-    table = _as_table(cells, "export")
+    _require_table(table, "export")
     keys = sorted(table.extras)
     floats = (
         table.discriminant,
@@ -605,14 +562,10 @@ def export_csv(cells: Sequence[PhaseCell], path) -> None:
         *(_formatted(table.extras[k], "%.17g", table.omitted[k]) for k in keys),
     ]
     rows = map(",".join, zip(*columns))
-    stream, owned = _open_for(path, "w")
-    try:
+    with _opened(path, "w") as stream:
         stream.write(",".join([*table.axis_names, *_BASE_COLUMNS, *keys]) + "\n")
         while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
             stream.write("\n".join(chunk) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def _parsed(fn, raw, field: str, where) -> list:
@@ -635,11 +588,15 @@ def _float_or_omitted(value) -> float:
 def _parse_table(axis_names, column, extra_keys, where) -> SweepTable:
     """A table from raw columns: column(key) lists one value per row, "" for
     an omitted extra; where(k) names row k in error messages."""
+    n = _parsed(int, column("n"), "n", where)
+    if n and not 0 <= min(n) <= max(n) < 2**63:  # a block index that fits the int64 column
+        k = next(k for k, v in enumerate(n) if not 0 <= v < 2**63)
+        raise SweepFileError(f"{where(k)}: bad n {column('n')[k]!r}")
     eigen = {k: _parsed(float, column(k), k, where) for k in _BASE_COLUMNS[3:]}
     return SweepTable(
         axis_names,
         [_parsed(float, column(a), a, where) for a in axis_names],
-        _parsed(int, column("n"), "n", where),
+        n,
         _parsed(_PHASE_CODE.__getitem__, column("phase"), "phase", where),
         _parsed(float, column("discriminant"), "discriminant", where),
         _complex(eigen["eigenvalue_I_re"], eigen["eigenvalue_I_im"]),
@@ -653,23 +610,27 @@ def read_csv(path) -> SweepTable:
     """Parse a file produced by export_csv back into a SweepTable.
 
     Reads exactly what export_csv writes: unquoted fields separated by ",",
-    lines ending in "\\n" or "\\r\\n".  Malformed input (a missing column, a
-    line with the wrong number of fields, a bad value, a quoted field)
-    raises SweepFileError naming the column or the line.
+    lines ending in "\\n" or "\\r\\n".  The header names 1 or 2 axes from
+    AXIS_NAMES, then the base columns, then the extras, each column once.
+    Malformed input (a bad header, a line with the wrong number of fields, a
+    bad value such as a negative n, a quoted field) raises SweepFileError
+    naming the header or the line.
     """
-    stream, owned = _open_for(path, "r")
-    try:
+    with _opened(path, "r") as stream:
         lines = stream.read().splitlines()
-    finally:
-        if owned:
-            stream.close()
     if not lines:
         raise EmptySweepError("empty CSV")
     header, body = lines[0].split(","), lines[1:]
     missing = [c for c in _BASE_COLUMNS if c not in header]
     if missing:
         raise SweepFileError(f"CSV header: missing column(s) {', '.join(missing)}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise SweepFileError(f"CSV header: repeated column(s) {', '.join(repeated)}")
     n_axes = header.index("n")
+    axes = header[:n_axes]
+    if not 1 <= n_axes <= 2 or not set(axes) <= set(AXIS_NAMES):
+        raise SweepFileError(f"CSV header: need 1 or 2 axes of {AXIS_NAMES}, got {axes}")
     extra_at = n_axes + len(_BASE_COLUMNS)
     if tuple(header[n_axes:extra_at]) != _BASE_COLUMNS:
         raise SweepFileError(f"CSV header: expected {','.join(_BASE_COLUMNS)} after the axes")
@@ -683,7 +644,7 @@ def read_csv(path) -> SweepTable:
     del lines, body  # the values hold the same text; free the lines before parsing
     columns = {name: values[i::width] for i, name in enumerate(header)}
     return _parse_table(
-        header[:n_axes], columns.__getitem__, header[extra_at:], lambda k: f"line {k + 2}"
+        axes, columns.__getitem__, header[extra_at:], lambda k: f"line {k + 2}"
     )
 
 
@@ -779,27 +740,40 @@ def spec_from_dict(data: dict) -> SweepSpec:
     return spec
 
 
-def export_json(cells: Sequence[PhaseCell], path, spec: SweepSpec) -> None:
-    """Write a SweepTable (or a list of cells) plus a `meta` object echoing
-    the sweep spec."""
-    table = _as_table(cells, "export")
-    header, values, omitted = _export_columns(table)
-    for i, mask in enumerate(omitted):
-        if mask is not None:
-            values[i] = [_OMITTED if o else v for v, o in zip(values[i], mask)]
+def export_json(table: SweepTable, path, spec: SweepSpec) -> None:
+    """Write a SweepTable plus a `meta` object echoing the sweep spec as JSON
+    to a path or a text stream.
+
+    The text is complete before the target is opened.  Raises ValueError
+    for anything but a SweepTable and EmptySweepError for a table with no
+    cells.
+    """
+    _require_table(table, "export")
+    keys = sorted(table.extras)
+    values = [c.tolist() for c in table.coords] + [
+        table.n.tolist(),
+        list(map(_PHASE_NAMES.__getitem__, table.phase.tolist())),
+        table.discriminant.tolist(),
+        table.eigenvalue_I.real.tolist(),
+        table.eigenvalue_I.imag.tolist(),
+        table.eigenvalue_II.real.tolist(),
+        table.eigenvalue_II.imag.tolist(),
+    ]
+    for k in keys:
+        column, mask = table.extras[k].tolist(), table.omitted[k]
+        if mask.any():
+            column = [_OMITTED if o else v for v, o in zip(column, mask.tolist())]
+        values.append(column)
+    header = [*table.axis_names, *_BASE_COLUMNS, *keys]
     payload = {
         "meta": spec_to_dict(spec),
         "cells": [
             {k: v for k, v in zip(header, row) if v is not _OMITTED} for row in zip(*values)
         ],
     }
-    stream, owned = _open_for(path, "w")
-    try:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with _opened(path, "w") as stream:
+        stream.write(text)
 
 
 def read_json(path) -> tuple[SweepTable, SweepSpec]:
@@ -809,12 +783,8 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
     where a number belongs, an n that is not a whole number) raises
     SweepFileError naming the field or the cell.
     """
-    stream, owned = _open_for(path, "r")
-    try:
+    with _opened(path, "r") as stream:
         payload = json.load(stream)
-    finally:
-        if owned:
-            stream.close()
     for key, kind in (("meta", dict), ("cells", list)):
         if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
             raise SweepFileError(f"JSON: missing or malformed field {key!r}")

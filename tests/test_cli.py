@@ -267,6 +267,21 @@ def test_io_errors_exit_two(capsys, tmp_path):
         ["spectrum", "--grid", "delta:0:4:5", "--out", str(tmp_path / "no" / "dir.csv")],
     )
     assert code == 2 and "i/o error" in err
+    # an empty --out names no file; it does not mean stdout
+    code, out, err = run_cli(capsys, ["spectrum", "--grid", "delta:0:4:5", "--out", ""])
+    assert code == 2 and out == "" and "i/o error" in err
+
+
+def test_failed_export_leaves_out_file_untouched(capsys, tmp_path):
+    # every cell lies in the EP band and omits metric_norm: nothing to plot
+    target = tmp_path / "f.svg"
+    target.write_bytes(b"earlier output\n")
+    argv = ["metric", "--omega", "1", "--epsilon", "5", "--grid",
+            "gamma:1.99999999999:2.00000000001:3", "--format", "svg", "--out", str(target)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == "nhjc: error: no data to plot for kind 'metric'\n"
+    assert target.read_bytes() == b"earlier output\n"
 
 
 def test_json_roundtrip_through_cli(capsys, tmp_path):

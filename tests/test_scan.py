@@ -137,7 +137,7 @@ def test_run_sweep_two_axis_order():
 
 def test_run_sweep_n_list_outermost():
     spec = simple_spec(n_list=(0, 3))
-    cells = run_sweep(spec)
+    cells = list(run_sweep(spec))
     assert [c.n for c in cells] == [0] * 5 + [3] * 5
     # the delta axis fixes delta, so the discriminant is the same for every n
     for a, b in zip(cells[:5], cells[5:]):
@@ -227,20 +227,18 @@ def test_csv_accepts_stream():
     assert read_csv(io.StringIO(buf.getvalue())) == cells
 
 
-def test_export_rejects_empty_or_mixed_cells(tmp_path):
-    with pytest.raises(EmptySweepError):
-        export_csv([], tmp_path / "empty.csv")
-    gamma_cells = run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1.0, 2)))
-    delta_cells = run_sweep(simple_spec())
-    with pytest.raises(ValueError, match="different axes"):
-        export_csv([*gamma_cells, *delta_cells], tmp_path / "mixed.csv")
-
-
 _CSV_HEADER = (
     "delta,n,phase,discriminant,eigenvalue_I_re,eigenvalue_I_im,eigenvalue_II_re,eigenvalue_II_im"
 )
 _CSV_ROW = "0,0,Unbroken,16,3,0,-2,0"
 _QUOTED = '"Unbroken"'
+
+
+def test_export_rejects_an_empty_table(tmp_path):
+    empty = read_csv(io.StringIO(f"{_CSV_HEADER}\n"))
+    with pytest.raises(EmptySweepError):
+        export_csv(empty, tmp_path / "empty.csv")
+    assert not (tmp_path / "empty.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -257,6 +255,17 @@ _QUOTED = '"Unbroken"'
         (f"{_CSV_HEADER}\n{_CSV_ROW.replace('Unbroken', _QUOTED)}\n", f"line 2: bad phase '{_QUOTED}'"),
         # 8 + 7 + 9 fields: the right total, but line 3 is short
         (f"{_CSV_HEADER}\n{_CSV_ROW}\n{_CSV_ROW[:-2]}\n{_CSV_ROW},1\n", "line 3: 7 fields"),
+        # the axis columns are 1 or 2 names from AXIS_NAMES, and no column repeats
+        (f"{_CSV_HEADER[len('delta,'):]}\n{_CSV_ROW[len('0,'):]}\n", r"CSV header: .* got \[\]"),
+        (f"gamma,{_CSV_HEADER.replace('delta', 'gamma')}\n1,{_CSV_ROW}\n", "header: repeated column.* gamma"),
+        (f"{_CSV_HEADER},n\n{_CSV_ROW},1\n", "header: repeated column.* n"),
+        (f"{_CSV_HEADER},survival,survival\n{_CSV_ROW},1,2\n", "header: repeated column.* survival"),
+        (f"{_CSV_HEADER.replace('delta', 'bogus')}\n{_CSV_ROW}\n", "CSV header: .*'bogus'"),
+        (f"gamma,t,{_CSV_HEADER}\n1,2,{_CSV_ROW}\n", "CSV header: .*'gamma', 't', 'delta'"),
+        (f"{_CSV_HEADER}\n{_CSV_ROW}\n{_CSV_ROW.replace('0,0,', '0,-1,', 1)}\n", "line 3: bad n '-1'"),
+        # past the int64 n column
+        (f"{_CSV_HEADER}\n{_CSV_ROW.replace('0,0,', '0,9223372036854775808,', 1)}\n",
+         "line 2: bad n '9223372036854775808'"),
     ],
 )
 def test_read_csv_names_the_malformed_row_or_column(text, match):
@@ -297,6 +306,11 @@ def _json_payload(**changes):
         (
             _json_payload(cells=[dict(_json_payload()["cells"][0], n=1.5)]),
             r"cells\[0\]: bad n 1\.5",
+        ),
+        (
+            # a whole number past the int64 n column
+            _json_payload(cells=[dict(_json_payload()["cells"][0], n=2**63)]),
+            rf"cells\[0\]: bad n {2**63}",
         ),
         (
             _json_payload(cells=[dict(_json_payload()["cells"][0], discriminant=True)]),

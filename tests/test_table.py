@@ -1,7 +1,7 @@
 """The column table that run_sweep, read_csv and read_json return.
 
-A SweepTable must read exactly like the list of PhaseCell it stands for, and
-every exporter must write the same bytes for the table as for that list.
+Indexing and iterating a SweepTable yield the PhaseCell of each row, the
+exporters round-trip it exactly, and they accept nothing but a table.
 """
 
 import io
@@ -12,6 +12,7 @@ import pytest
 
 from nhjc.cli import PRESETS
 from nhjc.dynamics import default_time_grid, effective_generator
+from nhjc.errors import EmptySweepError
 from nhjc.model import ModelParams, Phase
 from nhjc.plots import render_svg
 from nhjc.scan import (
@@ -60,60 +61,67 @@ SPECS["n_list"] = SweepSpec(
 )
 
 
-def _csv(cells):
+def _csv(table):
     buf = io.StringIO()
-    export_csv(cells, buf)
+    export_csv(table, buf)
     return buf.getvalue()
 
 
-def _json(cells, spec):
+def _json(table, spec):
     buf = io.StringIO()
-    export_json(cells, buf, spec)
+    export_json(table, buf, spec)
     return buf.getvalue()
 
 
-def _svg(cells, spec):
+def _svg(table, spec):
     buf = io.StringIO()
-    render_svg(cells, buf, spec=spec)
+    render_svg(table, buf, spec=spec)
     return buf.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_round_trip_and_list_exports(name):
+def test_round_trip(name):
     spec = SPECS[name]
     table = run_sweep(spec)
     assert isinstance(table, SweepTable)
-    cells = list(table)
-    text = _csv(table)
-    assert read_csv(io.StringIO(text)) == table
-    assert _csv(cells) == text
-    payload = _json(table, spec)
-    back, back_spec = read_json(io.StringIO(payload))
+    assert read_csv(io.StringIO(_csv(table))) == table
+    back, back_spec = read_json(io.StringIO(_json(table, spec)))
     assert back == table and back_spec == spec
-    assert _json(cells, spec) == payload
-    assert _svg(cells, spec) == _svg(table, spec)
 
 
-def test_table_reads_as_its_list_of_cells():
+def test_table_yields_its_cells():
     table = run_sweep(SPECS["metric_entropy_ep"])
     cells = list(table)
     assert len(table) == len(cells) == 41
     assert all(isinstance(c, PhaseCell) for c in cells)
     assert table[0] == cells[0] and table[-1] == cells[-1] and table[-41] == cells[0]
     assert table[np.int64(20)] == cells[20]
-    assert table[3:9] == cells[3:9] and table[::-7] == cells[::-7]
-    assert isinstance(table[3:9], SweepTable)
-    assert table[40:100] == cells[40:] and len(table[41:]) == 0 and table[41:] == []
     for i in (41, -42):
         with pytest.raises(IndexError):
             table[i]
-    assert table == cells and cells == table and not table != cells
-    assert table != cells[:-1] and table != tuple(cells)
     ep = table[20]
     assert ep.phase is Phase.EXCEPTIONAL_POINT and set(ep.extras) == {"entropy_I", "entropy_II"}
     assert type(ep.discriminant) is float and type(ep.eigenvalues.eigenvalue_I) is complex
     assert type(ep.coords[0]) is float and type(ep.n) is int
-    assert table.index(ep) == 20 and ep in table
+    assert ep in table
+
+
+_WRITERS = {
+    "export_csv": _csv,
+    "export_json": lambda table: _json(table, SPECS["fig1"]),
+    "render_svg": lambda table: _svg(table, None),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_writers_take_only_a_table_with_cells(writer):
+    write = _WRITERS[writer]
+    for other in (list(run_sweep(SPECS["fig1"])), "fig1.csv", None):
+        with pytest.raises(ValueError, match="expected a SweepTable"):
+            write(other)
+    header_only = read_csv(io.StringIO(_csv(run_sweep(SPECS["fig1"])).splitlines()[0] + "\n"))
+    with pytest.raises(EmptySweepError):
+        write(header_only)
 
 
 def _with(table, **columns):
@@ -173,24 +181,24 @@ def test_results_keep_the_benchmark_contract():
 _EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1)
 
 
-def _edge_table():
+def _edge_table(rows=slice(None)):
+    """The edge values rolled through every column; only `rows` of them if given."""
     def edges(shift):
-        return np.roll(np.array(_EDGES), shift)
+        return np.roll(np.array(_EDGES), shift)[rows]
 
     def pair(re, im):  # re + 1j * im would turn inf parts into NaN
-        z = np.empty(size, complex)
+        z = np.empty(len(edges(re)), complex)
         z.real, z.imag = edges(re), edges(im)
         return z
 
     size = len(_EDGES)
     omitted = np.zeros(size, bool)
     omitted[1] = True  # beside the NaN that metric_norm stores in cell 0
-    metric = edges(-2)
     return SweepTable(
-        ("gamma", "t"), [edges(0), edges(1)], [0, 0, 0, 0, 3, 3, 3, 3],
-        [0, 1, 2, 0, 1, 2, 0, 1], edges(3), pair(4, 5), pair(6, 7),
-        {"metric_norm": metric, "entropy_I": edges(-1)},
-        {"metric_norm": omitted, "entropy_I": np.zeros(size, bool)},
+        ("gamma", "t"), [edges(0), edges(1)], np.array([0, 0, 0, 0, 3, 3, 3, 3])[rows],
+        np.array([0, 1, 2, 0, 1, 2, 0, 1])[rows], edges(3), pair(4, 5), pair(6, 7),
+        {"metric_norm": edges(-2), "entropy_I": edges(-1)},
+        {"metric_norm": omitted[rows], "entropy_I": np.zeros(size, bool)[rows]},
     )
 
 
@@ -210,8 +218,7 @@ def _bits(table):
 def test_csv_matches_the_per_value_rule_on_edge_columns():
     table = _edge_table()
     assert "\n-0,0," in _csv(table)  # cell 1: gamma -0.0, t 0.0
-    for part in (table, table[:1], table[5:6]):
-        for cells in (part, list(part)):
-            text = _csv(cells)
-            assert text == reference_csv(cells)
-            assert _bits(read_csv(io.StringIO(text))) == _bits(part)
+    for part in (table, _edge_table(rows=slice(0, 1)), _edge_table(rows=slice(5, 6))):
+        text = _csv(part)
+        assert text == reference_csv(part)
+        assert _bits(read_csv(io.StringIO(text))) == _bits(part)
