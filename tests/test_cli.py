@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface."""
 
+import copy
+import hashlib
 import io
 import json
 import math
@@ -315,3 +317,88 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0].startswith("gamma,n,phase")
+
+
+
+_PRESETS_BEFORE = copy.deepcopy(PRESETS)
+_G = ["--grid", "delta:0:4:5"]
+_T = ["--gamma", "4", "--grid", "t:0:1:3"]
+_AXES = [{"name": "delta", "min": 0.0, "max": 1.0, "steps": 3}]
+
+# id, argv, the config file (None for no --config), and either the first 16
+# hex digits of the stdout's sha256 or "error:<field>" for an exit-1 run whose
+# one stderr line starts "nhjc: error: <field>:".
+_LAYER_ROWS = [
+    # defaults < preset: the preset's quantities replace the command default
+    ("defaults", ["spectrum", *_G], None, "0164517b7a6bf8c9"),
+    ("preset-over-defaults", ["metric", "--preset", "fig1"], None, "184322a8a78b2e29"),
+    # preset < config: fixed merges by key; axes and quantities are replaced
+    (
+        "config-over-preset",
+        ["spectrum", "--preset", "fig1"],
+        {"fixed": {"n": 2}, "axes": _AXES, "quantities": ["metric_norm"]},
+        "9c576775ae1cdcea",
+    ),
+    # config < flags: a flag replaces one fixed key, --grid replaces the axes
+    (
+        "flags-over-config",
+        ["spectrum", "--epsilon", "7", "--grid", "gamma:0:2:3"],
+        {"fixed": {"epsilon": 3.0, "omega": 2.0}, "axes": _AXES},
+        "0fccbe280cbdec1c",
+    ),
+    # --preset wins over the config's "preset", which is then never checked
+    ("preset-flag-over-config", ["spectrum", "--preset", "fig1"], {"preset": "fig3"},
+     "184322a8a78b2e29"),
+    ("preset-flag-over-bad-config", ["spectrum", "--preset", "fig1"], {"preset": ["x"]},
+     "184322a8a78b2e29"),
+    ("config-preset", ["spectrum"], {"preset": "fig1", "fixed": {"epsilon": 4.0}},
+     "444a6b9f88594a28"),
+    ("n-list", ["spectrum", *_G], {"n_list": [0, 2]}, "24a1d983a8343286"),
+    ("initial-bloch", ["dynamics", *_T], {"initial_bloch": [1.0, 0.0, 0.0]}, "19e891a042ac30e5"),
+    ("r0-over-config", ["dynamics", *_T, "--r0", "0,-1,0"], {"initial_bloch": [1.0, 0.0, 0.0]},
+     "3b61058154693880"),
+    # null in the config
+    ("null-quantities", ["spectrum", *_G], {"quantities": None}, "0164517b7a6bf8c9"),
+    ("null-quantities-over-preset", ["metric", "--preset", "fig1"], {"quantities": None},
+     "0ce53faa9d92253b"),
+    ("null-initial-bloch", ["dynamics", *_T], {"initial_bloch": None}, "3e2415959b853806"),
+    ("null-preset", ["spectrum", *_G], {"preset": None}, "0164517b7a6bf8c9"),
+    ("null-axes", ["spectrum", *_G], {"axes": None}, "error:axes"),
+    ("null-axes-over-preset", ["spectrum", "--preset", "fig1"], {"axes": None}, "error:axes"),
+    ("null-n-list", ["spectrum", *_G], {"n_list": None}, "error:n_list"),
+    ("null-fixed", ["spectrum", *_G], {"fixed": None}, "error:fixed"),
+    ("null-fixed-key", ["spectrum", *_G], {"fixed": {"omega": None}}, "error:fixed"),
+    # exponent reads only fixed
+    ("exponent-fixed", ["exponent", "--preset", "fig1"], {"fixed": {"n": 1}, "quantities": 5},
+     "5fce419822ce78e8"),
+    ("exponent-list-axes", ["exponent"], {"axes": [1, 2, 3]}, "5fce419822ce78e8"),
+    ("exponent-bad-axes", ["exponent"], {"axes": 5}, "error:axes"),
+    # axes: empty, not a list, or the wrong count
+    ("empty-axes", ["spectrum"], {"axes": []}, "error:spectrum"),
+    ("dynamics-empty-axes", ["dynamics", "--gamma", "4"], {"axes": []}, "9ceec7f7610ce01d"),
+    ("dynamics-object-axes", ["dynamics", "--gamma", "4"], {"axes": {}}, "error:axes"),
+    ("number-axes", ["spectrum", *_G], {"axes": 5}, "error:axes"),
+    ("three-axes", ["spectrum", *_G, *_G, *_G], None, "error:spectrum"),
+    ("one-axis-phase-map", ["phase-map", *_G], None, "error:phase-map"),
+    ("config-not-object", ["spectrum"], [], "error:config"),
+    ("fixed-not-object", ["spectrum", *_G], {"fixed": [1]}, "error:fixed"),
+    ("unknown-preset", ["spectrum"], {"preset": "fig9"}, "error:preset"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, expect", [pytest.param(*row, id=name) for name, *row in _LAYER_ROWS]
+)
+def test_option_layers(capsys, tmp_path, argv, config, expect):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    if expect.startswith("error:"):
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"nhjc: error: {expect[6:]}:")
+    else:
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == expect
+    assert PRESETS == _PRESETS_BEFORE
