@@ -3,7 +3,9 @@
 Subcommands map onto the library surface: `spectrum`, `phase-map`, `metric`,
 `entropy` and `dynamics` run sweeps and export CSV/JSON/SVG; `exponent`
 fits the metric divergence exponent.  Options are resolved in the order
-defaults < --preset < --config file < explicit flags.
+defaults < --preset < --config file < explicit flags: a later layer replaces
+a key, except `fixed`, which merges key by key, and a null value means not
+set, so the key takes its default.  `exponent` reads only `fixed`.
 
 Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 """
@@ -11,7 +13,6 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 
@@ -29,14 +30,6 @@ _DEFAULT_QUANTITIES = {
     "metric": ["metric_norm", "phase"],
     "entropy": ["entropy", "phase"],
     "dynamics": ["survival", "bloch"],
-}
-
-_SVG_KIND = {
-    "spectrum": "spectrum",
-    "phase-map": "raster",
-    "metric": "metric",
-    "entropy": "entropy",
-    "dynamics": "dynamics",
 }
 
 # Canonical figure sweeps.  fig2x rasters share omega = 1 and differ in the
@@ -125,88 +118,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_options(args) -> dict:
-    merged: dict = {"fixed": {}, "axes": [], "quantities": None, "n_list": [], "initial_bloch": None}
+def _resolved(args) -> dict:
+    """The options of a run from its layers, defaults < preset < config < flags.
+
+    A later layer replaces a key, except `fixed`, which merges key by key.
+    A null value means not set: the key takes its default, whatever an
+    earlier layer gave it.
+    """
     config = {}
     if args.config:
         with open(args.config) as stream:
-            config = json.load(stream)
+            try:
+                config = json.load(stream)
+            except (ValueError, RecursionError) as exc:  # a missing file stays an OSError
+                raise SpecValidationError(f"config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise SpecValidationError("config: expected a JSON object")
-    for key, kind in (("fixed", dict), ("axes", list)):
-        if key in config and not isinstance(config[key], kind):
-            raise SpecValidationError(f"{key}: expected a JSON {'object' if kind is dict else 'array'}")
-    preset_name = args.preset or config.get("preset")
-    if preset_name is not None:
-        if not isinstance(preset_name, str) or preset_name not in PRESETS:
-            raise SpecValidationError(f"preset: unknown {preset_name!r}, allowed {sorted(PRESETS)}")
-        preset = copy.deepcopy(PRESETS[preset_name])
-        merged["fixed"].update(preset["fixed"])
-        merged["axes"] = preset["axes"]
-        merged["quantities"] = preset["quantities"]
-    for key in ("axes", "quantities", "n_list", "initial_bloch"):
-        if key in config:
-            merged[key] = copy.deepcopy(config[key])
-    merged["fixed"].update(config.get("fixed", {}))
-    for name in ("omega", "epsilon", "gamma", "n"):
-        value = getattr(args, name)
-        if value is not None:
-            merged["fixed"][name] = value
+    name = args.preset or config.get("preset")
+    if name is not None and (not isinstance(name, str) or name not in PRESETS):
+        raise SpecValidationError(f"preset: unknown {name!r}, allowed {sorted(PRESETS)}")
+    fixed = {k: getattr(args, k) for k in ("omega", "epsilon", "gamma", "n")}
+    flags = {"fixed": {k: v for k, v in fixed.items() if v is not None}}
     if args.grid:
-        merged["axes"] = [_parse_grid(g) for g in args.grid]
+        flags["axes"] = [_parse_grid(g) for g in args.grid]
     if getattr(args, "r0", None) is not None:
-        merged["initial_bloch"] = _parse_r0(args.r0)
-    return merged
+        flags["initial_bloch"] = _parse_r0(args.r0)
+    merged: dict = {}
+    for layer in (PRESETS.get(name, {}), config, flags):
+        for key, value in layer.items():
+            if key == "fixed" and value is not None:
+                if not isinstance(value, dict):
+                    raise SpecValidationError("fixed: expected a JSON object")
+                value = {**(merged.get("fixed") or {}), **value}
+            merged[key] = value
+    defaults = {"quantities": _DEFAULT_QUANTITIES.get(args.command)}
+    return defaults | {k: v for k, v in merged.items() if v is not None}
 
 
-def _run_exponent(args, merged) -> int:
-    p = _params_from_dict(merged["fixed"])
-    lines = [
-        f"slope_below = {metric_divergence_exponent(p, 'below'):.6f}",
-        f"slope_above = {metric_divergence_exponent(p, 'above'):.6f}",
-    ]
-    with _opened(sys.stdout if args.out is None else args.out, "w") as stream:
-        stream.write("\n".join(lines) + "\n")
-    return 0
-
-
-def _run_sweep_command(args, merged) -> int:
+def _run(args) -> None:
+    options = _resolved(args)
     command = args.command
-    if merged["quantities"] is None:
-        merged["quantities"] = _DEFAULT_QUANTITIES[command]
-    if not merged["axes"] and command == "dynamics":
-        # no grid given: 500 points on [0, 5/rate] for the fixed parameters
-        gen = effective_generator(_params_from_dict(merged["fixed"]))
-        grid = default_time_grid(gen)
-        merged["axes"] = [
-            {"name": "t", "min": float(grid[0]), "max": float(grid[-1]), "steps": len(grid)}
-        ]
-    if not merged["axes"]:
-        raise SpecValidationError(f"{command}: needs --grid or --preset")
-    want_two = command == "phase-map"
-    if want_two and len(merged["axes"]) != 2:
-        raise SpecValidationError("phase-map: needs exactly two --grid axes")
-    if not want_two and len(merged["axes"]) != 1:
-        raise SpecValidationError(f"{command}: needs exactly one --grid axis")
-    spec_dict = {
-        "fixed": merged["fixed"],
-        "axes": merged["axes"],
-        "quantities": merged["quantities"],
-        "n_list": merged["n_list"],
-    }
-    if merged["initial_bloch"] is not None:
-        spec_dict["initial_bloch"] = merged["initial_bloch"]
-    spec = spec_from_dict(spec_dict)
-    table = run_sweep(spec)
     # not `args.out or sys.stdout`: --out "" names no file and must fail as i/o
     target = sys.stdout if args.out is None else args.out
+    if command == "exponent":
+        p = _params_from_dict(options.get("fixed", {}))
+        lines = [
+            f"slope_below = {metric_divergence_exponent(p, 'below'):.6f}",
+            f"slope_above = {metric_divergence_exponent(p, 'above'):.6f}",
+        ]
+        with _opened(target, "w") as stream:
+            stream.write("\n".join(lines) + "\n")
+        return
+    axes = options.get("axes", [])  # {} or 0 is for spec_from_dict to reject
+    if axes == [] and command == "dynamics":
+        # no grid given: 500 points on [0, 5/rate] for the fixed parameters
+        gen = effective_generator(_params_from_dict(options.get("fixed", {})))
+        grid = default_time_grid(gen)
+        axes = options["axes"] = [
+            {"name": "t", "min": float(grid[0]), "max": float(grid[-1]), "steps": len(grid)}
+        ]
+    if axes == []:
+        raise SpecValidationError(f"{command}: needs --grid or --preset")
+    # counted before spec_from_dict, which would name `axes` for three --grid flags
+    if isinstance(axes, list) and len(axes) != 1 + (command == "phase-map"):
+        if command == "phase-map":
+            raise SpecValidationError("phase-map: needs exactly two --grid axes")
+        raise SpecValidationError(f"{command}: needs exactly one --grid axis")
+    spec = spec_from_dict(options)
+    table = run_sweep(spec)
     if args.format == "csv":
         export_csv(table, target)
     elif args.format == "json":
         export_json(table, target, spec)
     else:
-        render_svg(table, target, kind=_SVG_KIND[command], spec=spec)
-    return 0
+        render_svg(table, target, kind="raster" if command == "phase-map" else command, spec=spec)
 
 
 def cli_main(argv=None) -> int:
@@ -220,10 +205,8 @@ def cli_main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     try:
-        merged = _merged_options(args)
-        if args.command == "exponent":
-            return _run_exponent(args, merged)
-        return _run_sweep_command(args, merged)
+        _run(args)
+        return 0
     except OSError as exc:
         print(f"nhjc: i/o error: {exc}", file=sys.stderr)
         return 2

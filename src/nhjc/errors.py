@@ -40,7 +40,7 @@ class SpecValidationError(ValueError):
 
 
 class EmptySweepError(ValueError):
-    """Export or rendering was asked to process an empty cell list."""
+    """Export or rendering was asked to process a SweepTable with no cells."""
 
 
 class SweepFileError(ValueError):

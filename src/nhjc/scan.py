@@ -299,6 +299,8 @@ _EXTRA_KEYS = {
     "survival": ("survival",),
     "bloch": ("bloch_x", "bloch_y", "bloch_z"),
 }
+# The only extra columns or fields a sweep file may hold.
+_EXTRA_NAMES = frozenset(k for keys in _EXTRA_KEYS.values() for k in keys)
 # The only extras that exceptional-point cells keep (the ln 2 limit).
 _KEPT_AT_EP = frozenset({"entropy_I", "entropy_II"})
 
@@ -611,10 +613,10 @@ def read_csv(path) -> SweepTable:
 
     Reads exactly what export_csv writes: unquoted fields separated by ",",
     lines ending in "\\n" or "\\r\\n".  The header names 1 or 2 axes from
-    AXIS_NAMES, then the base columns, then the extras, each column once.
-    Malformed input (a bad header, a line with the wrong number of fields, a
-    bad value such as a negative n, a quoted field) raises SweepFileError
-    naming the header or the line.
+    AXIS_NAMES, then the base columns, then extras that run_sweep writes,
+    each column once.  Malformed input (a bad header, a line with the wrong
+    number of fields, a bad value such as a negative n, a quoted field)
+    raises SweepFileError naming the header or the line.
     """
     with _opened(path, "r") as stream:
         lines = stream.read().splitlines()
@@ -634,6 +636,9 @@ def read_csv(path) -> SweepTable:
     extra_at = n_axes + len(_BASE_COLUMNS)
     if tuple(header[n_axes:extra_at]) != _BASE_COLUMNS:
         raise SweepFileError(f"CSV header: expected {','.join(_BASE_COLUMNS)} after the axes")
+    unknown = [c for c in header[extra_at:] if c not in _EXTRA_NAMES]
+    if unknown:
+        raise SweepFileError(f"CSV header: unknown column(s) {', '.join(unknown)}")
     width = len(header)
     commas = list(map(str.count, body, repeat(",")))
     if commas.count(width - 1) != len(body):
@@ -779,9 +784,9 @@ def export_json(table: SweepTable, path, spec: SweepSpec) -> None:
 def read_json(path) -> tuple[SweepTable, SweepSpec]:
     """Parse a file produced by export_json back into (table, spec).
 
-    Malformed input (no `meta`, a cell without a field, a bad value, a bool
-    where a number belongs, an n that is not a whole number) raises
-    SweepFileError naming the field or the cell.
+    Malformed input (no `meta`, a cell without a field or with one run_sweep
+    never writes, a bad value, a bool where a number belongs, an n that is
+    not a whole number) raises SweepFileError naming the field or the cell.
     """
     with _opened(path, "r") as stream:
         payload = json.load(stream)
@@ -804,6 +809,11 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
         if bad:
             raise SweepFileError(f"cells[{k}]: bad {bad[0]} {obj[bad[0]]!r}")
     extra_keys = sorted(set().union(*objs).difference(known))
+    unknown = set(extra_keys).difference(_EXTRA_NAMES)
+    if unknown:
+        k = next(k for k, obj in enumerate(objs) if not unknown.isdisjoint(obj))
+        names = ", ".join(sorted(unknown.intersection(objs[k])))
+        raise SweepFileError(f"cells[{k}]: unknown field(s) {names}")
     table = _parse_table(
         axis_names,
         lambda key: [obj.get(key, "") for obj in objs],

@@ -274,6 +274,20 @@ def test_io_errors_exit_two(capsys, tmp_path):
     assert code == 2 and out == "" and "i/o error" in err
 
 
+@pytest.mark.parametrize(
+    "content", [b"{bad", b'{"fixed": "\xff"}', b"[" * 100000], ids=["json", "utf-8", "nesting"]
+)
+def test_unparsable_config_names_the_file(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, ["spectrum", "--config", str(path)])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"nhjc: error: config {path}: ")
+    # a directory, like a missing file, stays an i/o error
+    code, _, err = run_cli(capsys, ["spectrum", "--config", str(tmp_path)])
+    assert code == 2 and "i/o error" in err
+
+
 def test_failed_export_leaves_out_file_untouched(capsys, tmp_path):
     # every cell lies in the EP band and omits metric_norm: nothing to plot
     target = tmp_path / "f.svg"
@@ -357,27 +371,27 @@ _LAYER_ROWS = [
     ("initial-bloch", ["dynamics", *_T], {"initial_bloch": [1.0, 0.0, 0.0]}, "19e891a042ac30e5"),
     ("r0-over-config", ["dynamics", *_T, "--r0", "0,-1,0"], {"initial_bloch": [1.0, 0.0, 0.0]},
      "3b61058154693880"),
-    # null in the config
+    # null in the config: the key takes its default, whatever the preset gave it
     ("null-quantities", ["spectrum", *_G], {"quantities": None}, "0164517b7a6bf8c9"),
     ("null-quantities-over-preset", ["metric", "--preset", "fig1"], {"quantities": None},
      "0ce53faa9d92253b"),
     ("null-initial-bloch", ["dynamics", *_T], {"initial_bloch": None}, "3e2415959b853806"),
     ("null-preset", ["spectrum", *_G], {"preset": None}, "0164517b7a6bf8c9"),
-    ("null-axes", ["spectrum", *_G], {"axes": None}, "error:axes"),
-    ("null-axes-over-preset", ["spectrum", "--preset", "fig1"], {"axes": None}, "error:axes"),
-    ("null-n-list", ["spectrum", *_G], {"n_list": None}, "error:n_list"),
-    ("null-fixed", ["spectrum", *_G], {"fixed": None}, "error:fixed"),
+    ("null-axes", ["spectrum", *_G], {"axes": None}, "0164517b7a6bf8c9"),
+    ("null-axes-over-preset", ["spectrum", "--preset", "fig1"], {"axes": None}, "error:spectrum"),
+    ("null-n-list", ["spectrum", *_G], {"n_list": None}, "0164517b7a6bf8c9"),
+    ("null-fixed", ["spectrum", *_G], {"fixed": None}, "0164517b7a6bf8c9"),
     ("null-fixed-key", ["spectrum", *_G], {"fixed": {"omega": None}}, "error:fixed"),
     # exponent reads only fixed
     ("exponent-fixed", ["exponent", "--preset", "fig1"], {"fixed": {"n": 1}, "quantities": 5},
      "5fce419822ce78e8"),
     ("exponent-list-axes", ["exponent"], {"axes": [1, 2, 3]}, "5fce419822ce78e8"),
-    ("exponent-bad-axes", ["exponent"], {"axes": 5}, "error:axes"),
-    # axes: empty, not a list, or the wrong count
+    ("exponent-bad-axes", ["exponent"], {"axes": 5}, "5fce419822ce78e8"),
+    # axes: empty, not a list (unread where --grid replaces it), or the wrong count
     ("empty-axes", ["spectrum"], {"axes": []}, "error:spectrum"),
     ("dynamics-empty-axes", ["dynamics", "--gamma", "4"], {"axes": []}, "9ceec7f7610ce01d"),
     ("dynamics-object-axes", ["dynamics", "--gamma", "4"], {"axes": {}}, "error:axes"),
-    ("number-axes", ["spectrum", *_G], {"axes": 5}, "error:axes"),
+    ("number-axes", ["spectrum", *_G], {"axes": 5}, "0164517b7a6bf8c9"),
     ("three-axes", ["spectrum", *_G, *_G, *_G], None, "error:spectrum"),
     ("one-axis-phase-map", ["phase-map", *_G], None, "error:phase-map"),
     ("config-not-object", ["spectrum"], [], "error:config"),

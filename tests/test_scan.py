@@ -260,6 +260,7 @@ def test_export_rejects_an_empty_table(tmp_path):
         (f"gamma,{_CSV_HEADER.replace('delta', 'gamma')}\n1,{_CSV_ROW}\n", "header: repeated column.* gamma"),
         (f"{_CSV_HEADER},n\n{_CSV_ROW},1\n", "header: repeated column.* n"),
         (f"{_CSV_HEADER},survival,survival\n{_CSV_ROW},1,2\n", "header: repeated column.* survival"),
+        (f"{_CSV_HEADER},survival,bogus\n{_CSV_ROW},1,2\n", "CSV header: unknown column.* bogus$"),
         (f"{_CSV_HEADER.replace('delta', 'bogus')}\n{_CSV_ROW}\n", "CSV header: .*'bogus'"),
         (f"gamma,t,{_CSV_HEADER}\n1,2,{_CSV_ROW}\n", "CSV header: .*'gamma', 't', 'delta'"),
         (f"{_CSV_HEADER}\n{_CSV_ROW}\n{_CSV_ROW.replace('0,0,', '0,-1,', 1)}\n", "line 3: bad n '-1'"),
@@ -315,6 +316,12 @@ def _json_payload(**changes):
         (
             _json_payload(cells=[dict(_json_payload()["cells"][0], discriminant=True)]),
             r"cells\[0\]: bad discriminant True",
+        ),
+        (
+            _json_payload(
+                cells=[*_json_payload()["cells"][:2], {**_json_payload()["cells"][0], "bogus": 1}]
+            ),
+            r"cells\[2\]: unknown field.* bogus$",
         ),
     ],
 )
