@@ -239,7 +239,7 @@ def _render_raster(table, spec) -> str:
     # the scales do the same float operations on arrays as on scalars, and
     # "%.2f" is _px: a grid repeats each corner along a whole row or column
     corners = zip(
-        _formatted(sx(cx - half_x), "%.2f"), _formatted(sy(cy + half_y), "%.2f"),
+        _formatted(sx(cx - half_x), "%.2f".__mod__), _formatted(sy(cy + half_y), "%.2f".__mod__),
         table.phase.tolist(),
     )
     fills = [_PHASE_FILL[p] for p in Phase]

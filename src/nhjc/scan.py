@@ -25,9 +25,18 @@ Exports are deterministic: fixed row order (block index outermost, then
 axis2-major, then axis1), fixed column order, floats printed with 17
 significant digits so CSV and JSON round-trip byte-for-byte.  CSV is plain
 comma-separated text that never needs quoting, and read_csv accepts that
-dialect only: a quoted field is an error.  export_csv works column by
-column and formats each distinct value of a column once, since grids repeat
-axis values and the spectrum repeats its real parts.
+dialect only: a quoted field is an error.  Both writers work column by
+column and spell each distinct value of a column once, since grids repeat
+axis values and the spectrum repeats its real parts; export_csv joins each
+chunk of rows in one call, and export_json fills one %-template per
+pattern of omitted keys, giving the text json.dump(indent=2,
+sort_keys=True) gives.
+
+read_csv parses the body in one np.loadtxt call.  Where the text is not
+plain ASCII, numpy rejects a value, or a phase name or an n is bad, it
+falls back to the per-value path that read_json shares: float() and int()
+on each value, so every file reads as it would value by value and a bad
+value is named with its line.
 """
 
 from __future__ import annotations
@@ -37,8 +46,9 @@ import json
 import math
 import numbers
 import operator
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -72,9 +82,6 @@ _CSV_CHUNK_ROWS = 512
 # SweepSpec.validate rejects grids with more cells than this
 # (len(n_list) * steps1 * steps2) before anything is allocated
 MAX_CELLS = 10**7
-
-# export_json's stand-in for an omitted extra while it assembles a cell
-_OMITTED = object()
 
 _BASE_COLUMNS = (
     "n",
@@ -523,18 +530,45 @@ def _opened(target, mode: str):
     return open(target, mode, newline="")
 
 
-def _formatted(column: np.ndarray, fmt: str, omitted: np.ndarray | None = None) -> list[str]:
-    """fmt % v for each value of an 8-byte numeric column, "" where omitted.
+def _formatted(column: np.ndarray, spell, omitted: np.ndarray | None = None) -> list[str]:
+    """spell(v) for each value of an 8-byte numeric column, "" where omitted.
 
-    Each distinct value is formatted once.  Values are told apart by their
-    bits, so 0.0 and -0.0, which format differently, stay distinct.
+    Each distinct value is spelled once.  Values are told apart by their
+    bits, so 0.0 and -0.0, which spell differently, stay distinct.
     """
     bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    text = [fmt % v for v in bits.view(column.dtype).tolist()]
+    text = list(map(spell, bits.view(column.dtype).tolist()))
     if omitted is not None:
         text.append("")
         index = np.where(omitted, len(bits), index)
     return np.array(text, dtype=object)[index].tolist()
+
+
+# json.dumps spells a float by float.__repr__, except the non-finite ones
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v: float) -> str:
+    text = float.__repr__(v)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _spelled(table: SweepTable, spell, phases) -> dict[str, list[str]]:
+    """Each column of a table as text, by name: spell(v) for the floats,
+    str(n), phases[code] for the phase, "" for an omitted extra."""
+    floats = {
+        **dict(zip(table.axis_names, table.coords)),
+        "discriminant": table.discriminant,
+        "eigenvalue_I_re": table.eigenvalue_I.real,
+        "eigenvalue_I_im": table.eigenvalue_I.imag,
+        "eigenvalue_II_re": table.eigenvalue_II.real,
+        "eigenvalue_II_im": table.eigenvalue_II.imag,
+    }
+    columns = {k: _formatted(c, spell) for k, c in floats.items()}
+    columns["n"] = _formatted(table.n, str)
+    columns["phase"] = list(map(phases.__getitem__, table.phase.tolist()))
+    columns.update((k, _formatted(c, spell, table.omitted[k])) for k, c in table.extras.items())
+    return columns
 
 
 def export_csv(table: SweepTable, path) -> None:
@@ -544,30 +578,23 @@ def export_csv(table: SweepTable, path) -> None:
     quoted, since none needs it: the fields are %.17g floats, block indices,
     phase names, and empty fields for the quantities EP cells omit.  Each
     distinct value of a column is formatted once, all of them before the
-    target is opened.  Raises ValueError for anything but a SweepTable and
-    EmptySweepError for a table with no cells.
+    target is opened, and each chunk of rows is written by one join.
+    Raises ValueError for anything but a SweepTable and EmptySweepError for
+    a table with no cells.
     """
     _require_table(table, "export")
-    keys = sorted(table.extras)
-    floats = (
-        table.discriminant,
-        table.eigenvalue_I.real,
-        table.eigenvalue_I.imag,
-        table.eigenvalue_II.real,
-        table.eigenvalue_II.imag,
-    )
-    columns = [
-        *(_formatted(c, "%.17g") for c in table.coords),
-        _formatted(table.n, "%d"),
-        list(map(_PHASE_NAMES.__getitem__, table.phase.tolist())),
-        *(_formatted(c, "%.17g") for c in floats),
-        *(_formatted(table.extras[k], "%.17g", table.omitted[k]) for k in keys),
-    ]
-    rows = map(",".join, zip(*columns))
+    header = [*table.axis_names, *_BASE_COLUMNS, *sorted(table.extras)]
+    spelled = _spelled(table, "%.17g".__mod__, _PHASE_NAMES)
+    width = len(header)
     with _opened(path, "w") as stream:
-        stream.write(",".join([*table.axis_names, *_BASE_COLUMNS, *keys]) + "\n")
-        while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
-            stream.write("\n".join(chunk) + "\n")
+        stream.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = [spelled[k][start:start + _CSV_CHUNK_ROWS] for k in header]
+            # field, ",", field, ",", ..., field, "\n" for each row of the chunk
+            flat = (["", ","] * (width - 1) + ["", "\n"]) * len(chunk[0])
+            for i, column in enumerate(chunk):
+                flat[2 * i::2 * width] = column
+            stream.write("".join(flat))
 
 
 def _parsed(fn, raw, field: str, where) -> list:
@@ -608,6 +635,43 @@ def _parse_table(axis_names, column, extra_keys, where) -> SweepTable:
     )
 
 
+# numpy's dtype for each CSV column: the phase and the extras stay text
+# (object fields, so no fixed width cuts ExceptionalPointX to a valid name)
+_CSV_KINDS = {"n": np.int64, "phase": object, **dict.fromkeys(_EXTRA_NAMES, object)}
+
+
+def _loaded(header, body, n_axes) -> SweepTable | None:
+    """The table of body lines parsed by numpy's C text reader in one call,
+    or None where the per-value path must decide: a value numpy rejects,
+    an unknown phase name, a negative n.  Call it on ASCII text only."""
+    dtype = [(name, _CSV_KINDS.get(name, float)) for name in header]
+    extra_keys = header[n_axes + len(_BASE_COLUMNS):]
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" as an int64 with only a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        extras = {k: list(map(_float_or_omitted, rows[k].tolist())) for k in extra_keys}
+    except ValueError:
+        return None
+    code = np.full(len(rows), -1, dtype=np.int8)
+    for k, name in enumerate(_PHASE_NAMES):
+        code[rows["phase"] == name] = k
+    if (code < 0).any() or (rows["n"] < 0).any():
+        return None
+    return SweepTable(
+        header[:n_axes],
+        [rows[a].copy() for a in header[:n_axes]],
+        rows["n"].copy(),
+        code,
+        rows["discriminant"].copy(),
+        _complex(rows["eigenvalue_I_re"], rows["eigenvalue_I_im"]),
+        _complex(rows["eigenvalue_II_re"], rows["eigenvalue_II_im"]),
+        extras,
+        {k: rows[k] == "" for k in extra_keys},
+    )
+
+
 def read_csv(path) -> SweepTable:
     """Parse a file produced by export_csv back into a SweepTable.
 
@@ -617,9 +681,19 @@ def read_csv(path) -> SweepTable:
     each column once.  Malformed input (a bad header, a line with the wrong
     number of fields, a bad value such as a negative n, a quoted field)
     raises SweepFileError naming the header or the line.
+
+    The body is parsed by one np.loadtxt call.  Where numpy rejects a value
+    or the result needs checking value by value, the per-value path that
+    read_json shares decides instead, so every input reads as float() and
+    int() read it, and a bad value is named with its line.
     """
     with _opened(path, "r") as stream:
-        lines = stream.read().splitlines()
+        text = stream.read()
+    # numpy strips "\x1f" as a space and reads some non-ASCII letters as
+    # digits of an int64, where float() and int() refuse both
+    plain = text.isascii() and "\x1f" not in text
+    lines = text.splitlines()
+    del text
     if not lines:
         raise EmptySweepError("empty CSV")
     header, body = lines[0].split(","), lines[1:]
@@ -645,6 +719,10 @@ def read_csv(path) -> SweepTable:
         k = next(k for k, c in enumerate(commas) if c != width - 1)
         fields = commas[k] + 1 if body[k] else 0
         raise SweepFileError(f"line {k + 2}: {fields} fields, the header has {width}")
+    if body and plain:
+        table = _loaded(header, body, n_axes)
+        if table is not None:
+            return table
     values = ",".join(body).split(",") if body else []
     del lines, body  # the values hold the same text; free the lines before parsing
     columns = {name: values[i::width] for i, name in enumerate(header)}
@@ -749,47 +827,58 @@ def export_json(table: SweepTable, path, spec: SweepSpec) -> None:
     """Write a SweepTable plus a `meta` object echoing the sweep spec as JSON
     to a path or a text stream.
 
-    The text is complete before the target is opened.  Raises ValueError
-    for anything but a SweepTable and EmptySweepError for a table with no
-    cells.
+    The text is what json.dump(indent=2, sort_keys=True) writes for an
+    object {"cells": [one object per cell], "meta": spec_to_dict(spec)},
+    where a cell leaves out the extras it omits.  It is assembled from the
+    columns: each distinct value of a column is spelled once, and each
+    pattern of omitted keys has one %-template for its cells.  The text is
+    complete before the target is opened.  Raises ValueError for anything
+    but a SweepTable and EmptySweepError for a table with no cells.
     """
     _require_table(table, "export")
-    keys = sorted(table.extras)
-    values = [c.tolist() for c in table.coords] + [
-        table.n.tolist(),
-        list(map(_PHASE_NAMES.__getitem__, table.phase.tolist())),
-        table.discriminant.tolist(),
-        table.eigenvalue_I.real.tolist(),
-        table.eigenvalue_I.imag.tolist(),
-        table.eigenvalue_II.real.tolist(),
-        table.eigenvalue_II.imag.tolist(),
-    ]
-    for k in keys:
-        column, mask = table.extras[k].tolist(), table.omitted[k]
-        if mask.any():
-            column = [_OMITTED if o else v for v, o in zip(column, mask.tolist())]
-        values.append(column)
-    header = [*table.axis_names, *_BASE_COLUMNS, *keys]
-    payload = {
-        "meta": spec_to_dict(spec),
-        "cells": [
-            {k: v for k, v in zip(header, row) if v is not _OMITTED} for row in zip(*values)
-        ],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    columns = _spelled(table, _json_float, [json.dumps(name) for name in _PHASE_NAMES])
+    keys = sorted(columns)
+    pattern = np.zeros(len(table), dtype=np.int64)
+    for bit, mask in enumerate(table.omitted.values()):
+        pattern |= mask.astype(np.int64) << bit
+    found, index = np.unique(pattern, return_inverse=True)
+    templates = []
+    for omits in found.tolist():
+        omitted = {k for bit, k in enumerate(table.omitted) if omits >> bit & 1}
+        # "%.0s" takes an omitted key's value and prints nothing
+        template, separator = "    {", "\n"
+        for k in keys:
+            if k in omitted:
+                template += "%.0s"
+            else:
+                template += f"{separator}      {json.dumps(k).replace('%', '%%')}: %s"
+                separator = ",\n"
+        templates.append(template + "\n    }")
+    cells = ",\n".join(map(
+        str.__mod__,
+        np.array(templates, dtype=object)[index].tolist(),
+        zip(*(columns[k] for k in keys)),
+    ))
+    meta = json.dumps(spec_to_dict(spec), indent=2, sort_keys=True).replace("\n", "\n  ")
     with _opened(path, "w") as stream:
-        stream.write(text)
+        stream.write('{\n  "cells": [\n')
+        stream.write(cells)
+        stream.write(f'\n  ],\n  "meta": {meta}\n}}\n')
 
 
 def read_json(path) -> tuple[SweepTable, SweepSpec]:
     """Parse a file produced by export_json back into (table, spec).
 
-    Malformed input (no `meta`, a cell without a field or with one run_sweep
-    never writes, a bad value, a bool where a number belongs, an n that is
-    not a whole number) raises SweepFileError naming the field or the cell.
+    Malformed input (text that is not JSON or nests too deep, no `meta`, a
+    cell without a field or with one run_sweep never writes, a bad value, a
+    bool where a number belongs, an n that is not a whole number) raises
+    SweepFileError naming the field or the cell.
     """
     with _opened(path, "r") as stream:
-        payload = json.load(stream)
+        try:
+            payload = json.load(stream)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise SweepFileError(f"JSON: {exc}") from exc
     for key, kind in (("meta", dict), ("cells", list)):
         if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
             raise SweepFileError(f"JSON: missing or malformed field {key!r}")

@@ -8,19 +8,26 @@ model-specific formulas they verify.  taylor_expm is deliberately a different
 algorithm from expm2 (plain Taylor series with scaling and squaring versus
 the trace/traceless closed form), so the two can face each other as oracle
 and subject.  reference_csv writes a sweep one value at a time, the oracle
-for export_csv's column-wise formatting.  The closed-form matrices further down are hand-derived for
-omega = 1, epsilon = 5 and serve as entrywise pinning targets.
+for export_csv's column-wise formatting; reference_json builds one dict per
+cell for json.dumps, the oracle for export_json's templates; and
+reference_read_csv calls float() and int() on every field, the oracle for
+read_csv's one-call parse.  The closed-form matrices further down are
+hand-derived for omega = 1, epsilon = 5 and serve as entrywise pinning
+targets.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from nhjc.model import ModelParams, classify_phase
+from nhjc.errors import SweepFileError
+from nhjc.model import ModelParams, Phase, classify_phase
+from nhjc.scan import SweepTable, spec_to_dict
 
 _TAYLOR_TERMS = 30
 
@@ -226,6 +233,91 @@ def reference_csv(cells) -> str:
         ]))
     return "\n".join(lines) + "\n"
 
+
+
+_BASE_KEYS = (
+    "n", "phase", "discriminant", "eigenvalue_I_re", "eigenvalue_I_im",
+    "eigenvalue_II_re", "eigenvalue_II_im",
+)
+
+
+def reference_json(table: SweepTable, spec) -> str:
+    """JSON text of a sweep by json.dumps over one dict per cell.
+
+    A cell's dict holds its coordinates, the base fields and the extras it
+    does not omit; the payload adds spec_to_dict(spec) as `meta`.  This is
+    the text export_json must reproduce byte for byte.
+    """
+    columns = {name: c.tolist() for name, c in zip(table.axis_names, table.coords)}
+    columns.update(
+        n=table.n.tolist(),
+        phase=[tuple(Phase)[code].value for code in table.phase.tolist()],
+        discriminant=table.discriminant.tolist(),
+        eigenvalue_I_re=table.eigenvalue_I.real.tolist(),
+        eigenvalue_I_im=table.eigenvalue_I.imag.tolist(),
+        eigenvalue_II_re=table.eigenvalue_II.real.tolist(),
+        eigenvalue_II_im=table.eigenvalue_II.imag.tolist(),
+    )
+    cells = []
+    for i in range(len(table)):
+        cell = {k: column[i] for k, column in columns.items()}
+        cell.update(
+            (k, float(v[i])) for k, v in table.extras.items() if not table.omitted[k][i]
+        )
+        cells.append(cell)
+    payload = {"meta": spec_to_dict(spec), "cells": cells}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_read_csv(text: str) -> SweepTable:
+    """A CSV sweep with a valid header read by float() and int() on every field.
+
+    Raises SweepFileError with read_csv's message for a line with the wrong
+    number of fields or a bad value.  Columns are checked in read_csv's
+    order: n (parsed, then range-checked), the eigenvalue parts, the axes,
+    phase, discriminant, the extras; within a column the first bad row is
+    named.  This is the outcome read_csv's one-call parse must reproduce.
+    """
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            fields = len(row) if lines[k - 1] else 0
+            raise SweepFileError(f"line {k}: {fields} fields, the header has {len(header)}")
+
+    def column(name, fn):
+        i = header.index(name)
+        values = []
+        for k, row in enumerate(rows, start=2):
+            try:
+                values.append(fn(row[i]))
+            except (ValueError, KeyError):
+                raise SweepFileError(f"line {k}: bad {name} {row[i]!r}") from None
+        return values
+
+    def block_index(v):
+        if not 0 <= int(v) < 2**63:
+            raise ValueError(v)
+        return int(v)
+
+    axes = header[:header.index("n")]
+    extra_keys = header[len(axes) + len(_BASE_KEYS):]
+    column("n", int)
+    n = column("n", block_index)
+    eigen = [column(k, float) for k in _BASE_KEYS[3:]]
+    coords = [column(a, float) for a in axes]
+    codes = {p.value: k for k, p in enumerate(Phase)}
+    phase = column("phase", codes.__getitem__)
+    discriminant = column("discriminant", float)
+    extras = {k: column(k, lambda v: math.nan if v == "" else float(v)) for k in extra_keys}
+    return SweepTable(
+        axes, coords, n, phase, discriminant,
+        [complex(re, im) for re, im in zip(eigen[0], eigen[1])],
+        [complex(re, im) for re, im in zip(eigen[2], eigen[3])],
+        extras,
+        {k: [row[header.index(k)] == "" for row in rows] for k in extra_keys},
+    )
 
 # ---------------------------------------------------------------------------
 # Hand-derived closed forms at omega = 1, epsilon = 5, delta = sqrt(n+1) gamma.

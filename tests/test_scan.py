@@ -323,11 +323,15 @@ def _json_payload(**changes):
             ),
             r"cells\[2\]: unknown field.* bogus$",
         ),
+        # a str is the file's text: json.load gives up on the nesting
+        ("[" * 200_000, "JSON: maximum recursion depth exceeded"),
+        ('{"meta": ', "JSON: Expecting value"),
     ],
 )
 def test_read_json_names_the_malformed_field(payload, match):
+    text = payload if isinstance(payload, str) else json.dumps(payload)
     with pytest.raises(SweepFileError, match=match):
-        read_json(io.StringIO(json.dumps(payload)))
+        read_json(io.StringIO(text))
 
 
 def test_json_roundtrip_and_meta(tmp_path):

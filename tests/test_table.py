@@ -1,7 +1,9 @@
 """The column table that run_sweep, read_csv and read_json return.
 
 Indexing and iterating a SweepTable yield the PhaseCell of each row, the
-exporters round-trip it exactly, and they accept nothing but a table.
+exporters round-trip it exactly, and they accept nothing but a table.  The
+column-wise writers and reader face per-value oracles from helpers on edge
+values and edge tokens.
 """
 
 import io
@@ -12,7 +14,7 @@ import pytest
 
 from nhjc.cli import PRESETS
 from nhjc.dynamics import default_time_grid, effective_generator
-from nhjc.errors import EmptySweepError
+from nhjc.errors import EmptySweepError, SweepFileError
 from nhjc.model import ModelParams, Phase
 from nhjc.plots import render_svg
 from nhjc.scan import (
@@ -28,7 +30,7 @@ from nhjc.scan import (
     spec_from_dict,
 )
 
-from helpers import reference_csv
+from helpers import reference_csv, reference_json, reference_read_csv
 
 FIXED = ModelParams(1.0, 5.0, 1.0, 0)
 
@@ -222,3 +224,125 @@ def test_csv_matches_the_per_value_rule_on_edge_columns():
         text = _csv(part)
         assert text == reference_csv(part)
         assert _bits(read_csv(io.StringIO(text))) == _bits(part)
+
+
+def test_json_matches_json_dumps_on_edge_columns():
+    # cell 1 omits metric_norm beside a stored NaN entropy_I
+    table = _edge_table()
+    assert math.isnan(table.extras["entropy_I"][1]) and table.omitted["metric_norm"][1]
+    for part in (table, _edge_table(rows=slice(0, 1)), _edge_table(rows=slice(1, 2))):
+        assert _json(part, SPECS["fig1"]) == reference_json(part, SPECS["fig1"])
+    big_n = _with(_edge_table(rows=slice(0, 4)), n=np.array([0, 1, 2**31, 2**62]))
+    assert _json(big_n, SPECS["fig1"]) == reference_json(big_n, SPECS["fig1"])
+
+
+# axis names that sort before the base keys (delta), between them (epsilon,
+# gamma, omega) and after them (t), on grids whose EP cells omit extras
+_JSON_SPECS = {
+    "delta": SPECS["metric_entropy_ep"],
+    "omega": SweepSpec(FIXED, Axis("omega", 0.0, 9.0, 10), quantities=("metric_norm", "entropy")),
+    "t_delta": SPECS["dynamics_ep"],
+    "gamma_t": SweepSpec(
+        FIXED, Axis("gamma", 1.0, 3.0, 5), Axis("t", 0.0, 1.0, 3),
+        quantities=("survival", "bloch", "metric_norm"), n_list=(0, 3),
+    ),
+    "epsilon_delta_sq": SweepSpec(
+        FIXED, Axis("epsilon", -3.0, 5.0, 9), Axis("delta_sq", 0.0, 8.0, 5),
+        quantities=("entropy", "metric_norm"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_SPECS))
+def test_json_matches_json_dumps_on_omitted_keys(name):
+    spec = _JSON_SPECS[name]
+    table = run_sweep(spec)
+    assert table.omitted and any(m.any() for m in table.omitted.values())
+    assert _json(table, spec) == reference_json(table, spec)
+
+
+# fig-style rows: two axes, n_list (0, 1), every phase
+_CSV_TABLE = run_sweep(SweepSpec(
+    FIXED, Axis("gamma", 0.0, 4.0, 5), Axis("epsilon", 1.0, 9.0, 3), n_list=(0, 1),
+))
+# field tokens by column kind: what numpy and float()/int() read alike,
+# read apart (1_0, Arabic-Indic digits, "\x1f", which numpy strips as a
+# space, and "\u01ff1", which numpy's int64 parser reads as 4631), or both
+# refuse
+_FLOAT_TOKENS = (
+    "1_0", "\u0661", "\u0661.5", "+nan", "-nan", "nan", "-inf", "Infinity", "1e999",
+    "-1e999", "1e-400", "5e-324", "-0", "+1", " 1 ", "\xa01", "1\x1f", "\x1f1",
+    "0x10", "", "x", "1.5.", "1e", '"1"',
+)
+_TOKENS = {
+    "phase": (" Unbroken", "Unbroken ", '"Unbroken"', "ExceptionalPointX", "ExceptionalPoint",
+              "Broken", "unbroken", "", "\x1fBroken"),
+    "n": ("+1", "1.0", "-1", "-0", " 1", "1 ", str(2**63), str(2**63 - 1), str(-2**63),
+          "1_0", "1e3", "\u0661", "\u01ff1", "\x1f1", "0x1", "", "nan"),
+    "metric_norm": _FLOAT_TOKENS,
+}
+
+
+def _column_bits(table):
+    floats = [*table.coords, table.discriminant, table.eigenvalue_I.real,
+              table.eigenvalue_I.imag, table.eigenvalue_II.real, table.eigenvalue_II.imag]
+    floats += [table.extras[k] for k in sorted(table.extras)]
+    return (
+        table.axis_names, sorted(table.extras),
+        [c.view(np.uint64).tolist() for c in floats],
+        table.n.tolist(), table.phase.tolist(),
+        {k: m.tolist() for k, m in table.omitted.items()},
+    )
+
+
+def _outcome(read, text):
+    try:
+        return _column_bits(read(text))
+    except SweepFileError as exc:
+        return str(exc)
+
+
+def _agree(text):
+    got = _outcome(lambda t: read_csv(io.StringIO(t)), text)
+    assert got == _outcome(reference_read_csv, text), text
+    return got
+
+
+def _swapped(text, line, column, token):
+    lines = text.splitlines()
+    fields = lines[line].split(",")
+    fields[column] = token
+    lines[line] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", [
+    "gamma", "epsilon", "n", "phase", "discriminant", "eigenvalue_I_re",
+    "eigenvalue_II_im", "metric_norm",
+])
+def test_read_csv_matches_the_per_value_reader_on_edge_tokens(name):
+    table = _CSV_TABLE
+    if name == "metric_norm":
+        # an EP grid: the EP cells' metric_norm fields are empty
+        table = run_sweep(SPECS["metric_entropy_ep"])
+    text = _csv(table)
+    assert not isinstance(_agree(text), str)
+    column = text.splitlines()[0].split(",").index(name)
+    outcomes = set()
+    for token in _TOKENS.get(name, _FLOAT_TOKENS):
+        for line in (1, len(table) // 2, len(table)):
+            outcomes.add(isinstance(_agree(_swapped(text, line, column, token)), str))
+    assert outcomes == {True, False}  # some tokens read, some are refused
+    crlf = text.replace("\n", "\r\n")
+    assert _agree(crlf) == _agree(text)
+
+
+def test_read_csv_names_the_value_the_per_value_reader_names():
+    text = _csv(_CSV_TABLE)
+    n_column = text.splitlines()[0].split(",").index("n")
+    # a negative n on line 2 and a non-integer on line 4: int() fails first
+    two = _swapped(_swapped(text, 1, n_column, "-1"), 3, n_column, "1.0")
+    assert _agree(two) == "line 4: bad n '1.0'"
+    # numpy refuses 1_0 in an axis column; a later bad phase is still named
+    both = _swapped(_swapped(text, 1, 0, "1_0"), 5, 3, "Sideways")
+    assert _agree(both) == "line 6: bad phase 'Sideways'"
