@@ -25,7 +25,6 @@ from .dynamics import (
     default_time_grid,
     effective_generator,
     evolve_no_jump,
-    normalized_state,
 )
 from .entropy import (
     LN2,
@@ -44,7 +43,6 @@ from .errors import (
     SweepFileError,
     WrongPhaseError,
     ZeroCouplingError,
-    ZeroWeightError,
 )
 from .model import (
     Branch,

@@ -21,6 +21,7 @@ to the power -1/2 on both sides of the exceptional point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -102,8 +103,19 @@ def eigenvector_ratios(p: ModelParams) -> tuple[complex, complex]:
     accuracy down to gamma -> 0.  At the exceptional point both branches
     give the same ratio.
 
-    Raises ZeroCouplingError at gamma = 0, where the block is decoupled.
+    Raises ZeroCouplingError at gamma = 0, where the block is decoupled, and
+    ValueError naming a ratio that is not finite.
     """
+    ratios = _coupled_ratios(p)
+    for name, a in zip(("a_I", "a_II"), ratios):
+        if not cmath.isfinite(a):
+            raise ValueError(f"eigenvector ratio {name} = {a} is not finite at {p}")
+    return ratios
+
+
+def _coupled_ratios(p: ModelParams) -> tuple[complex, complex]:
+    """eigenvector_ratios without the finiteness check: entropy reads an
+    infinite ratio as the product-state limit."""
     if p.gamma == 0.0:
         raise ZeroCouplingError("eigenvector ratios are undefined at gamma = 0")
     return _ratios(p, _root(p)[1])

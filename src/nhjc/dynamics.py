@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroWeightError
 from .model import ModelParams, Phase, _root
 
 __all__ = [
@@ -42,16 +41,12 @@ __all__ = [
     "EffectiveGenerator",
     "effective_generator",
     "evolve_no_jump",
-    "normalized_state",
     "default_time_grid",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-_MIN_WEIGHT = 1e-300
-
 
 @dataclass(frozen=True)
 class BlochState:
@@ -110,6 +105,19 @@ def effective_generator(p: ModelParams) -> EffectiveGenerator:
     return EffectiveGenerator(p.n, 0.5 * abs(root), shift, label.value is Phase.BROKEN)
 
 
+def _broken_flow(ch, sh, rx, ry, rz):
+    """Weight D and normalized Bloch vector after S = cosh I + sinh sigma_y,
+    from ch = cosh(2 Gamma t) and sh = sinh(2 Gamma t), floats or arrays."""
+    d = ch + ry * sh
+    return d, rx / d, (sh + ry * ch) / d, rz / d
+
+
+def _unbroken_rotation(ct, st, rx, ry, rz):
+    """Bloch vector rotated in the (x, z) plane by the angle with cosine ct
+    and sine st, floats or arrays."""
+    return rx * ct - rz * st, ry, rx * st + rz * ct
+
+
 def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> BlochState:
     """Unnormalized conditional state at time t.
 
@@ -120,7 +128,6 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and non-negative, got {t}")
-    rx, ry, rz = rho0.r
     angle = 2.0 * gen.rate * t
     if gen.is_broken:
         try:
@@ -130,19 +137,10 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
             raise ValueError(
                 f"no-jump weight overflows: cosh(2 Gamma t) at 2 Gamma t = {angle}"
             ) from None
-        d = ch + ry * sh
-        return BlochState(
-            np.array([rx / d, (sh + ry * ch) / d, rz / d]), rho0.weight * d
-        )
-    ct, st = math.cos(angle), math.sin(angle)
-    return BlochState(np.array([rx * ct - rz * st, ry, rx * st + rz * ct]), rho0.weight)
-
-
-def normalized_state(state: BlochState) -> BlochState:
-    """Rescale to unit trace; raises ZeroWeightError when nothing is left."""
-    if state.weight <= _MIN_WEIGHT:
-        raise ZeroWeightError(f"weight {state.weight} is too small to normalize")
-    return BlochState(state.r, 1.0)
+        d, *r = _broken_flow(ch, sh, *rho0.r)
+        return BlochState(np.array(r), rho0.weight * d)
+    r = _unbroken_rotation(math.cos(angle), math.sin(angle), *rho0.r)
+    return BlochState(np.array(r), rho0.weight)
 
 
 def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .biortho import eigenvector_ratios
+from .biortho import _coupled_ratios
 from .model import Branch, ModelParams
 
 __all__ = [
@@ -47,17 +47,23 @@ class ReducedSpectrum:
     branch: Branch
 
 
+def _square_or_inf(v: float) -> float:
+    """v ** 2, or inf where it overflows: |alpha| ~ 1/gamma beyond 1e154 is
+    the product-state limit."""
+    try:
+        return v ** 2.0
+    except OverflowError:
+        return math.inf
+
+
 def _ratio_squared(p: ModelParams, branch: Branch, side: str) -> float:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    a_one, a_two = eigenvector_ratios(p)
+    a_one, a_two = _coupled_ratios(p)  # an infinite ratio is the product-state limit
     a = a_one if branch is Branch.I else a_two
     if side == "left":
         a = -a.conjugate()  # left coefficient; same modulus by construction
-    try:
-        return abs(a) ** 2
-    except OverflowError:  # |a| ~ 1/gamma beyond 1e154: the product-state limit
-        return math.inf
+    return _square_or_inf(abs(a))
 
 
 def reduced_spectrum(
@@ -75,14 +81,13 @@ def reduced_spectrum(
     return ReducedSpectrum(lam, 1.0 - lam, branch)
 
 
-def _binary_entropy_from_ratio(a2: float) -> float:
-    # entropy of the pair {1, a2} / (1 + a2); the complement is formed as a
-    # ratio rather than 1 - lam, so tiny a2 keeps full relative accuracy
-    if a2 == 0.0 or math.isinf(a2):
-        return 0.0
+def _binary_entropy(a2, log):
+    """Entropy of the pair {1, a2} / (1 + a2), a2 > 0 finite, for a float or
+    an array: + - * / and the given log only.  The complement is a ratio, not
+    1 - lam, so tiny a2 keeps full relative accuracy."""
     lam = 1.0 / (1.0 + a2)
     comp = a2 / (1.0 + a2)
-    return -(lam * math.log(lam) + comp * math.log(comp))
+    return -(lam * log(lam) + comp * log(comp))
 
 
 def entanglement_entropy(p: ModelParams, branch: Branch) -> float:
@@ -93,4 +98,7 @@ def entanglement_entropy(p: ModelParams, branch: Branch) -> float:
     """
     if p.gamma == 0.0:
         return 0.0
-    return _binary_entropy_from_ratio(_ratio_squared(p, branch, "right"))
+    a2 = _ratio_squared(p, branch, "right")
+    if a2 == 0.0 or math.isinf(a2):
+        return 0.0
+    return _binary_entropy(a2, math.log)

@@ -27,10 +27,6 @@ class NonPositiveDataError(ValueError):
     """Log-log fit received non-positive coordinates."""
 
 
-class ZeroWeightError(ValueError):
-    """State weight is too small to normalize away."""
-
-
 class ZeroCouplingError(ValueError):
     """Eigenvector component ratio is undefined at zero coupling."""
 

@@ -8,10 +8,13 @@ diagonalizable generator (metric norm, survival, Bloch components); the
 entropy limit ln 2 is still reported there.
 
 Every quantity is a closed form of the cell's own parameters, so a sweep is
-evaluated column by column: one numpy pass per block index over the whole
-grid, repeating the operations of the scalar functions in model, entropy,
-biortho and dynamics.  Those functions remain the per-point reference; the
-columns match them bit for bit, metric_norm to rounding.
+evaluated column by column: one numpy pass over the grid tiled over the
+block indices.  The entropy and the no-jump flow and rotation are written
+once, in + - * /, by entropy and dynamics; the kernel passes them columns
+and its per-element libm functions.  The phase, spectrum, ratios and metric
+norm stay twins of model and biortho, for the reasons _grid_columns lists.
+The scalar functions remain the per-point reference; the columns match them
+bit for bit, metric_norm to rounding.
 
 A sweep result is a SweepTable: the axis coordinates, n, phase,
 discriminant, both eigenvalues and each extra quantity as arrays, with a
@@ -52,6 +55,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .dynamics import _broken_flow, _unbroken_rotation
+from .entropy import _binary_entropy, _square_or_inf
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
 from .model import ModelParams, Phase, Spectrum, _is_block_index
 
@@ -168,9 +173,16 @@ class SweepSpec:
         axis_names = {a.name for _, a in axes if isinstance(a, Axis)}
         if {"survival", "bloch"} & set(self.quantities) and "t" not in axis_names:
             problems.append("quantities: survival/bloch require a 't' axis")
+        # a block index must fit the table's int64 n column
         for n in self.n_list:
             if not _is_block_index(n):
                 problems.append(f"n_list: entries must be non-negative integers, got {n!r}")
+            elif n >= 2**63:
+                problems.append(f"n_list: block indices must be below 2**63, got {n}")
+        if not isinstance(self.fixed, ModelParams):
+            problems.append(f"fixed: expected a ModelParams, got {type(self.fixed).__name__}")
+        elif not self.n_list and self.fixed.n >= 2**63:
+            problems.append(f"fixed.n: block indices must be below 2**63, got {self.fixed.n}")
         if cells > MAX_CELLS:
             problems.append(f"grid: {cells} cells exceed the cap of {MAX_CELLS}")
         r = self.initial_bloch
@@ -329,46 +341,34 @@ def _elementwise(fn, x: np.ndarray, quantity: str, what: str) -> np.ndarray:
 _square = (2.0).__rpow__
 
 
-def _square_or_inf(v: float) -> float:
-    # entropy._ratio_squared: |alpha|**2 overflows only as gamma -> 0
-    try:
-        return v ** 2.0
-    except OverflowError:
-        return math.inf
+def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarray]]):
+    """Every column over the whole grid, as arrays in grid order.
 
+    n is each cell's block index.  Returns (phase codes, discriminant,
+    (eigenvalue_I, eigenvalue_II), extras by key); extras that EP-band cells
+    omit hold NaN there.  Entropy, survival and Bloch call the scalar closed
+    forms with per-element libm log, cosh and sinh.  These stay twins of the
+    scalar code, each for its reason:
 
-def _binary_entropy(a2: np.ndarray) -> np.ndarray:
-    # entropy._binary_entropy_from_ratio over a column
-    out = np.zeros_like(a2)
-    live = (a2 != 0.0) & ~np.isinf(a2)
-    x = a2[live]
-    lam = 1.0 / (1.0 + x)
-    comp = x / (1.0 + x)
-    log_lam = _elementwise(math.log, lam, "entropy", "log")
-    log_comp = _elementwise(math.log, comp, "entropy", "log")
-    out[live] = -(lam * log_lam + comp * log_comp)
-    return out
-
-
-def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
-    """Every column of block n over the whole grid, as arrays in grid order.
-
-    Each column repeats the floating-point operations of the scalar function
-    it stands for (classify_phase, spectrum_closed_form, entanglement_entropy,
-    effective_generator + evolve_no_jump), so it matches them bit for bit;
-    metric_norm follows metric() to within rounding.  Returns (phase codes,
-    discriminant, (eigenvalue_I, eigenvalue_II), extras by key); extras
-    that EP-band cells omit hold NaN there.
+    - the discriminant squares: the builtin `_square` maps about 13% faster
+      than a Python function, and the error names the square that overflowed;
+    - the EP band and the spectral centre: one expression each;
+    - phase and eigenvalue assembly: model builds Phase and complex, this
+      builds int8 codes and re/im parts that keep -0.0;
+    - ratio selection: biortho gives complex ratios, this needs moduli;
+    - metric_norm: a different summation, whose bits the CLI goldens pin.
+      It matches metric() to rounding, every other column bit for bit.
     """
     size = grid[0][1].size
     params = {
         name: np.full(size, float(getattr(spec.fixed, name)))
         for name in ("omega", "epsilon", "gamma")
     }
+    sqrt_n1 = np.sqrt(n + 1)
     t = None
     for name, values in grid:  # a later axis wins, as in the scalar path
         if name == "delta":
-            params["gamma"] = values / math.sqrt(n + 1)
+            params["gamma"] = values / sqrt_n1
         elif name == "delta_sq":
             params["gamma"] = np.sqrt(values / (n + 1))
         elif name == "t":
@@ -394,9 +394,7 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
     half_re = np.where(real_root, half, 0.0)
     half_im = np.where(real_root, 0.0, half)
     center = 0.5 * (2 * n + 1) * omega
-    eigen = []
-    for part_re, part_im in ((center + half_re, 0.0 + half_im), (center - half_re, 0.0 - half_im)):
-        eigen.append(_complex(part_re, part_im))
+    eigen = (_complex(center + half_re, 0.0 + half_im), _complex(center - half_re, 0.0 - half_im))
 
     wanted = set(spec.quantities)
     columns: dict[str, np.ndarray] = {}
@@ -404,7 +402,7 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
     if wanted & {"metric_norm", "entropy"}:
         # biortho.eigenvector_ratios: real ratios with product 1 where the
         # root is real, (b +- i root) / two_delta where it is imaginary
-        two_delta = np.where(coupled, 2.0 * math.sqrt(n + 1) * gamma, 1.0)
+        two_delta = np.where(coupled, 2.0 * sqrt_n1 * gamma, 1.0)
         lead_is_one = b >= 0.0
         lead = np.where(lead_is_one, b + root, b - root) / two_delta
         other = 1.0 / lead
@@ -415,8 +413,12 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
         modulus = np.hypot(ratio_re, ratio_im)
         for key, a in zip(("entropy_I", "entropy_II"), ratios):
             a_abs = np.where(coupled, np.where(real_root, np.abs(a), modulus), 0.0)
-            a2 = np.fromiter(map(_square_or_inf, a_abs.tolist()), dtype=float, count=size)
-            columns[key] = _binary_entropy(a2)
+            a2 = _elementwise(_square_or_inf, a_abs, "entropy", "|alpha|**2")
+            live = (a2 != 0.0) & ~np.isinf(a2)  # else the product state: entropy 0
+            columns[key] = np.zeros(size)
+            columns[key][live] = _binary_entropy(
+                a2[live], lambda x: _elementwise(math.log, x, "entropy", "log")
+            )
     if "metric_norm" in wanted:
         # biortho.metric: G = sum_i |L_i><L_i| with L_i = (1, -conj a_i) / sqrt|1 - a_i^2|,
         # or (-conj w, 1) / sqrt|1 - w^2| with w = 1 / a_i where |a_i| > 1
@@ -442,76 +444,59 @@ def _grid_columns(spec: SweepSpec, n: int, grid: list[tuple[str, np.ndarray]]):
     if wanted & {"survival", "bloch"}:
         # evolve_no_jump from effective_generator: cosh/sinh of 2 Gamma t on
         # the broken side, a rotation by 2 Lambda t on the unbroken side
-        rx, ry, rz = (float(r) for r in spec.initial_bloch)
+        r0 = [float(r) for r in spec.initial_bloch]
         angle = 2.0 * half * t
         broken = code == 1
         unbroken = code == 0
         ch = _elementwise(math.cosh, angle[broken], "survival/bloch", "cosh(2 Gamma t)")
         sh = _elementwise(math.sinh, angle[broken], "survival/bloch", "sinh(2 Gamma t)")
-        weight = ch + ry * sh
-        ct, st = np.cos(angle[unbroken]), np.sin(angle[unbroken])
-        dyn = {k: np.full(size, math.nan) for k in ("survival", "bloch_x", "bloch_y", "bloch_z")}
-        for key, on_broken, on_unbroken in (
-            ("survival", weight, 1.0),
-            ("bloch_x", rx / weight, rx * ct - rz * st),
-            ("bloch_y", (sh + ry * ch) / weight, ry),
-            ("bloch_z", rz / weight, rx * st + rz * ct),
-        ):
-            dyn[key][broken] = on_broken
-            dyn[key][unbroken] = on_unbroken
-            if not np.isfinite(dyn[key][~at_ep]).all():
+        on_broken = _broken_flow(ch, sh, *r0)
+        turn = angle[unbroken]
+        on_unbroken = (1.0, *_unbroken_rotation(np.cos(turn), np.sin(turn), *r0))
+        for key, flowed, turned in zip(("survival", *_EXTRA_KEYS["bloch"]), on_broken, on_unbroken):
+            columns[key] = np.full(size, math.nan)
+            columns[key][broken] = flowed
+            columns[key][unbroken] = turned
+            if not np.isfinite(columns[key][~at_ep]).all():
                 raise SpecValidationError(f"survival/bloch: {key} not finite on this grid")
-        for q in ("survival", "bloch"):
-            if q in wanted:
-                columns.update((k, dyn[k]) for k in _EXTRA_KEYS[q])
 
-    extras = {}
-    for q in spec.quantities:
-        for key in _EXTRA_KEYS.get(q, ()):
-            extras.setdefault(key, columns[key])
+    extras = {key: columns[key] for q in spec.quantities for key in _EXTRA_KEYS.get(q, ())}
     return code, d, eigen, extras
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid; rows ordered n-major, then axis2, then axis1.
 
-    Each block index is evaluated over the whole grid at once by a column
-    kernel (numpy arrays, with the few operations whose numpy versions
-    differ from libm done per element), and the result is a SweepTable of
-    those columns: no PhaseCell is built until the table is indexed or
-    iterated.  Exceptional-point cells keep their label, eigenvalues and
-    entropy but omit metric_norm, survival and bloch.  Raises
-    SpecValidationError, naming the quantity, when a value overflows on the
-    grid.
+    The grid is tiled over the block indices and evaluated at once by a
+    column kernel (numpy arrays, with the few operations whose numpy
+    versions differ from libm done per element), and the result is a
+    SweepTable of those columns: no PhaseCell is built until the table is
+    indexed or iterated.  Exceptional-point cells keep their label,
+    eigenvalues and entropy but omit metric_norm, survival and bloch.
+    Raises SpecValidationError, naming the quantity, when a value overflows
+    on the grid.
     """
     spec.validate()
     n_list = [int(n) for n in spec.n_list or (spec.fixed.n,)]
     axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
-    if len(axes) == 1:
-        grid = [(axes[0].name, axes[0].values())]
-    else:
-        first, second = (a.values() for a in axes)
-        grid = [
-            (axes[0].name, np.tile(first, second.size)),
-            (axes[1].name, np.repeat(second, first.size)),
-        ]
-    blocks = []
-    for n in n_list:
-        with np.errstate(all="ignore"):
-            blocks.append(_grid_columns(spec, n, grid))
-    codes, disc, eigen, extras = zip(*blocks)
-    code = np.concatenate(codes)
+    names = tuple(a.name for a in axes)
+    # uint64, so that 2n + 1 and n + 1 stay exact for every int64 block index
+    n, *coords = (c.ravel() for c in np.meshgrid(
+        np.array(n_list, dtype=np.uint64), *(a.values() for a in reversed(axes)), indexing="ij"
+    ))
+    coords.reverse()
+    with np.errstate(all="ignore"):
+        code, disc, eigen, extras = _grid_columns(spec, n, list(zip(names, coords)))
     at_ep = code == 2
     return SweepTable(
-        tuple(a.name for a in axes),
-        [np.tile(values, len(n_list)) for _, values in grid],
-        np.repeat(n_list, grid[0][1].size),
+        names,
+        coords,
+        n,
         code,
-        np.concatenate(disc),
-        np.concatenate([e[0] for e in eigen]),
-        np.concatenate([e[1] for e in eigen]),
-        {key: np.concatenate([e[key] for e in extras]) for key in extras[0]},
-        {key: np.zeros_like(at_ep) if key in _KEPT_AT_EP else at_ep for key in extras[0]},
+        disc,
+        *eigen,
+        extras,
+        {key: np.zeros_like(at_ep) if key in _KEPT_AT_EP else at_ep for key in extras},
     )
 
 

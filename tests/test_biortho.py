@@ -83,6 +83,21 @@ def test_ratios_require_coupling():
         eigenvector_ratios(ModelParams(1.0, 5.0, 0.0, 0))
 
 
+@pytest.mark.parametrize(
+    "p, name",
+    [(ModelParams(1.0, 5.0, 1e-308, 0), "a_II = -inf"), (ModelParams(5.0, 1.0, 1e-308, 0), "a_I = inf")],
+)
+def test_ratios_past_the_float_range_raise(p, name):
+    # |omega - epsilon| / (2 gamma) overflows: one ratio is infinite, its partner 0
+    with pytest.raises(ValueError, match=f"^eigenvector ratio {name} is not finite at ") as info:
+        eigenvector_ratios(p)
+    assert type(info.value) is ValueError
+    # entropy reads the infinite ratio as the product-state limit
+    for branch in (Branch.I, Branch.II):
+        assert entanglement_entropy(p, branch) == 0.0
+        assert reduced_spectrum(p, branch).lam in (0.0, 1.0)
+
+
 def test_raw_eigensystem_components():
     # each pair is a rescaled right (1, a_i) and left (1, -conj a_i)
     system = eigensystem(UNBROKEN)

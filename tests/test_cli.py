@@ -188,6 +188,9 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1 and "needs --grid or --preset" in err
     code, _, err = run_cli(capsys, ["spectrum", "--grid", "delta:0:4"])
     assert code == 1 and "AXIS:MIN:MAX:STEPS" in err
+    code, _, err = run_cli(capsys, ["spectrum", "--grid", "gamma:a:1:3"])
+    assert code == 1
+    assert err == "nhjc: error: --grid 'gamma:a:1:3': could not convert string to float: 'a'\n"
     code, _, err = run_cli(
         capsys, ["phase-map", "--grid", "gamma:0:3:4"]
     )
@@ -201,6 +204,11 @@ def test_validation_errors_exit_one(capsys):
         capsys, ["dynamics", "--gamma", "4", "--grid", "t:0:1:3", "--r0", "0,0"]
     )
     assert code == 1 and "--r0" in err
+    code, _, err = run_cli(
+        capsys, ["dynamics", "--gamma", "4", "--grid", "t:0:1:3", "--r0", "a,0,1"]
+    )
+    assert code == 1
+    assert err == "nhjc: error: --r0 'a,0,1': could not convert string to float: 'a'\n"
     # a degenerate fixed point cannot seed the default time grid
     code, _, err = run_cli(capsys, ["dynamics", "--gamma", "2"])
     assert code == 1

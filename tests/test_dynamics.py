@@ -13,9 +13,8 @@ from nhjc.dynamics import (
     default_time_grid,
     effective_generator,
     evolve_no_jump,
-    normalized_state,
 )
-from nhjc.errors import ExceptionalPointError, ZeroWeightError
+from nhjc.errors import ExceptionalPointError
 from nhjc.model import ModelParams, spectrum_closed_form
 
 BROKEN = ModelParams(1.0, 5.0, 4.0, 0)  # Gamma = sqrt(12)
@@ -136,10 +135,9 @@ def test_broken_phase_purifies():
     rng = np.random.default_rng(85)
     for _ in range(20):
         state = BlochState(random_bloch(rng))
-        late = normalized_state(evolve_no_jump(gen, state, 5.0))
+        late = evolve_no_jump(gen, state, 5.0)
         # everything generic flows to the sigma_y = +1 eigenstate
         np.testing.assert_allclose(late.r, [0.0, 1.0, 0.0], atol=1e-8)
-        assert late.weight == 1.0
 
 
 def test_broken_phase_fixed_points():
@@ -180,14 +178,6 @@ def test_weight_overflow_raises_value_error(two_gamma_t, r_y):
     with pytest.raises(ValueError, match="no-jump weight overflows") as info:
         evolve_no_jump(gen, state, two_gamma_t / (2.0 * gen.rate))
     assert type(info.value) is ValueError
-
-
-def test_normalized_state():
-    state = BlochState(np.array([0.0, 0.5, 0.0]), weight=3.0)
-    assert normalized_state(state).weight == 1.0
-    np.testing.assert_array_equal(normalized_state(state).r, state.r)
-    with pytest.raises(ZeroWeightError):
-        normalized_state(BlochState(np.array([0.0, 0.0, 1.0]), weight=0.0))
 
 
 def test_default_time_grid():

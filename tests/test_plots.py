@@ -1,5 +1,6 @@
 """Tests for the deterministic SVG rendering."""
 
+import dataclasses
 import io
 import xml.etree.ElementTree as ET
 
@@ -107,3 +108,15 @@ def test_raster_requires_two_axes():
     cells, spec = spectrum_cells()
     with pytest.raises(ValueError):
         render_to_string(cells, kind="raster", spec=spec)
+
+
+def test_raster_requires_one_block_index():
+    spec = dataclasses.replace(raster_cells()[1], n_list=(0, 1))
+    with pytest.raises(ValueError, match="^raster rendering expects a single block index$"):
+        render_to_string(run_sweep(spec), kind="raster", spec=spec)
+
+
+def test_unknown_kind_raises():
+    cells, spec = spectrum_cells()
+    with pytest.raises(ValueError, match="^unknown plot kind 'pie'$"):
+        render_to_string(cells, kind="pie", spec=spec)

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "SweepTable",
     "WrongPhaseError",
     "ZeroCouplingError",
-    "ZeroWeightError",
     "build_block",
     "classify_phase",
     "critical_gamma",
@@ -50,7 +49,6 @@ PUBLIC_NAMES = [
     "intertwiner",
     "metric",
     "metric_divergence_exponent",
-    "normalized_state",
     "projectors",
     "pseudo_hermiticity_residual",
     "read_csv",
@@ -68,4 +66,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 48

@@ -10,7 +10,7 @@ import pytest
 
 from nhjc.entropy import LN2
 from nhjc.errors import EmptySweepError, SpecValidationError, SweepFileError
-from nhjc.model import ModelParams, Phase
+from nhjc.model import ModelParams, Phase, spectrum_closed_form
 from nhjc.scan import (
     AXIS_NAMES,
     MAX_CELLS,
@@ -60,6 +60,8 @@ def test_validation_rejects_bad_axes():
         simple_spec(
             axis1=Axis("gamma", 0.0, 1.0, 5), axis2=Axis("gamma", 0.0, 2.0, 5)
         ).validate()
+    with pytest.raises(SpecValidationError, match="^axis2: expected an Axis, got tuple$"):
+        simple_spec(axis2=("epsilon", 0.0, 1.0, 5)).validate()
 
 
 def test_validation_rejects_non_integer_steps():
@@ -79,6 +81,23 @@ def test_validation_caps_total_cells():
     at_cap.validate()
     with pytest.raises(SpecValidationError, match="cap"):
         dataclasses.replace(at_cap, n_list=(0, 1)).validate()
+
+
+def test_block_indices_fit_the_int64_n_column():
+    too_big = r"block indices must be below 2\*\*63, got "
+    with pytest.raises(SpecValidationError, match=f"^n_list: {too_big}{2**63}$"):
+        simple_spec(n_list=(0, 2**63)).validate()
+    with pytest.raises(SpecValidationError, match=f"^fixed.n: {too_big}{10**30}$"):
+        simple_spec(fixed=ModelParams(1.0, 5.0, 1.0, 10**30)).validate()
+    with pytest.raises(SpecValidationError, match="^fixed: expected a ModelParams, got NoneType$"):
+        simple_spec(fixed=None).validate()
+    # up to the last int64, 2n + 1 and n + 1 stay exact in the kernel
+    n_list = (2**62 + 1, 2**63 - 1)
+    table = run_sweep(simple_spec(n_list=n_list))
+    assert table.n.tolist() == [n for n in n_list for _ in range(5)]
+    for cell in table:
+        p = ModelParams(1.0, 5.0, cell.coords[0] / math.sqrt(cell.n + 1), cell.n)
+        assert cell.eigenvalues == spectrum_closed_form(p)
 
 
 def test_validation_rejects_bad_quantities_and_state():
@@ -263,6 +282,12 @@ def test_export_rejects_an_empty_table(tmp_path):
         (f"{_CSV_HEADER},survival,bogus\n{_CSV_ROW},1,2\n", "CSV header: unknown column.* bogus$"),
         (f"{_CSV_HEADER.replace('delta', 'bogus')}\n{_CSV_ROW}\n", "CSV header: .*'bogus'"),
         (f"gamma,t,{_CSV_HEADER}\n1,2,{_CSV_ROW}\n", "CSV header: .*'gamma', 't', 'delta'"),
+        # the base columns follow the axes in their fixed order
+        (
+            f"{_CSV_HEADER.replace('phase,discriminant', 'discriminant,phase')}\n0,0,16,Unbroken,3,0,-2,0\n",
+            "^CSV header: expected n,phase,discriminant,eigenvalue_I_re,eigenvalue_I_im,"
+            "eigenvalue_II_re,eigenvalue_II_im after the axes$",
+        ),
         (f"{_CSV_HEADER}\n{_CSV_ROW}\n{_CSV_ROW.replace('0,0,', '0,-1,', 1)}\n", "line 3: bad n '-1'"),
         # past the int64 n column
         (f"{_CSV_HEADER}\n{_CSV_ROW.replace('0,0,', '0,9223372036854775808,', 1)}\n",
@@ -281,6 +306,9 @@ def test_read_csv_line_ends_and_header_only():
     assert read_csv(io.StringIO(text.replace("\n", "\r\n"))) == table
     empty = read_csv(io.StringIO(f"{_CSV_HEADER}\n"))
     assert len(empty) == 0 and empty.axis_names == ("delta",)
+    # not even a header
+    with pytest.raises(EmptySweepError, match="^empty CSV$"):
+        read_csv(io.StringIO(""))
 
 
 def _json_payload(**changes):
@@ -406,6 +434,8 @@ def test_spec_from_dict_errors():
         spec_from_dict({"axes": [{"name": "gamma", "min": 0.0}]})
     with pytest.raises(SpecValidationError, match="fixed"):
         spec_from_dict({"fixed": {"omega": "fast"}, "axes": [{"name": "gamma", "min": 0, "max": 1, "steps": 3}]})
+    with pytest.raises(SpecValidationError, match="^fixed: expected an object$"):
+        spec_from_dict({"fixed": 3, "axes": [{"name": "gamma", "min": 0, "max": 1, "steps": 3}]})
 
 
 def test_spec_from_dict_type_errors():

@@ -57,6 +57,21 @@ SPECS = {
         n_list=(0, 2),
         initial_bloch=(0.0, 0.6, -0.8),
     ),
+    # one kernel pass over every block index: the EP sits at delta_sq = 4 for each n
+    "delta_sq_n_list": SweepSpec(
+        FIXED,
+        Axis("delta_sq", 0.0, 8.0, 33),
+        quantities=("entropy", "metric_norm"),
+        n_list=(0, 2, 5),
+    ),
+    "t_delta_sq_n_list": SweepSpec(
+        ModelParams(0.5, 3.0, 1.0, 0),
+        Axis("t", 0.0, 2.5, 11),
+        Axis("delta_sq", 0.0, 4.0, 21),
+        quantities=DYNAMICS,
+        n_list=(1, 3),
+        initial_bloch=(-0.5, 0.2, 0.7),
+    ),
 }
 
 # Irregular grids, so that last-bit differences between numpy and libm (which
