@@ -100,25 +100,25 @@ def eigenvector_ratios(p: ModelParams) -> tuple[complex, complex]:
     i.e. a = [(omega - epsilon) +- sqrt(D)] / (2 gamma sqrt(n+1)), and their
     product is exactly 1.  On the unbroken side the nearly-cancelling branch
     is recovered from that product so both ratios keep full relative
-    accuracy down to gamma -> 0.  At the exceptional point both branches
-    give the same ratio.
+    accuracy down to gamma -> 0.
 
-    Raises ZeroCouplingError at gamma = 0, where the block is decoupled, and
-    ValueError naming a ratio that is not finite.
+    Raises ZeroCouplingError at gamma = 0, where the block is decoupled,
+    ExceptionalPointError inside the EP band, where the two ratios coalesce,
+    and ValueError naming a ratio that is not finite.
     """
-    ratios = _coupled_ratios(p)
+    if p.gamma == 0.0:
+        raise ZeroCouplingError("eigenvector ratios are undefined at gamma = 0")
+    ratios = _ratios(p, _root(p, _COALESCE)[1])
     for name, a in zip(("a_I", "a_II"), ratios):
         if not cmath.isfinite(a):
             raise ValueError(f"eigenvector ratio {name} = {a} is not finite at {p}")
     return ratios
 
 
-def _coupled_ratios(p: ModelParams) -> tuple[complex, complex]:
-    """eigenvector_ratios without the finiteness check: entropy reads an
-    infinite ratio as the product-state limit."""
-    if p.gamma == 0.0:
-        raise ZeroCouplingError("eigenvector ratios are undefined at gamma = 0")
-    return _ratios(p, _root(p)[1])
+def _coupled_ratios(p: ModelParams) -> tuple[complex, complex] | None:
+    """eigenvector_ratios unchecked, for entropy: None in the EP band."""
+    label, root = _root(p)
+    return None if label.value is Phase.EXCEPTIONAL_POINT else _ratios(p, root)
 
 
 def _ratios(p: ModelParams, root: complex) -> tuple[complex, complex]:
@@ -184,21 +184,43 @@ def _system(p: ModelParams, root: complex) -> BiorthoSystem:
     return BiorthoSystem(rights[0], rights[1], lefts[0], lefts[1], eigenvalues)
 
 
+def _metric_entries(b, t, d):
+    """Entries (diag, off) of metric()'s G = [[diag, off], [off, diag]] from
+    b, t and d = D outside the EP band, floats or arrays.  -sgn(b t) min(|b|, |t|)
+    is -sgn(b) t where d > 0 and -sgn(t) b where d < 0, signed zeros included;
+    |d| > 1e-10 max(b^2, t^2) keeps diag below 1e5."""
+    root = np.sqrt(abs(d))
+    small = np.minimum(abs(b), abs(t))
+    return np.maximum(abs(b), abs(t)) / root, -np.copysign(small, b * t) / root
+
+
+def _metric_norm(b, t, d):
+    """||G||_F over _metric_entries; also the sweep's metric_norm column."""
+    diag, off = _metric_entries(b, t, d)
+    return np.sqrt(2.0 * (diag * diag + off * off))
+
+
+def _metric_arguments(p: ModelParams, ep_message: str = _COALESCE):
+    """(label, b, t, D) of one block; raises as _root(p, ep_message) does."""
+    label = _root(p, ep_message)[0]
+    return label, p.omega - p.epsilon, 2.0 * math.sqrt(p.n + 1) * p.gamma, label.discriminant
+
+
+def _symmetric(diag, off) -> np.ndarray:
+    return np.array([[diag, off], [off, diag]], dtype=complex)
+
+
 def metric(p: ModelParams) -> np.ndarray:
-    """Metric G = sum_i |L_i><L_i| from the biorthogonally normalized lefts.
+    """Metric G = sum_i |L_i><L_i| of the biorthogonally normalized lefts.
 
-    Hermitian positive definite in both phases; at gamma = 0 it reduces to
-    the identity.  Diverges like |delta - delta_c|**-0.5 toward the EP.
+    With b = omega - epsilon and t = 2 gamma sqrt(n+1), G is
+    [[|b|, -sgn(b) t], [-sgn(b) t, |b|]] / sqrt(D) unbroken and
+    [[|t|, -sgn(t) b], [-sgn(t) b, |t|]] / sqrt(-D) broken (Mostafazadeh,
+    J. Math. Phys. 43, 205 (2002)): det G = 1, G = I at gamma = 0, and
+    ||G|| diverges like |delta - delta_c|**-0.5 toward the EP.
     """
-    return _metric(p, _root(p, _COALESCE)[1])
-
-
-def _metric(p: ModelParams, root: complex) -> np.ndarray:
-    system = _system(p, root)
-    g = np.outer(system.left_I, system.left_I.conj()) + np.outer(
-        system.left_II, system.left_II.conj()
-    )
-    return _finite(0.5 * (g + g.conj().T))
+    _, *arguments = _metric_arguments(p)
+    return _symmetric(*_metric_entries(*arguments))
 
 
 def sqrt_hpd(m) -> np.ndarray:
@@ -225,24 +247,26 @@ def sqrt_hpd(m) -> np.ndarray:
     return root / math.sqrt(a + d + 2.0 * s)
 
 
-def _inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 matrix from its adjugate."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-
 def intertwiner(p: ModelParams) -> MetricBundle:
     """Metric bundle (G, g, g^-1, h) with g = sqrt(G) and h = g H g^-1.
 
-    h is Hermitian in the unbroken phase and non-Hermitian (yet isospectral
-    to H) in the broken phase.
+    det G = 1: g = (G + I) / sqrt(tr G + 2) (Levinger) and g^-1 = adj(g).
+    With H = c I + [[-b, t], [-t, b]] / 2, h = c I + [[-x, y], [-y, x]] for
+    x = (diag b + off t) / 2 and y = (off b + diag t) / 2: Hermitian (the
+    diagonal spectrum) in the unbroken phase, non-Hermitian yet isospectral
+    to H in the broken phase.
     """
-    label, root = _root(p, _COALESCE)
-    big_g = _metric(p, root)
-    small_g = _finite(sqrt_hpd(big_g))
-    small_g_inv = _finite(_inverse(small_g))
-    h = _finite(small_g @ build_block(p) @ small_g_inv)
-    return MetricBundle(big_g, small_g, small_g_inv, h, label)
+    label, b, t, d = _metric_arguments(p)
+    diag, off = _metric_entries(b, t, d)
+    scale = math.sqrt(2.0 * diag + 2.0)
+    g_diag, g_off = (diag + 1.0) / scale, off / scale
+    center = 0.5 * (2 * p.n + 1) * p.omega
+    x = 0.5 * (diag * b + off * t)
+    y = 0.5 * (off * b + diag * t)
+    h = _finite(np.array([[center - x, y], [-y, center + x]], dtype=complex))
+    return MetricBundle(
+        _symmetric(diag, off), _symmetric(g_diag, g_off), _symmetric(g_diag, -g_off), h, label
+    )
 
 
 def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -265,12 +289,13 @@ def pseudo_hermiticity_residual(p: ModelParams) -> float:
     Raises WrongPhaseError in the broken phase, where G intertwines H with
     the wrong sign structure and the residual is O(1) by construction.
     """
-    label, root = _root(p, "metric is singular at the exceptional point")
+    label, *arguments = _metric_arguments(p, "metric is singular at the exceptional point")
     if label.value is Phase.BROKEN:
         raise WrongPhaseError("H is pseudo-Hermitian under G only in the unbroken phase")
-    big_g = _metric(p, root)
+    diag, off = _metric_entries(*arguments)
     h = build_block(p)
-    return float(np.linalg.norm(h - _inverse(big_g) @ h.conj().T @ big_g))
+    # det G = 1, so G^-1 = adj(G)
+    return float(np.linalg.norm(h - _symmetric(diag, -off) @ h.conj().T @ _symmetric(diag, off)))
 
 
 # metric_divergence_exponent fits this many offsets |delta - delta_c|,
@@ -288,15 +313,15 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    delta_c = math.sqrt(p.n + 1) * critical_gamma(p)
+    root_n1 = math.sqrt(p.n + 1)
+    delta_c = root_n1 * critical_gamma(p)
     sign = -1.0 if side == "below" else 1.0
     offsets = np.geomspace(*_EXPONENT_WINDOW, _EXPONENT_POINTS)
-    norms = []
-    for x in offsets:
-        delta = delta_c + sign * x
-        q = ModelParams(p.omega, p.epsilon, delta / math.sqrt(p.n + 1), p.n)
-        norms.append(float(np.linalg.norm(metric(q))))
-    return loglog_slope(offsets, norms)
+    blocks = [ModelParams(p.omega, p.epsilon, (delta_c + sign * x) / root_n1, p.n)
+              for x in offsets.tolist()]
+    # each block raises what metric() raises there; the norms take one array pass
+    _, b, t, d = zip(*map(_metric_arguments, blocks))
+    return loglog_slope(offsets, _metric_norm(np.array(b), np.array(t), np.array(d)))
 
 
 def loglog_slope(xs, ys) -> float:

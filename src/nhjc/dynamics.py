@@ -34,9 +34,6 @@ import numpy as np
 from .model import ModelParams, Phase, _root
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "BlochState",
     "EffectiveGenerator",
     "effective_generator",
@@ -44,9 +41,9 @@ __all__ = [
     "default_time_grid",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class BlochState:
@@ -71,7 +68,7 @@ class BlochState:
         """The 2x2 density matrix (Hermitian, trace = weight)."""
         rx, ry, rz = self.r
         return 0.5 * self.weight * (
-            np.eye(2, dtype=complex) + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z
+            np.eye(2, dtype=complex) + rx * _SIGMA_X + ry * _SIGMA_Y + rz * _SIGMA_Z
         )
 
 
@@ -91,7 +88,7 @@ class EffectiveGenerator:
     def matrix(self) -> np.ndarray:
         """The 2x2 generator; isospectral to the Hamiltonian block."""
         big_gamma = self.rate if self.is_broken else 1j * self.rate
-        return self.shift * np.eye(2, dtype=complex) + 1j * big_gamma * SIGMA_Y
+        return self.shift * np.eye(2, dtype=complex) + 1j * big_gamma * _SIGMA_Y
 
 
 def effective_generator(p: ModelParams) -> EffectiveGenerator:

@@ -10,10 +10,10 @@ entanglement entropy is the binary entropy S = -lambda ln lambda
 - (1 - lambda) ln(1 - lambda) in nats.
 
 In the broken phase |alpha|^2 = 1 identically, for any (omega, epsilon, n):
-both branches sit at the maximum S = ln 2.  On the unbroken side S grows
-from 0 at gamma -> 0 to ln 2 at the exceptional point, which is also the
-limit value returned exactly at the EP.  Left eigenvectors give the same
-reduced spectrum.  alpha_i are the ratios of `biortho.eigenvector_ratios`;
+both branches sit at the maximum S = ln 2 (to within 1 ulp).  On the
+unbroken side S grows from 0 at gamma -> 0 to ln 2 at the exceptional
+point, the limit value returned exactly in the EP band.  Left eigenvectors
+give the same reduced spectrum.  alpha_i are the ratios of `biortho.eigenvector_ratios`;
 an entropy curve is a sweep over `delta_sq` with the `entropy` quantity.
 """
 
@@ -59,8 +59,10 @@ def _square_or_inf(v: float) -> float:
 def _ratio_squared(p: ModelParams, branch: Branch, side: str) -> float:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    a_one, a_two = _coupled_ratios(p)  # an infinite ratio is the product-state limit
-    a = a_one if branch is Branch.I else a_two
+    ratios = _coupled_ratios(p)
+    if ratios is None:
+        return 1.0  # EP band: the ratios coalesce on the unit circle
+    a = ratios[0] if branch is Branch.I else ratios[1]
     if side == "left":
         a = -a.conjugate()  # left coefficient; same modulus by construction
     return _square_or_inf(abs(a))
@@ -71,8 +73,8 @@ def reduced_spectrum(
 ) -> ReducedSpectrum:
     """Reduced spin spectrum {lam, 1 - lam} of one eigenvector.
 
-    gamma = 0 returns the decoupled product-state limit lam = 1.  The left
-    and right eigenvectors of a branch share the same reduced spectrum.
+    gamma = 0 gives the product-state limit lam = 1 and the EP band (1/2, 1/2);
+    the left and right eigenvectors of a branch share the same spectrum.
     """
     if p.gamma == 0.0:
         return ReducedSpectrum(1.0, 0.0, branch)
@@ -93,8 +95,8 @@ def _binary_entropy(a2, log):
 def entanglement_entropy(p: ModelParams, branch: Branch) -> float:
     """Entanglement entropy of one eigenvector branch, in nats.
 
-    ln 2 exactly throughout the broken phase (|alpha|^2 = 1) and at the
-    exceptional point; 0 in the gamma -> 0 limit (returned at gamma = 0).
+    Within 1 ulp of ln 2 throughout the broken phase (|alpha|^2 = 1) and
+    ln 2 in the EP band; 0 in the gamma -> 0 limit (returned at gamma = 0).
     """
     if p.gamma == 0.0:
         return 0.0

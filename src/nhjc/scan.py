@@ -9,12 +9,12 @@ entropy limit ln 2 is still reported there.
 
 Every quantity is a closed form of the cell's own parameters, so a sweep is
 evaluated column by column: one numpy pass over the grid tiled over the
-block indices.  The entropy and the no-jump flow and rotation are written
-once, in + - * /, by entropy and dynamics; the kernel passes them columns
-and its per-element libm functions.  The phase, spectrum, ratios and metric
-norm stay twins of model and biortho, for the reasons _grid_columns lists.
-The scalar functions remain the per-point reference; the columns match them
-bit for bit, metric_norm to rounding.
+block indices.  The entropy, the metric norm and the no-jump flow and
+rotation are written once, in + - * / and sqrt, by entropy, biortho and
+dynamics; the kernel passes them columns and its per-element libm
+functions.  The phase, spectrum and ratios stay twins of model and biortho,
+for the reasons _grid_columns lists.  The scalar functions remain the
+per-point reference; the columns match them bit for bit.
 
 A sweep result is a SweepTable: the axis coordinates, n, phase,
 discriminant, both eigenvalues and each extra quantity as arrays, with a
@@ -55,6 +55,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .biortho import _metric_norm
 from .dynamics import _broken_flow, _unbroken_rotation
 from .entropy import _binary_entropy, _square_or_inf
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
@@ -346,18 +347,16 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
 
     n is each cell's block index.  Returns (phase codes, discriminant,
     (eigenvalue_I, eigenvalue_II), extras by key); extras that EP-band cells
-    omit hold NaN there.  Entropy, survival and Bloch call the scalar closed
-    forms with per-element libm log, cosh and sinh.  These stay twins of the
-    scalar code, each for its reason:
+    omit hold NaN there.  Entropy, survival, Bloch and metric_norm call the
+    scalar closed forms, with per-element libm log, cosh and sinh.  These
+    stay twins of the scalar code, each for its reason:
 
     - the discriminant squares: the builtin `_square` maps about 13% faster
       than a Python function, and the error names the square that overflowed;
     - the EP band and the spectral centre: one expression each;
     - phase and eigenvalue assembly: model builds Phase and complex, this
       builds int8 codes and re/im parts that keep -0.0;
-    - ratio selection: biortho gives complex ratios, this needs moduli;
-    - metric_norm: a different summation, whose bits the CLI goldens pin.
-      It matches metric() to rounding, every other column bit for bit.
+    - ratio selection: biortho gives complex ratios, this needs moduli.
     """
     size = grid[0][1].size
     params = {
@@ -399,20 +398,16 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
     wanted = set(spec.quantities)
     columns: dict[str, np.ndarray] = {}
     coupled = gamma != 0.0
-    if wanted & {"metric_norm", "entropy"}:
-        # biortho.eigenvector_ratios: real ratios with product 1 where the
-        # root is real, (b +- i root) / two_delta where it is imaginary
-        two_delta = np.where(coupled, 2.0 * sqrt_n1 * gamma, 1.0)
-        lead_is_one = b >= 0.0
-        lead = np.where(lead_is_one, b + root, b - root) / two_delta
-        other = 1.0 / lead
-        ratios = (np.where(lead_is_one, lead, other), np.where(lead_is_one, other, lead))
-        ratio_re = b / two_delta
-        ratio_im = root / two_delta
+    coupling = 2.0 * sqrt_n1 * gamma
     if "entropy" in wanted:
-        modulus = np.hypot(ratio_re, ratio_im)
-        for key, a in zip(("entropy_I", "entropy_II"), ratios):
-            a_abs = np.where(coupled, np.where(real_root, np.abs(a), modulus), 0.0)
+        # biortho.eigenvector_ratios: real ratios with product 1 where the root is
+        # real, (b +- i root) / coupling where it is imaginary, modulus 1 at the EP
+        lead = np.where(b >= 0.0, b + root, b - root) / coupling
+        other = 1.0 / lead
+        modulus = np.hypot(b / coupling, root / coupling)
+        for key, leads in zip(("entropy_I", "entropy_II"), (b >= 0.0, b < 0.0)):
+            a_abs = np.where(real_root, np.abs(np.where(leads, lead, other)), modulus)
+            a_abs = np.where(coupled, np.where(at_ep, 1.0, a_abs), 0.0)
             a2 = _elementwise(_square_or_inf, a_abs, "entropy", "|alpha|**2")
             live = (a2 != 0.0) & ~np.isinf(a2)  # else the product state: entropy 0
             columns[key] = np.zeros(size)
@@ -420,27 +415,7 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
                 a2[live], lambda x: _elementwise(math.log, x, "entropy", "log")
             )
     if "metric_norm" in wanted:
-        # biortho.metric: G = sum_i |L_i><L_i| with L_i = (1, -conj a_i) / sqrt|1 - a_i^2|,
-        # or (-conj w, 1) / sqrt|1 - w^2| with w = 1 / a_i where |a_i| > 1
-        g00 = g11 = g01 = 0.0
-        for sign, a in zip((1.0, -1.0), ratios):
-            z = np.empty(size, dtype=complex)
-            z.real = np.where(real_root, a, ratio_re)
-            z.imag = np.where(real_root, 0.0, sign * ratio_im)
-            flip = np.abs(z) > 1.0
-            w = np.where(flip, 1.0 / z, z)
-            scale = 1.0 / np.sqrt(np.abs(1.0 - w * w))
-            other = -np.conj(w) * scale
-            first = np.where(flip, other, scale)
-            second = np.where(flip, scale, other)
-            g00 = g00 + (first * np.conj(first)).real
-            g11 = g11 + (second * np.conj(second)).real
-            g01 = g01 + first * np.conj(second)
-        norm = np.sqrt(g00 * g00 + g11 * g11 + 2.0 * (g01 * np.conj(g01)).real)
-        norm = np.where(coupled, norm, math.sqrt(2.0))  # G = I when decoupled
-        if not np.isfinite(norm[~at_ep]).all():
-            raise SpecValidationError("metric_norm: not finite on this grid")
-        columns["metric_norm"] = np.where(at_ep, math.nan, norm)
+        columns["metric_norm"] = np.where(at_ep, math.nan, _metric_norm(b, coupling, d))
     if wanted & {"survival", "bloch"}:
         # evolve_no_jump from effective_generator: cosh/sinh of 2 Gamma t on
         # the broken side, a rotation by 2 Lambda t on the unbroken side

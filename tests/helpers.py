@@ -11,7 +11,10 @@ and subject.  reference_csv writes a sweep one value at a time, the oracle
 for export_csv's column-wise formatting; reference_json builds one dict per
 cell for json.dumps, the oracle for export_json's templates; and
 reference_read_csv calls float() and int() on every field, the oracle for
-read_csv's one-call parse.  The closed-form matrices further down are
+read_csv's one-call parse.  mp_metric is the arbitrary-precision oracle
+for the metric G: it starts from the exact float inputs and builds G from
+eigenvectors in mpmath (Johansson et al., mpmath, mpmath.org), not from the
+package's closed form.  The closed-form matrices further down are
 hand-derived for omega = 1, epsilon = 5 and serve as entrywise pinning
 targets.
 """
@@ -23,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from nhjc.errors import SweepFileError
@@ -141,6 +145,68 @@ def expm2(m, t: float = 1.0) -> np.ndarray:
         core = cmath.cosh(z) * _EYE + (cmath.sinh(z) / q) * n
     return cmath.exp(half_tr * t) * core
 
+
+
+def _mp_null_vector(row_0, row_1):
+    """A null vector of the singular 2x2 matrix with these rows, taken from
+    the row with the larger norm so that a cancelling row is never used."""
+    row = row_0 if mpmath.fsum(abs(x) ** 2 for x in row_0) >= mpmath.fsum(
+        abs(x) ** 2 for x in row_1
+    ) else row_1
+    return [row[1], -row[0]]
+
+
+def mp_metric(omega: float, epsilon: float, gamma: float, n: int, dps: int = 50):
+    """Metric G = sum_i |L_i><L_i| of one block at dps digits, an mpmath matrix.
+
+    The inputs are taken as the exact binary values of the floats.  The
+    eigenvalues come from the characteristic polynomial, each right and left
+    eigenvector from a null space, and each unscaled pair (L_i, R_i) enters
+    with the weight ||R_i|| / (||L_i|| |<L_i|R_i>|) that the normalization
+    <L_i|R_i> = 1, ||L_i|| = ||R_i|| gives.  Off the EP band only; gamma != 0.
+    """
+    with mpmath.workdps(dps):
+        w, e, g = (mpmath.mpf(x) for x in (omega, epsilon, gamma))
+        d = g * mpmath.sqrt(n + 1)
+        h = [[e / 2 + n * w, d], [-d, -e / 2 + (n + 1) * w]]
+        trace = h[0][0] + h[1][1]
+        root = mpmath.sqrt(mpmath.mpc(trace**2 - 4 * (h[0][0] * h[1][1] - h[0][1] * h[1][0])))
+        big_g = mpmath.zeros(2, 2)
+        for lam in ((trace + root) / 2, (trace - root) / 2):
+            right = _mp_null_vector([h[0][0] - lam, h[0][1]], [h[1][0], h[1][1] - lam])
+            lam_c = mpmath.conj(lam)
+            left = _mp_null_vector([h[0][0] - lam_c, h[1][0]], [h[0][1], h[1][1] - lam_c])
+            overlap = mpmath.conj(left[0]) * right[0] + mpmath.conj(left[1]) * right[1]
+            weight = mpmath.sqrt(abs(right[0]) ** 2 + abs(right[1]) ** 2) / (
+                mpmath.sqrt(abs(left[0]) ** 2 + abs(left[1]) ** 2) * abs(overlap)
+            )
+            for i in range(2):
+                for j in range(2):
+                    big_g[i, j] += weight * left[i] * mpmath.conj(left[j])
+        return big_g
+
+
+def mp_condition(omega: float, epsilon: float, gamma: float, n: int, dps: int = 50) -> float:
+    """max(b2, c2) / |D| of the exact inputs, b2 = (omega - epsilon)^2 and
+    c2 = 4 gamma^2 (n+1): the condition number of D = b2 - c2."""
+    with mpmath.workdps(dps):
+        b2 = (mpmath.mpf(omega) - mpmath.mpf(epsilon)) ** 2
+        c2 = 4 * mpmath.mpf(gamma) ** 2 * (n + 1)
+        return float(max(b2, c2) / abs(b2 - c2))
+
+
+def mp_frobenius(m) -> mpmath.mpf:
+    """Frobenius norm of an mpmath matrix."""
+    return mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in m))
+
+
+def mp_relative_error(got, want) -> float:
+    """Normwise relative error ||got - want||_F / ||want||_F of a numpy array
+    or float against an mpmath matrix or number, at want's precision."""
+    if isinstance(want, mpmath.matrix):
+        diff = mpmath.matrix(np.asarray(got, dtype=complex).tolist()) - want
+        return float(mp_frobenius(diff) / mp_frobenius(want))
+    return float(abs(mpmath.mpf(got) - want) / abs(want))
 
 
 def taylor_expm(m, t: float = 1.0) -> np.ndarray:

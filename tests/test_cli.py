@@ -359,7 +359,7 @@ _LAYER_ROWS = [
         "config-over-preset",
         ["spectrum", "--preset", "fig1"],
         {"fixed": {"n": 2}, "axes": _AXES, "quantities": ["metric_norm"]},
-        "9c576775ae1cdcea",
+        "5c54675214ffbeb0",
     ),
     # config < flags: a flag replaces one fixed key, --grid replaces the axes
     (
@@ -382,7 +382,7 @@ _LAYER_ROWS = [
     # null in the config: the key takes its default, whatever the preset gave it
     ("null-quantities", ["spectrum", *_G], {"quantities": None}, "0164517b7a6bf8c9"),
     ("null-quantities-over-preset", ["metric", "--preset", "fig1"], {"quantities": None},
-     "0ce53faa9d92253b"),
+     "6faa7c79bbe4042b"),
     ("null-initial-bloch", ["dynamics", *_T], {"initial_bloch": None}, "3e2415959b853806"),
     ("null-preset", ["spectrum", *_G], {"preset": None}, "0164517b7a6bf8c9"),
     ("null-axes", ["spectrum", *_G], {"axes": None}, "0164517b7a6bf8c9"),

@@ -8,7 +8,6 @@ import pytest
 from helpers import eig2, expm2, match_order, random_bloch, random_params
 
 from nhjc.dynamics import (
-    SIGMA_Y,
     BlochState,
     default_time_grid,
     effective_generator,
@@ -17,6 +16,7 @@ from nhjc.dynamics import (
 from nhjc.errors import ExceptionalPointError
 from nhjc.model import ModelParams, spectrum_closed_form
 
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 BROKEN = ModelParams(1.0, 5.0, 4.0, 0)  # Gamma = sqrt(12)
 UNBROKEN = ModelParams(1.0, 5.0, 1.0, 0)  # Lambda = sqrt(3)
 

@@ -8,10 +8,11 @@ import pytest
 from helpers import eig2, random_params
 
 from nhjc.biortho import eigenvector_ratios
+from nhjc.cli import PRESETS
 from nhjc.entropy import LN2, entanglement_entropy, reduced_spectrum
-from nhjc.errors import SpecValidationError, ZeroCouplingError
+from nhjc.errors import ExceptionalPointError, SpecValidationError, ZeroCouplingError
 from nhjc.model import Branch, ModelParams, build_block, spectrum_closed_form
-from nhjc.scan import Axis, SweepSpec, run_sweep
+from nhjc.scan import Axis, SweepSpec, run_sweep, spec_from_dict
 
 SQRT3 = math.sqrt(3.0)
 DELTA_ONE = ModelParams(1.0, 5.0, 1.0, 0)
@@ -29,9 +30,40 @@ def test_alpha_frozen_values():
         eigenvector_ratios(ModelParams(1.0, 5.0, 0.0, 0))
 
 
-def test_alpha_at_exceptional_point():
-    # both branches coalesce at alpha = -1 for omega=1, eps=5, delta=2
-    assert eigenvector_ratios(ModelParams(1.0, 5.0, 2.0, 0)) == (-1.0, -1.0)
+# Inside the EP band: exactly at the EP of omega = 1, epsilon = 5; just
+# inside the band; and at omega == epsilon, where gamma**2 underflows so
+# that D = 0 and every ratio is 0 / 0.
+EP_BAND = [
+    ModelParams(1.0, 5.0, 2.0, 0),
+    ModelParams(1.0, 5.0, 2.0 * (1.0 + 1e-12), 0),
+    ModelParams(-1.0, -1.0, 3e-199, 36),
+    ModelParams(2.5, 2.5, -1e-170, 0),
+]
+
+
+@pytest.mark.parametrize("p", EP_BAND)
+def test_ep_band_takes_the_coalesced_limit(p):
+    # the ratios coalesce on the unit circle: no ratio to return, and the
+    # reduced spectrum and entropy take their EP limits exactly
+    with pytest.raises(ExceptionalPointError):
+        eigenvector_ratios(p)
+    for branch in Branch:
+        assert entanglement_entropy(p, branch) == LN2
+        for side in ("right", "left"):
+            rs = reduced_spectrum(p, branch, side)
+            assert (rs.lam, rs.complement) == (0.5, 0.5)
+
+
+def test_ep_band_sweep_reads_ln2():
+    # gamma = 0 is the decoupled product state; every other cell of this
+    # grid lies in the EP band, where gamma**2 underflows
+    spec = SweepSpec(
+        ModelParams(-1.0, -1.0, 0.0, 36), Axis("gamma", 0.0, 3e-199, 4), quantities=("entropy",)
+    )
+    table = run_sweep(spec)
+    assert table.phase.tolist() == [2, 2, 2, 2]
+    for key in ("entropy_I", "entropy_II"):
+        assert table.extras[key].tolist() == [0.0, LN2, LN2, LN2]
 
 
 def test_reduced_spectrum_frozen():
@@ -81,13 +113,25 @@ def test_entropy_frozen_value():
     assert math.isclose(entanglement_entropy(DELTA_ONE, Branch.II), 0.2457753666684711, rel_tol=1e-14)
 
 
-def test_entropy_broken_phase_is_ln2():
-    # |alpha|^2 = 1 across the whole broken phase, for any parameters
+def test_entropy_broken_phase_is_ln2_within_one_ulp():
+    # |alpha|^2 = 1 across the whole broken phase, for any parameters; the
+    # rounded ratio gives ln 2 minus 1 ulp at about a fifth of the points
+    ulp = math.ulp(LN2)
     rng = np.random.default_rng(93)
-    for _ in range(300):
+    off = 0
+    for _ in range(3000):
         p = random_params(rng, phase="broken")
-        assert abs(entanglement_entropy(p, Branch.I) - LN2) < 1e-12
-        assert abs(entanglement_entropy(p, Branch.II) - LN2) < 1e-12
+        for branch in Branch:
+            s = entanglement_entropy(p, branch)
+            assert abs(s - LN2) <= ulp
+            off += s != LN2
+    assert off > 0
+    # and over fig3's broken cells, whose bytes a CLI golden pins
+    table = run_sweep(spec_from_dict(PRESETS["fig3"]))
+    broken = table.phase == 1
+    assert broken.sum() == 375
+    for key in ("entropy_I", "entropy_II"):
+        assert np.abs(table.extras[key][broken] - LN2).max() <= ulp
 
 
 def test_entropy_range_and_limits():

@@ -24,7 +24,7 @@ GOLDENS = {
     "dynamics.csv": (["dynamics", "--gamma", "4", "--r0", "0,0,1"], "9ceec7f7610ce01d"),
     "exponent.txt": (["exponent"], "5fce419822ce78e8"),
     # line 202 is the EP cell, whose metric_norm field is empty
-    "metric.csv": (["metric", "--grid", "gamma:0:4:401", "--format", "csv"], "bbcfa54240c418eb"),
+    "metric.csv": (["metric", "--grid", "gamma:0:4:401", "--format", "csv"], "a6e027235c842e83"),
 }
 
 

@@ -143,18 +143,18 @@ FUNCTIONS = {
 DIGESTS = {
     "classify_phase": "7c232d8a66c43130",
     "spectrum_closed_form": "31f82c8e973c0ca8",
-    "eigenvector_ratios": "e1c1bd00f605426e",
+    "eigenvector_ratios": "4d47a50892e20a2e",
     "eigensystem": "396b82363ebb5d43",
-    "metric": "7c7da9fb43c1b3d9",
-    "intertwiner": "9d3265281ab66ae3",
+    "metric": "7b6dc24e29ef0e94",
+    "intertwiner": "6805e4649b4b0c67",
     "projectors": "c12831035a3d54c8",
-    "pseudo_hermiticity_residual": "79ceaacf43e62940",
+    "pseudo_hermiticity_residual": "669a864fe720a279",
     "entanglement_entropy": "d3fca08dce7a6141",
     "reduced_spectrum": "6dfedabb2ed5667a",
     "effective_generator": "d0dc240f83e7a2da",
     "evolve_no_jump": "9ea963c1d25908ac",
     "default_time_grid": "329acb3070e0fe97",
-    "metric_divergence_exponent": "f2415dee60ca4237",
+    "metric_divergence_exponent": "481e6b03c928a368",
 }
 
 

@@ -1,10 +1,10 @@
 """The column kernel behind run_sweep against the scalar API, cell by cell.
 
 run_sweep evaluates a whole grid at once; the scalar functions of model,
-entropy, biortho and dynamics stay the per-point reference.  Phase,
-discriminant, eigenvalues, entropy, survival and Bloch components must agree
-bit for bit (compared through repr, so signed zeros count); metric_norm is a
-different summation of the same terms and agrees to 1e-14 relative.
+entropy, biortho and dynamics stay the per-point reference.  Every column
+must agree bit for bit (compared through repr, so signed zeros count):
+phase, discriminant, eigenvalues, entropy, survival, Bloch components and
+metric_norm, which is sqrt(2 (diag^2 + off^2)) over the entries of metric().
 """
 
 import math
@@ -17,8 +17,6 @@ from nhjc.dynamics import BlochState, effective_generator, evolve_no_jump
 from nhjc.entropy import entanglement_entropy
 from nhjc.model import Branch, ModelParams, Phase, classify_phase, spectrum_closed_form
 from nhjc.scan import Axis, SweepSpec, run_sweep
-
-METRIC_RTOL = 1e-14
 
 # omega = 1, epsilon = 5: the n = 0 block has its EP at gamma = delta = 2
 FIXED = ModelParams(1.0, 5.0, 1.0, 0)
@@ -129,12 +127,14 @@ def scalar_point(spec, n, cell):
 
 
 def expected_extras(spec, p, t):
-    """Extras of one cell from the scalar API; metric_norm unrounded."""
+    """Extras of one cell from the scalar API."""
     at_ep = classify_phase(p).value is Phase.EXCEPTIONAL_POINT
     out = {}
     for q in spec.quantities:
         if q == "metric_norm" and not at_ep:
-            out["metric_norm"] = float(np.linalg.norm(metric(p)))
+            g = metric(p)
+            diag, off = g[0, 0].real, g[0, 1].real
+            out["metric_norm"] = math.sqrt(2.0 * (diag * diag + off * off))
         elif q == "entropy":
             out["entropy_I"] = entanglement_entropy(p, Branch.I)
             out["entropy_II"] = entanglement_entropy(p, Branch.II)
@@ -168,10 +168,7 @@ def test_kernel_matches_scalar_api(name):
         want = expected_extras(spec, p, t)
         assert cell.extras.keys() == want.keys(), where
         for key, value in want.items():
-            if key == "metric_norm":
-                assert abs(cell.extras[key] - value) <= METRIC_RTOL * value, where
-            else:
-                assert repr(cell.extras[key]) == repr(value), (where, key)
+            assert repr(cell.extras[key]) == repr(value), (where, key)
     if name == "ep_band":
         assert phases == {Phase.EXCEPTIONAL_POINT}
     else:
