@@ -56,10 +56,13 @@ class BlochState:
         r = np.array(self.r, dtype=float)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
+        # three Python floats: numpy's reductions cost more than the check
+        x, y, z = r.tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("Bloch vector must be finite")
-        if float(np.linalg.norm(r)) > 1.0 + 1e-9:
-            raise ValueError(f"Bloch vector length {np.linalg.norm(r)} exceeds 1")
+        length = math.sqrt(x * x + y * y + z * z)
+        if length > 1.0 + 1e-9:
+            raise ValueError(f"Bloch vector length {length} exceeds 1")
         if not math.isfinite(self.weight) or self.weight < 0.0:
             raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
         object.__setattr__(self, "r", r)
@@ -135,9 +138,9 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
                 f"no-jump weight overflows: cosh(2 Gamma t) at 2 Gamma t = {angle}"
             ) from None
         d, *r = _broken_flow(ch, sh, *rho0.r)
-        return BlochState(np.array(r), rho0.weight * d)
+        return BlochState(r, rho0.weight * d)
     r = _unbroken_rotation(math.cos(angle), math.sin(angle), *rho0.r)
-    return BlochState(np.array(r), rho0.weight)
+    return BlochState(r, rho0.weight)
 
 
 def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:

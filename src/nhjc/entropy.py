@@ -83,24 +83,46 @@ def reduced_spectrum(
     return ReducedSpectrum(lam, 1.0 - lam, branch)
 
 
-def _binary_entropy(a2, log):
-    """Entropy of the pair {1, a2} / (1 + a2), a2 > 0 finite, for a float or
-    an array: + - * / and the given log only.  The complement is a ratio, not
-    1 - lam, so tiny a2 keeps full relative accuracy."""
-    lam = 1.0 / (1.0 + a2)
-    comp = a2 / (1.0 + a2)
+# Where the smaller reduced eigenvalue is below this, the larger one's
+# logarithm is taken as log1p(-small): ln of the rounded 1 - small carries an
+# absolute error near 1e-16 against an entropy of order small ln(1 / small).
+_NEAR_PRODUCT = 1e-3
+
+
+def _reduced_pair(a2):
+    """{lam, comp} = {1, a2} / (1 + a2) for a2 > 0 finite, a float or an
+    array.  comp is a ratio, not 1 - lam, so tiny a2 keeps full relative
+    accuracy."""
+    return 1.0 / (1.0 + a2), a2 / (1.0 + a2)
+
+
+def _binary_entropy(lam, comp, log):
+    """-(lam ln lam + comp ln comp) with the given log, floats or arrays;
+    accurate where neither is below _NEAR_PRODUCT."""
     return -(lam * log(lam) + comp * log(comp))
+
+
+def _near_product_entropy(small, log, log1p):
+    """Entropy of {small, 1 - small} for small < _NEAR_PRODUCT with the given
+    log and log1p; floats or arrays."""
+    return -(small * log(small) + (1.0 - small) * log1p(-small))
 
 
 def entanglement_entropy(p: ModelParams, branch: Branch) -> float:
     """Entanglement entropy of one eigenvector branch, in nats.
 
     Within 1 ulp of ln 2 throughout the broken phase (|alpha|^2 = 1) and
-    ln 2 in the EP band; 0 in the gamma -> 0 limit (returned at gamma = 0).
+    ln 2 in the EP band; 0 in the gamma -> 0 limit (returned at gamma = 0),
+    which it approaches with full relative accuracy: where the smaller
+    reduced eigenvalue is below 1e-3, the larger one's log is log1p.
     """
     if p.gamma == 0.0:
         return 0.0
     a2 = _ratio_squared(p, branch, "right")
     if a2 == 0.0 or math.isinf(a2):
         return 0.0
-    return _binary_entropy(a2, math.log)
+    lam, comp = _reduced_pair(a2)
+    small = min(lam, comp)
+    if small < _NEAR_PRODUCT:
+        return _near_product_entropy(small, math.log, math.log1p)
+    return _binary_entropy(lam, comp, math.log)

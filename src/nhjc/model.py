@@ -18,8 +18,9 @@ exceptional point).  Everything in this package works on these blocks, where
 all quantities are available in closed form.
 
 The discriminant D, its exceptional-point band, the phase and sqrt(D) are
-formed in `_root` alone, once per scalar call; a D past the float range
-raises ValueError there.
+formed once per ModelParams, on first use, and kept on it; every scalar
+function reads them through `_root`.  A D past the float range is never
+kept: it raises ValueError on every call.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ class ModelParams:
         if not _is_block_index(self.n):
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
 
+    def __getstate__(self):
+        # the memo that `_root` keeps is derived from the fields: pickles and
+        # copies omit it
+        return {name: value for name, value in self.__dict__.items() if name != _MEMO}
+
 
 def _finite(m: np.ndarray) -> np.ndarray:
     """m itself; ValueError if an entry overflowed to inf or nan."""
@@ -141,15 +147,17 @@ def build_block(p: ModelParams) -> np.ndarray:
     return _finite(m)
 
 
-def _root(p: ModelParams, ep_message: str | None = None) -> tuple[PhaseLabel, complex]:
+# The attribute under which a ModelParams keeps its (PhaseLabel, root).
+_MEMO = "_root_memo"
+
+
+def _form_root(p: ModelParams) -> tuple[PhaseLabel, complex]:
     """Phase label and sqrt(D) of one block, from one evaluation of D.
 
     The squares (omega - epsilon)**2 and 4 gamma**2 (n+1) are formed once;
     D is their difference and the EP band is |D| <= 1e-10 times the largest
     of 1 and either square.  The root is +i sqrt(|D|) on the broken side.
-    Raises ValueError when a square is not a finite float and, given
-    ep_message, ExceptionalPointError(ep_message) inside the EP band, with
-    a `{d}` field filled by D.
+    Raises ValueError when a square is not a finite float.
     """
     try:
         b2 = (p.omega - p.epsilon) ** 2
@@ -162,13 +170,30 @@ def _root(p: ModelParams, ep_message: str | None = None) -> tuple[PhaseLabel, co
         )
     d = b2 - c2
     if abs(d) <= 1e-10 * max(1.0, b2, c2):
-        if ep_message is not None:
-            raise ExceptionalPointError(ep_message.format(d=d))
         phase = Phase.EXCEPTIONAL_POINT
     else:
         phase = Phase.UNBROKEN if d > 0.0 else Phase.BROKEN
     root = complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
     return PhaseLabel(phase, d), root
+
+
+def _root(p: ModelParams, ep_message: str | None = None) -> tuple[PhaseLabel, complex]:
+    """Phase label and sqrt(D) of one block, formed on first use and kept on p.
+
+    A ValueError from `_form_root` keeps nothing, so it recurs on every call.
+    Given ep_message, raises ExceptionalPointError(ep_message) inside the EP
+    band on every call, with a `{d}` field filled by D.
+    """
+    # a plain attribute, not functools.cached_property, which before Python
+    # 3.12 takes a lock on every miss and builds p.__dict__: the exponent
+    # fit's offset blocks are each used once
+    memo = getattr(p, _MEMO, None)
+    if memo is None:
+        memo = _form_root(p)
+        object.__setattr__(p, _MEMO, memo)
+    if ep_message is not None and memo[0].value is Phase.EXCEPTIONAL_POINT:
+        raise ExceptionalPointError(ep_message.format(d=memo[0].discriminant))
+    return memo
 
 
 def _spectrum(p: ModelParams, root: complex) -> Spectrum:

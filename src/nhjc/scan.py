@@ -57,7 +57,13 @@ import numpy as np
 
 from .biortho import _metric_norm
 from .dynamics import _broken_flow, _unbroken_rotation
-from .entropy import _binary_entropy, _square_or_inf
+from .entropy import (
+    _NEAR_PRODUCT,
+    _binary_entropy,
+    _near_product_entropy,
+    _reduced_pair,
+    _square_or_inf,
+)
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
 from .model import ModelParams, Phase, Spectrum, _is_block_index
 
@@ -356,7 +362,8 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
     - the EP band and the spectral centre: one expression each;
     - phase and eigenvalue assembly: model builds Phase and complex, this
       builds int8 codes and re/im parts that keep -0.0;
-    - ratio selection: biortho gives complex ratios, this needs moduli.
+    - ratio selection: biortho gives complex ratios, this needs moduli;
+    - the near-product entropy switch: entropy branches per value, this masks.
     """
     size = grid[0][1].size
     params = {
@@ -400,6 +407,12 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
     coupled = gamma != 0.0
     coupling = 2.0 * sqrt_n1 * gamma
     if "entropy" in wanted:
+        def log(x):
+            return _elementwise(math.log, x, "entropy", "log")
+
+        def log1p(x):
+            return _elementwise(math.log1p, x, "entropy", "log1p")
+
         # biortho.eigenvector_ratios: real ratios with product 1 where the root is
         # real, (b +- i root) / coupling where it is imaginary, modulus 1 at the EP
         lead = np.where(b >= 0.0, b + root, b - root) / coupling
@@ -410,10 +423,13 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
             a_abs = np.where(coupled, np.where(at_ep, 1.0, a_abs), 0.0)
             a2 = _elementwise(_square_or_inf, a_abs, "entropy", "|alpha|**2")
             live = (a2 != 0.0) & ~np.isinf(a2)  # else the product state: entropy 0
+            lam, comp = _reduced_pair(a2[live])
+            small = np.minimum(lam, comp)
+            near = small < _NEAR_PRODUCT
+            values = _binary_entropy(lam, comp, log)
+            values[near] = _near_product_entropy(small[near], log, log1p)
             columns[key] = np.zeros(size)
-            columns[key][live] = _binary_entropy(
-                a2[live], lambda x: _elementwise(math.log, x, "entropy", "log")
-            )
+            columns[key][live] = values
     if "metric_norm" in wanted:
         columns["metric_norm"] = np.where(at_ep, math.nan, _metric_norm(b, coupling, d))
     if wanted & {"survival", "bloch"}:

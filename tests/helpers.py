@@ -14,7 +14,8 @@ reference_read_csv calls float() and int() on every field, the oracle for
 read_csv's one-call parse.  mp_metric is the arbitrary-precision oracle
 for the metric G: it starts from the exact float inputs and builds G from
 eigenvectors in mpmath (Johansson et al., mpmath, mpmath.org), not from the
-package's closed form.  The closed-form matrices further down are
+package's closed form; mp_entropy does the same for the entanglement
+entropy.  The closed-form matrices further down are
 hand-derived for omega = 1, epsilon = 5 and serve as entrywise pinning
 targets.
 """
@@ -156,6 +157,32 @@ def _mp_null_vector(row_0, row_1):
     return [row[1], -row[0]]
 
 
+def _mp_block(omega: float, epsilon: float, gamma: float, n: int):
+    """Block h, its trace and the root of its characteristic polynomial's
+    discriminant, from the exact binary values of the inputs, at the working
+    precision."""
+    w, e, g = (mpmath.mpf(x) for x in (omega, epsilon, gamma))
+    d = g * mpmath.sqrt(n + 1)
+    h = [[e / 2 + n * w, d], [-d, -e / 2 + (n + 1) * w]]
+    trace = h[0][0] + h[1][1]
+    root = mpmath.sqrt(mpmath.mpc(trace**2 - 4 * (h[0][0] * h[1][1] - h[0][1] * h[1][0])))
+    return h, trace, root
+
+
+def mp_entropy(omega: float, epsilon: float, gamma: float, n: int, sign: int, dps: int = 400):
+    """Entanglement entropy, in nats, of the right eigenvector with eigenvalue
+    (tr h + sign root) / 2, at dps digits.  The eigenvector is a null vector
+    of h - lambda I; the reduced spectrum is its two squared moduli over
+    their sum.  Off the EP band only; gamma != 0."""
+    with mpmath.workdps(dps):
+        h, trace, root = _mp_block(omega, epsilon, gamma, n)
+        lam = (trace + sign * root) / 2
+        right = _mp_null_vector([h[0][0] - lam, h[0][1]], [h[1][0], h[1][1] - lam])
+        weights = [abs(x) ** 2 for x in right]
+        pair = [x / (weights[0] + weights[1]) for x in weights]
+        return -mpmath.fsum(x * mpmath.log(x) for x in pair)
+
+
 def mp_metric(omega: float, epsilon: float, gamma: float, n: int, dps: int = 50):
     """Metric G = sum_i |L_i><L_i| of one block at dps digits, an mpmath matrix.
 
@@ -166,11 +193,7 @@ def mp_metric(omega: float, epsilon: float, gamma: float, n: int, dps: int = 50)
     <L_i|R_i> = 1, ||L_i|| = ||R_i|| gives.  Off the EP band only; gamma != 0.
     """
     with mpmath.workdps(dps):
-        w, e, g = (mpmath.mpf(x) for x in (omega, epsilon, gamma))
-        d = g * mpmath.sqrt(n + 1)
-        h = [[e / 2 + n * w, d], [-d, -e / 2 + (n + 1) * w]]
-        trace = h[0][0] + h[1][1]
-        root = mpmath.sqrt(mpmath.mpc(trace**2 - 4 * (h[0][0] * h[1][1] - h[0][1] * h[1][0])))
+        h, trace, root = _mp_block(omega, epsilon, gamma, n)
         big_g = mpmath.zeros(2, 2)
         for lam in ((trace + root) / 2, (trace - root) / 2):
             right = _mp_null_vector([h[0][0] - lam, h[0][1]], [h[1][0], h[1][1] - lam])

@@ -393,6 +393,25 @@ def test_metric_divergence_exponent():
         metric_divergence_exponent(UNBROKEN, side="sideways")
 
 
+@pytest.mark.parametrize("epsilon", [1.1, 1.15])
+def test_exponent_below_window_may_not_reach_zero_coupling(epsilon):
+    # delta_c = |omega - epsilon| / 2 <= 0.1: the 'below' offsets would run
+    # through gamma = 0 (and, at 1.1, onto the mirrored EP at -delta_c)
+    p = ModelParams(1.0, epsilon, 0.3, 0)
+    with pytest.raises(ValueError, match=r"delta_c = .* = 0\.0[57]\d* must exceed 0\.1$") as info:
+        metric_divergence_exponent(p, "below")
+    assert type(info.value) is ValueError
+    assert "[0.0001, 0.1]" in str(info.value)
+    # the 'above' window stays on the broken side; offsets up to 2 delta_c
+    # are outside the -1/2 asymptote, hence the wider band
+    assert -0.5 < metric_divergence_exponent(p, "above") < -0.45
+
+
+def test_exponent_below_window_inside_one_phase():
+    p = ModelParams(1.0, 1.3, 0.3, 0)  # delta_c = 0.15
+    assert -0.52 < metric_divergence_exponent(p, "below") < -0.48
+
+
 def test_bior_system_pairs_accessor():
     system = eigensystem(UNBROKEN)
     assert isinstance(system, BiorthoSystem)

@@ -32,6 +32,27 @@ def test_bloch_state_validation():
         BlochState(np.array([0.0, 0.0, 1.0]), weight=-1.0)
 
 
+@pytest.mark.parametrize("length", [1.0, 1.0 + 5e-10])
+def test_bloch_state_accepts_unit_length_within_roundoff(length):
+    r = np.array([0.6, 0.0, 0.8]) * length
+    state = BlochState(tuple(r.tolist()))
+    assert state.r.dtype == float and np.array_equal(state.r, r)
+
+
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        ((0.0, 0.0, 1.0 + 2e-9), r"^Bloch vector length 1\.000000002 exceeds 1$"),
+        ((0.0, math.nan, 0.0), "^Bloch vector must be finite$"),
+        ((math.inf, 0.0, 0.0), "^Bloch vector must be finite$"),
+        ((0.0, 0.0, -math.inf), "^Bloch vector must be finite$"),
+    ],
+)
+def test_bloch_state_rejects_long_or_non_finite_vectors(r, message):
+    with pytest.raises(ValueError, match=message):
+        BlochState(np.array(r))
+
+
 def test_bloch_state_matrix():
     state = BlochState(np.array([0.0, 0.0, 1.0]), weight=2.0)
     np.testing.assert_allclose(state.matrix(), [[2.0, 0.0], [0.0, 0.0]])

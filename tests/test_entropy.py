@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import eig2, random_params
+from helpers import eig2, mp_entropy, mp_relative_error, random_params
 
 from nhjc.biortho import eigenvector_ratios
 from nhjc.cli import PRESETS
@@ -150,6 +150,29 @@ def test_entropy_nearly_decoupled():
     p = ModelParams(1.0, 5.0, 1e-2, 0)
     assert 0.0 < entanglement_entropy(p, Branch.I) < 1e-4
     assert 0.0 < entanglement_entropy(p, Branch.II) < 1e-4
+
+
+# (1, 5, gamma, 0) down to gamma = 1e-8, where the smaller reduced eigenvalue
+# is about 4e-18, and gamma = 0.12, just below the log1p switch at 1e-3.
+# Forming ln(1 - small) directly erred by up to 2.5e-2 relative here.
+WEAK_GAMMAS = [1e-5, 1e-6, 1e-7, 1e-8, 0.12]
+
+
+def test_weak_coupling_entropy_matches_mpmath():
+    unit = 2.0**-53
+    spec = SweepSpec(
+        ModelParams(1.0, 5.0, 1.0, 0), Axis("gamma", 1e-8, 1e-5, 4), quantities=("entropy",)
+    )
+    swept = [(cell.coords[0], cell.extras) for cell in run_sweep(spec)]
+    scalar = [
+        (g, {"entropy_I": entanglement_entropy(ModelParams(1.0, 5.0, g, 0), Branch.I),
+             "entropy_II": entanglement_entropy(ModelParams(1.0, 5.0, g, 0), Branch.II)})
+        for g in WEAK_GAMMAS
+    ]
+    for gamma, extras in swept + scalar:
+        for key, sign in (("entropy_I", 1), ("entropy_II", -1)):
+            want = mp_entropy(1.0, 5.0, gamma, 0, sign)
+            assert mp_relative_error(extras[key], want) <= 8 * unit, (gamma, key)
 
 
 def test_entropy_curve():

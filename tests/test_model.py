@@ -1,13 +1,15 @@
 """Tests for block construction, spectra and phase classification."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from helpers import random_params
 
-from nhjc import biortho, dynamics, model
+from nhjc import model
 from nhjc.biortho import (
     eigensystem,
     eigenvector_ratios,
@@ -18,10 +20,14 @@ from nhjc.biortho import (
 )
 from nhjc.dynamics import effective_generator
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
+from nhjc.errors import ExceptionalPointError
 from nhjc.model import (
     Branch,
     ModelParams,
     Phase,
+    PhaseLabel,
+    _MEMO,
+    _form_root,
     _root,
     build_block,
     classify_phase,
@@ -144,19 +150,57 @@ SCALAR_API = [
 ]
 
 
-def test_each_scalar_call_forms_the_root_once(monkeypatch):
-    calls = []
+def test_root_is_formed_once_per_params(monkeypatch):
+    formed = []
 
-    def counted(*args):
-        calls.append(args)
-        return _root(*args)
+    def counted(p):
+        formed.append(p)
+        return _form_root(p)
 
-    for module in (model, biortho, dynamics):
-        monkeypatch.setattr(module, "_root", counted)
+    monkeypatch.setattr(model, "_form_root", counted)
+    p = ModelParams(1.0, 5.0, 1.0, 2)
     for call in SCALAR_API:
-        calls.clear()
-        call(ModelParams(1.0, 5.0, 1.0, 2))
-        assert len(calls) == 1, call
+        call(p)
+    assert formed == [p]
+    classify_phase(ModelParams(1.0, 5.0, 1.0, 2))  # an equal, new ModelParams forms its own
+    assert len(formed) == 2
+
+
+def test_each_caller_keeps_its_exceptional_point_message():
+    p = ModelParams(1.0, 5.0, 2.0, 0)
+    assert classify_phase(p).value is Phase.EXCEPTIONAL_POINT  # fills the memo
+    messages = {
+        eigenvector_ratios: "eigenvectors coalesce near the exceptional point (discriminant 0.000e+00)",
+        effective_generator: "no-jump generator is defective at the exceptional point",
+        pseudo_hermiticity_residual: "metric is singular at the exceptional point",
+        eigensystem: "eigenvectors coalesce near the exceptional point (discriminant 0.000e+00)",
+    }
+    for _ in range(2):
+        for call, message in messages.items():
+            with pytest.raises(ExceptionalPointError) as info:
+                call(p)
+            assert str(info.value) == message
+    assert spectrum_closed_form(p).eigenvalue_I == 0.5
+
+
+def test_memo_leaves_value_semantics_alone():
+    p = ModelParams(1.0, 5.0, 1.0, 2)
+    before = repr(p), hash(p), pickle.dumps(p)
+    label = classify_phase(p)
+    assert _MEMO in vars(p)
+    assert p == ModelParams(1.0, 5.0, 1.0, 2)
+    assert (repr(p), hash(p), pickle.dumps(p)) == before
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and _MEMO not in vars(copy)
+    assert classify_phase(copy) == label
+
+
+def test_replaced_params_form_their_own_root():
+    p = ModelParams(1.0, 5.0, 1.0, 0)
+    assert classify_phase(p).value is Phase.UNBROKEN
+    q = dataclasses.replace(p, gamma=3.0)
+    assert classify_phase(q) == PhaseLabel(Phase.BROKEN, -20.0)
+    assert classify_phase(p) == PhaseLabel(Phase.UNBROKEN, 12.0)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +220,7 @@ def test_unrepresentable_discriminant_raises_value_error(p):
         with pytest.raises(ValueError, match="^discriminant: ") as info:
             call(p)
         assert type(info.value) is ValueError
+    assert _MEMO not in vars(p)  # so every call above raised afresh
 
 
 def test_classify_phase():

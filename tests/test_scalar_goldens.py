@@ -154,7 +154,7 @@ DIGESTS = {
     "effective_generator": "d0dc240f83e7a2da",
     "evolve_no_jump": "9ea963c1d25908ac",
     "default_time_grid": "329acb3070e0fe97",
-    "metric_divergence_exponent": "481e6b03c928a368",
+    "metric_divergence_exponent": "1458c3fca6905f91",
 }
 
 
