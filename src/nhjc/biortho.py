@@ -310,17 +310,23 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
     Samples 20 geometrically spaced offsets in [1e-4, 1e-1] on the
     requested side of delta_c = |omega - epsilon| / 2 and fits an OLS slope;
     the divergence exponent is -1/2 on both sides.  Raises ValueError on
-    the 'below' side when delta_c <= 1e-1, where the window would reach or
-    cross gamma = 0.
+    either side when delta_c <= 1e-1: the 'below' window would reach or
+    cross gamma = 0, and the 'above' window would reach 2 delta_c, past the
+    range where ||G||_F follows the -1/2 power (at delta_c = 0, G = I and
+    nothing diverges).
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     root_n1 = math.sqrt(p.n + 1)
     delta_c = root_n1 * critical_gamma(p)
-    if side == "below" and delta_c <= _EXPONENT_WINDOW[1]:
+    if delta_c <= _EXPONENT_WINDOW[1]:
         low, high = _EXPONENT_WINDOW
+        window, reach = {
+            "below": ("-", "reaches gamma = 0"),
+            "above": ("+", "leaves the -1/2 asymptote"),
+        }[side]
         raise ValueError(
-            f"the 'below' window delta_c - [{low:g}, {high:g}] reaches gamma = 0:"
+            f"the '{side}' window delta_c {window} [{low:g}, {high:g}] {reach}:"
             f" delta_c = |omega - epsilon| / 2 = {delta_c!r} must exceed {high:g}"
         )
     sign = -1.0 if side == "below" else 1.0

@@ -194,11 +194,19 @@ def _run(args) -> None:
         render_svg(table, target, kind="raster" if command == "phase-map" else command, spec=spec)
 
 
+# built by the first cli_main call and reused: parse_args keeps no state
+# between calls, and usage and help text go to sys.stderr and sys.stdout as
+# they are at the time of the call
+_parser: argparse.ArgumentParser | None = None
+
+
 def cli_main(argv=None) -> int:
     """Run the CLI; returns the exit code instead of exiting."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -11,10 +11,12 @@ Every quantity is a closed form of the cell's own parameters, so a sweep is
 evaluated column by column: one numpy pass over the grid tiled over the
 block indices.  The entropy, the metric norm and the no-jump flow and
 rotation are written once, in + - * / and sqrt, by entropy, biortho and
-dynamics; the kernel passes them columns and its per-element libm
-functions.  The phase, spectrum and ratios stay twins of model and biortho,
-for the reasons _grid_columns lists.  The scalar functions remain the
-per-point reference; the columns match them bit for bit.
+dynamics; the kernel passes them columns and its libm functions, which it
+calls once per distinct value of a column (_elementwise), since grids
+repeat their axis values.  The phase, spectrum and ratios stay twins of
+model and biortho, for the reasons _grid_columns lists.  The scalar
+functions remain the per-point reference; the columns match them bit for
+bit.
 
 A sweep result is a SweepTable: the axis coordinates, n, phase,
 discriminant, both eigenvalues and each extra quantity as arrays, with a
@@ -35,11 +37,13 @@ chunk of rows in one call, and export_json fills one %-template per
 pattern of omitted keys, giving the text json.dump(indent=2,
 sort_keys=True) gives.
 
-read_csv parses the body in one np.loadtxt call.  Where the text is not
-plain ASCII, numpy rejects a value, or a phase name or an n is bad, it
-falls back to the per-value path that read_json shares: float() and int()
-on each value, so every file reads as it would value by value and a bad
-value is named with its line.
+read_csv parses the body in one np.loadtxt call, the phase as a
+fixed-width text field, and counts no fields itself when that call
+succeeds.  Where the text is not plain ASCII or holds a NUL, numpy rejects
+a line or a value or skips a blank line, or a phase name or an n is bad, it
+counts the fields of each line and falls back to the per-value path that
+read_json shares: float() and int() on each value, so every file reads as
+it would value by value and a bad line or value is named with its line.
 """
 
 from __future__ import annotations
@@ -332,15 +336,21 @@ _KEPT_AT_EP = frozenset({"entropy_I", "entropy_II"})
 
 
 def _elementwise(fn, x: np.ndarray, quantity: str, what: str) -> np.ndarray:
-    """fn over every entry through Python floats, raising on overflow.
+    """fn over every entry of a float column through Python floats, raising
+    SpecValidationError on overflow.
 
-    Used for `** 2`, log, cosh and sinh: numpy's versions differ from the
-    libm calls of the scalar functions in the last bit for some inputs.
+    Used for `** 2`, log, log1p, cosh and sinh: numpy's versions differ from
+    the libm calls of the scalar functions in the last bit for some inputs.
+    fn is called once per distinct bit pattern, since grids repeat their
+    axis values, and each entry takes the value of its pattern, so the
+    result is what fn gives entry by entry, -0.0 and NaN payloads included.
     """
+    bits, index = np.unique(x.view(np.int64), return_inverse=True)
     try:
-        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+        values = np.fromiter(map(fn, bits.view(float).tolist()), dtype=float, count=bits.size)
     except OverflowError:
         raise SpecValidationError(f"{quantity}: {what} overflows on this grid") from None
+    return values[index]
 
 
 # v -> v ** 2.0: the libm pow call behind the scalar code's `x ** 2`, which
@@ -354,8 +364,9 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
     n is each cell's block index.  Returns (phase codes, discriminant,
     (eigenvalue_I, eigenvalue_II), extras by key); extras that EP-band cells
     omit hold NaN there.  Entropy, survival, Bloch and metric_norm call the
-    scalar closed forms, with per-element libm log, cosh and sinh.  These
-    stay twins of the scalar code, each for its reason:
+    scalar closed forms, with libm log, log1p, cosh and sinh called once per
+    distinct value.  These stay twins of the scalar code, each for its
+    reason:
 
     - the discriminant squares: the builtin `_square` maps about 13% faster
       than a Python function, and the error names the square that overflowed;
@@ -460,12 +471,12 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     The grid is tiled over the block indices and evaluated at once by a
     column kernel (numpy arrays, with the few operations whose numpy
-    versions differ from libm done per element), and the result is a
-    SweepTable of those columns: no PhaseCell is built until the table is
-    indexed or iterated.  Exceptional-point cells keep their label,
-    eigenvalues and entropy but omit metric_norm, survival and bloch.
-    Raises SpecValidationError, naming the quantity, when a value overflows
-    on the grid.
+    versions differ from libm done in Python once per distinct value), and
+    the result is a SweepTable of those columns: no PhaseCell is built
+    until the table is indexed or iterated.  Exceptional-point cells keep
+    their label, eigenvalues and entropy but omit metric_norm, survival and
+    bloch.  Raises SpecValidationError, naming the quantity, when a value
+    overflows on the grid.
     """
     spec.validate()
     n_list = [int(n) for n in spec.n_list or (spec.fixed.n,)]
@@ -611,22 +622,30 @@ def _parse_table(axis_names, column, extra_keys, where) -> SweepTable:
     )
 
 
-# numpy's dtype for each CSV column: the phase and the extras stay text
-# (object fields, so no fixed width cuts ExceptionalPointX to a valid name)
-_CSV_KINDS = {"n": np.int64, "phase": object, **dict.fromkeys(_EXTRA_NAMES, object)}
+# numpy's dtype for each CSV column.  The phase is read into 17 characters,
+# one more than the longest name (ExceptionalPoint), so a name that numpy
+# cuts to fit, such as ExceptionalPointXY, can never read as a valid one.
+# The extras stay text (object fields), since an omitted value is "".
+_CSV_KINDS = {"n": np.int64, "phase": "U17", **dict.fromkeys(_EXTRA_NAMES, object)}
 
 
 def _loaded(header, body, n_axes) -> SweepTable | None:
     """The table of body lines parsed by numpy's C text reader in one call,
-    or None where the per-value path must decide: a value numpy rejects,
-    an unknown phase name, a negative n.  Call it on ASCII text only."""
+    or None where the per-line and per-value checks must decide: a line
+    with the wrong number of fields or a blank one, a value numpy rejects,
+    an unknown phase name, a negative n.  Call it on ASCII text without
+    NUL, which numpy would drop from the end of a phase name."""
     dtype = [(name, _CSV_KINDS.get(name, float)) for name in header]
     extra_keys = header[n_axes + len(_BASE_COLUMNS):]
     try:
         with warnings.catch_warnings():
             # numpy 1.x reads "1.0" as an int64 with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
+            # a body of blank lines reads as no rows, which the count below refuses
+            warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        if len(rows) != len(body):  # numpy skips blank lines
+            return None
         extras = {k: list(map(_float_or_omitted, rows[k].tolist())) for k in extra_keys}
     except ValueError:
         return None
@@ -658,16 +677,19 @@ def read_csv(path) -> SweepTable:
     number of fields, a bad value such as a negative n, a quoted field)
     raises SweepFileError naming the header or the line.
 
-    The body is parsed by one np.loadtxt call.  Where numpy rejects a value
-    or the result needs checking value by value, the per-value path that
-    read_json shares decides instead, so every input reads as float() and
-    int() read it, and a bad value is named with its line.
+    The body is parsed by one np.loadtxt call, which also refuses a line
+    with the wrong number of fields.  Where numpy rejects a line or a value,
+    skips a blank line, or the result needs checking value by value, the
+    fields of each line are counted and the per-value path that read_json
+    shares decides instead, so every input reads as float() and int() read
+    it, and a bad line or value is named with its line number.
     """
     with _opened(path, "r") as stream:
         text = stream.read()
-    # numpy strips "\x1f" as a space and reads some non-ASCII letters as
-    # digits of an int64, where float() and int() refuse both
-    plain = text.isascii() and "\x1f" not in text
+    # numpy strips "\x1f" as a space, reads some non-ASCII letters as digits
+    # of an int64 and drops a NUL from the end of a phase name, where float(),
+    # int() and the phase names refuse all three
+    plain = text.isascii() and "\x1f" not in text and "\x00" not in text
     lines = text.splitlines()
     del text
     if not lines:
@@ -689,16 +711,16 @@ def read_csv(path) -> SweepTable:
     unknown = [c for c in header[extra_at:] if c not in _EXTRA_NAMES]
     if unknown:
         raise SweepFileError(f"CSV header: unknown column(s) {', '.join(unknown)}")
+    if body and plain:
+        table = _loaded(header, body, n_axes)
+        if table is not None:
+            return table
     width = len(header)
     commas = list(map(str.count, body, repeat(",")))
     if commas.count(width - 1) != len(body):
         k = next(k for k, c in enumerate(commas) if c != width - 1)
         fields = commas[k] + 1 if body[k] else 0
         raise SweepFileError(f"line {k + 2}: {fields} fields, the header has {width}")
-    if body and plain:
-        table = _loaded(header, body, n_axes)
-        if table is not None:
-            return table
     values = ",".join(body).split(",") if body else []
     del lines, body  # the values hold the same text; free the lines before parsing
     columns = {name: values[i::width] for i, name in enumerate(header)}

@@ -402,9 +402,19 @@ def test_exponent_below_window_may_not_reach_zero_coupling(epsilon):
         metric_divergence_exponent(p, "below")
     assert type(info.value) is ValueError
     assert "[0.0001, 0.1]" in str(info.value)
-    # the 'above' window stays on the broken side; offsets up to 2 delta_c
-    # are outside the -1/2 asymptote, hence the wider band
-    assert -0.5 < metric_divergence_exponent(p, "above") < -0.45
+    # the 'above' window stays on the broken side, but offsets up to 2 delta_c
+    # are outside the -1/2 asymptote: the fit read -0.45 there
+    with pytest.raises(ValueError, match=r"^the 'above' window delta_c \+ \[0\.0001, 0\.1\] "
+                       r"leaves the -1/2 asymptote: delta_c = .* = 0\.0[57]\d* must exceed 0\.1$"):
+        metric_divergence_exponent(p, "above")
+
+
+@pytest.mark.parametrize("p", [ModelParams(2.0, 2.0, 0.0, 0), ModelParams(2.5, 2.5, 0.4, 4)])
+def test_exponent_refuses_both_sides_at_omega_equal_epsilon(p):
+    # delta_c = 0: G = I at every offset, so there is no divergence to fit
+    for side in ("below", "above"):
+        with pytest.raises(ValueError, match=rf"^the '{side}' window .* = 0\.0 must exceed 0\.1$"):
+            metric_divergence_exponent(p, side)
 
 
 def test_exponent_below_window_inside_one_phase():

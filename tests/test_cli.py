@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import copy
 import hashlib
 import io
@@ -181,6 +182,23 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, ["no-such-command"])[0] == 1
     assert run_cli(capsys, ["spectrum", "--preset", "fig9"])[0] == 1
     assert run_cli(capsys, [])[0] == 1
+
+
+def test_parser_reuse_writes_to_the_streams_of_each_call(capsys):
+    # cli_main builds its parser once; a parser first used under other
+    # streams must still write usage and help to those of the current call
+    elsewhere = io.StringIO()
+    with contextlib.redirect_stdout(elsewhere), contextlib.redirect_stderr(elsewhere):
+        assert cli_main(["spectrum", "--badflag"]) == 1
+        assert cli_main(["--help"]) == 0
+    assert elsewhere.getvalue().count("usage: nhjc") == 2
+    for _ in range(2):
+        code, out, err = run_cli(capsys, ["spectrum", "--badflag"])
+        assert code == 1 and out == "" and err.startswith("usage: nhjc ")
+        code, out, err = run_cli(capsys, ["--help"])
+        assert code == 0 and err == "" and out.startswith("usage: nhjc")
+        code, out, err = run_cli(capsys, ["dynamics", "--help"])
+        assert code == 0 and err == "" and "--r0" in out
 
 
 def test_validation_errors_exit_one(capsys):

@@ -6,6 +6,8 @@ format updates them here and there together.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -34,3 +36,34 @@ def test_output_matches_golden(name, tmp_path):
     target = tmp_path / name
     assert cli_main(argv + ["--out", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest()[:16] == prefix
+
+
+# the nine goldens that the CLI's own options produce
+CLI_GOLDENS = (
+    "fig1.csv", "fig1.json", "fig3.csv", "fig3.json", "fig2a.csv", "fig2d.csv",
+    "fig2a.svg", "dynamics.csv", "exponent.txt",
+)
+
+
+def test_goldens_hold_when_runs_share_a_process(tmp_path):
+    # cli_main reuses one parser: an option given in one run must not reach
+    # the next.  Each golden runs twice, in shuffled order, after a run that
+    # sets --r0, --omega, --n, --grid or --config.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fixed": {"omega": 2.0, "n": 1}}))
+    detours = [
+        ["dynamics", "--gamma", "4", "--r0", "0,1,0"],
+        ["exponent", "--omega", "3", "--n", "2"],
+        ["phase-map", "--config", str(config), "--grid", "gamma:0:1:3", "--grid", "epsilon:0:1:3"],
+        ["spectrum", "--preset", "fig1", "--config", str(config), "--format", "json"],
+    ]
+    names = list(CLI_GOLDENS) * 2
+    random.Random(13).shuffle(names)
+    for k, name in enumerate(names):
+        assert cli_main(detours[k % len(detours)] + ["--out", str(tmp_path / "detour")]) == 0
+        argv, prefix = GOLDENS[name]
+        if name == "dynamics.csv" and k % 2:
+            argv = argv[:-2]  # without --r0, the default 0,0,1 gives the same bytes
+        target = tmp_path / name
+        assert cli_main(argv + ["--out", str(target)]) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest()[:16] == prefix, (k, name)

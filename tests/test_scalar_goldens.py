@@ -121,6 +121,17 @@ def _time_grid(p):
     return default_time_grid(gen), default_time_grid(gen, 7)
 
 
+def _exponents(p):
+    # each side on its own, so that an error on 'below' does not hide 'above'
+    out = []
+    for side in ("below", "above"):
+        try:
+            out.append(metric_divergence_exponent(p, side))
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
 FUNCTIONS = {
     "classify_phase": lambda p: _label(classify_phase(p)),
     "spectrum_closed_form": lambda p: _spectrum(spectrum_closed_form(p)),
@@ -135,9 +146,7 @@ FUNCTIONS = {
     "effective_generator": _generator,
     "evolve_no_jump": _evolve,
     "default_time_grid": _time_grid,
-    "metric_divergence_exponent": lambda p: [
-        metric_divergence_exponent(p, side) for side in ("below", "above")
-    ],
+    "metric_divergence_exponent": _exponents,
 }
 
 DIGESTS = {
@@ -154,7 +163,7 @@ DIGESTS = {
     "effective_generator": "d0dc240f83e7a2da",
     "evolve_no_jump": "9ea963c1d25908ac",
     "default_time_grid": "329acb3070e0fe97",
-    "metric_divergence_exponent": "1458c3fca6905f91",
+    "metric_divergence_exponent": "6e33d6ca7d768de1",
 }
 
 

@@ -346,3 +346,40 @@ def test_read_csv_names_the_value_the_per_value_reader_names():
     # numpy refuses 1_0 in an axis column; a later bad phase is still named
     both = _swapped(_swapped(text, 1, 0, "1_0"), 5, 3, "Sideways")
     assert _agree(both) == "line 6: bad phase 'Sideways'"
+
+
+def _relined(text, line, fn):
+    lines = text.splitlines()
+    lines[line] = fn(lines[line])
+    return "\n".join(lines) + "\n"
+
+
+# Inputs that numpy's one-call parse reads or skips without complaint, or
+# refuses, where the per-line and per-value checks must decide.  numpy drops
+# a NUL from the end of a fixed-width phase, cuts a long phase to 17
+# characters, skips a blank line and refuses a line with the wrong number of
+# fields; each must give the message of the checks, pinned here.
+_GUARDED = [
+    (lambda t: _swapped(t, 2, 3, "Broken\x00"), "line 3: bad phase 'Broken\\x00'"),
+    (lambda t: _swapped(t, 2, 3, "Bro\x00ken"), "line 3: bad phase 'Bro\\x00ken'"),
+    (lambda t: _swapped(t, 30, 3, "\x00Unbroken"), "line 31: bad phase '\\x00Unbroken'"),
+    (lambda t: _swapped(t, 4, 3, "ExceptionalPointX"), "line 5: bad phase 'ExceptionalPointX'"),
+    (lambda t: _swapped(t, 4, 3, "ExceptionalPoint" + "X" * 8),
+     "line 5: bad phase 'ExceptionalPointXXXXXXXX'"),
+    (lambda t: _swapped(t, 4, 3, "Broken" + " " * 11), "line 5: bad phase 'Broken           '"),
+    (lambda t: _relined(t, 1, "\n".__add__), "line 2: 0 fields, the header has 9"),
+    (lambda t: _relined(t, 3, "\n".__add__), "line 4: 0 fields, the header has 9"),
+    (lambda t: _relined(t, 30, lambda s: s + "\n"), "line 32: 0 fields, the header has 9"),
+    (lambda t: _relined(t, 3, " \n".__add__), "line 4: 1 fields, the header has 9"),
+    (lambda t: _relined(t, 1, lambda s: s + ",1"), "line 2: 10 fields, the header has 9"),
+    (lambda t: _relined(t, 7, lambda s: s + ",1"), "line 8: 10 fields, the header has 9"),
+    (lambda t: _relined(t, 7, lambda s: s.rsplit(",", 1)[0]), "line 8: 8 fields, the header has 9"),
+    (lambda t: _relined(t, 30, lambda s: s.rsplit(",", 1)[0]),
+     "line 31: 8 fields, the header has 9"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(_GUARDED)))
+def test_read_csv_guards_send_numpy_blind_spots_to_the_checks(k):
+    edit, message = _GUARDED[k]
+    assert _agree(edit(_csv(_CSV_TABLE))) == message
