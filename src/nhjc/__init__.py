@@ -17,7 +17,6 @@ from .biortho import (
     metric,
     metric_divergence_exponent,
     projectors,
-    pseudo_hermiticity_residual,
 )
 from .dynamics import (
     BlochState,
@@ -35,14 +34,8 @@ from .entropy import (
 from .errors import (
     EmptySweepError,
     ExceptionalPointError,
-    InsufficientSamplesError,
-    NonPositiveDataError,
-    NotHermitianError,
-    NotPositiveDefiniteError,
     SpecValidationError,
     SweepFileError,
-    WrongPhaseError,
-    ZeroCouplingError,
 )
 from .model import (
     Branch,

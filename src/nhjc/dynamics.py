@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Phase, _root
+from .model import ModelParams, Phase, _center, _root
 
 __all__ = [
     "BlochState",
@@ -98,11 +98,11 @@ def effective_generator(p: ModelParams) -> EffectiveGenerator:
     """Effective no-jump generator of one block.
 
     Raises ExceptionalPointError inside the tolerance band, where the
-    similarity to shift * I + i Gamma sigma_y breaks down.
+    similarity to shift * I + i Gamma sigma_y breaks down, and ValueError
+    where the shift overflows.
     """
     label, root = _root(p, "no-jump generator is defective at the exceptional point")
-    shift = 0.5 * (2 * p.n + 1) * p.omega
-    return EffectiveGenerator(p.n, 0.5 * abs(root), shift, label.value is Phase.BROKEN)
+    return EffectiveGenerator(p.n, 0.5 * abs(root), _center(p), label.value is Phase.BROKEN)
 
 
 def _broken_flow(ch, sh, rx, ry, rz):
@@ -124,11 +124,14 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
     Broken phase: weight picks up D(t) = cosh(2 Gamma t) + r_y sinh(2 Gamma t)
     and the Bloch vector flows toward (0, 1, 0).  Unbroken phase: weight is
     unchanged and (r_x, r_z) rotate by the angle 2 Lambda t.  Raises
-    ValueError when cosh(2 Gamma t) overflows.
+    ValueError when cosh(2 Gamma t) or the angle itself overflows, and when
+    the weight cancels to 0 (r_y = -1 past 2 Gamma t of about 19).
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     angle = 2.0 * gen.rate * t
+    if math.isinf(angle):
+        raise ValueError(f"2 * rate * t overflows at rate {gen.rate} and t = {t}")
     if gen.is_broken:
         try:
             ch = math.cosh(angle)
@@ -137,7 +140,14 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
             raise ValueError(
                 f"no-jump weight overflows: cosh(2 Gamma t) at 2 Gamma t = {angle}"
             ) from None
-        d, *r = _broken_flow(ch, sh, *rho0.r)
+        try:
+            # Python floats: the bits of numpy's, and a ZeroDivisionError where
+            # the weight exp(-2 Gamma t) = cosh - sinh at r_y = -1 rounds to 0
+            d, *r = _broken_flow(ch, sh, *rho0.r.tolist())
+        except ZeroDivisionError:
+            raise ValueError(
+                f"no-jump weight cancels to 0 at r_y = -1, 2 Gamma t = {angle}"
+            ) from None
         return BlochState(r, rho0.weight * d)
     r = _unbroken_rotation(math.cos(angle), math.sin(angle), *rho0.r)
     return BlochState(r, rho0.weight)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,14 +64,19 @@ class Phase(Enum):
     EXCEPTIONAL_POINT = "ExceptionalPoint"
 
 
+# -_FLOAT_MAX <= x <= _FLOAT_MAX: x is finite, tested exactly for an int of
+# any size (where math.isfinite overflows) and false for NaN
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_block_index(n) -> bool:
     """n is a whole, non-negative real number (not a bool)."""
-    # type and finiteness first: int() raises its own errors on inf, nan and strings
+    # type first, and finiteness before int(), which raises its own errors on
+    # inf and nan; an int is whole at any size
     return (
         not isinstance(n, bool)
         and isinstance(n, numbers.Real)
-        and math.isfinite(n)
-        and n == int(n)
+        and (isinstance(n, int) or -_FLOAT_MAX <= n <= _FLOAT_MAX and n == int(n))
         and n >= 0
     )
 
@@ -100,9 +106,10 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega", "epsilon", "gamma"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if not _is_block_index(self.n):
+        # the closed forms take sqrt(n + 1)
+        if not (_is_block_index(self.n) and self.n + 1 <= _FLOAT_MAX):
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
 
     def __getstate__(self):
@@ -196,8 +203,19 @@ def _root(p: ModelParams, ep_message: str | None = None) -> tuple[PhaseLabel, co
     return memo
 
 
+def _center(p: ModelParams) -> float:
+    """Spectral centre (2n+1) omega / 2 of a block; ValueError where it overflows."""
+    try:
+        center = 0.5 * (2 * p.n + 1) * p.omega
+    except OverflowError:  # 2n + 1 past the float range
+        center = math.inf
+    if not math.isfinite(center):
+        raise ValueError(f"spectral centre (2n+1) omega / 2 overflows at {p}")
+    return center
+
+
 def _spectrum(p: ModelParams, root: complex) -> Spectrum:
-    center = 0.5 * (2 * p.n + 1) * p.omega
+    center = _center(p)
     half_root = 0.5 * root
     return Spectrum(center + half_root, center - half_root)
 
@@ -219,9 +237,13 @@ def classify_phase(p: ModelParams) -> PhaseLabel:
 def critical_gamma(p: ModelParams) -> float:
     """Coupling magnitude at which this block hits its exceptional point.
 
-    Depends on (omega, epsilon, n) only; p.gamma is ignored.
+    Depends on (omega, epsilon, n) only; p.gamma is ignored.  Raises
+    ValueError where |omega - epsilon| overflows.
     """
-    return abs(p.omega - p.epsilon) / (2.0 * math.sqrt(p.n + 1))
+    b = abs(p.omega - p.epsilon)
+    if math.isinf(b):
+        raise ValueError(f"critical_gamma: |omega - epsilon| overflows at {p}")
+    return b / (2.0 * math.sqrt(p.n + 1))
 
 
 def ground_state_energy(p: ModelParams) -> float:

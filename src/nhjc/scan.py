@@ -69,7 +69,7 @@ from .entropy import (
     _square_or_inf,
 )
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
-from .model import ModelParams, Phase, Spectrum, _is_block_index
+from .model import _FLOAT_MAX, ModelParams, Phase, Spectrum, _is_block_index
 
 __all__ = [
     "AXIS_NAMES",
@@ -157,7 +157,7 @@ class SweepSpec:
                 continue
             if axis.name not in AXIS_NAMES:
                 problems.append(f"{label}.name: {axis.name!r} not in {AXIS_NAMES}")
-            if not (math.isfinite(axis.min) and math.isfinite(axis.max)):
+            if not all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in (axis.min, axis.max)):
                 problems.append(f"{label}: min/max must be finite")
             elif not axis.min < axis.max:
                 problems.append(f"{label}: min {axis.min} must be < max {axis.max}")
@@ -197,7 +197,11 @@ class SweepSpec:
         if cells > MAX_CELLS:
             problems.append(f"grid: {cells} cells exceed the cap of {MAX_CELLS}")
         r = self.initial_bloch
-        if len(r) != 3 or not all(math.isfinite(float(x)) for x in r):
+        try:
+            finite = len(r) == 3 and all(math.isfinite(float(x)) for x in r)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             problems.append("initial_bloch: need 3 finite components")
         elif math.hypot(*map(float, r)) > 1.0 + 1e-9:
             problems.append("initial_bloch: length must not exceed 1")
@@ -411,6 +415,10 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
     half_re = np.where(real_root, half, 0.0)
     half_im = np.where(real_root, 0.0, half)
     center = 0.5 * (2 * n + 1) * omega
+    if not np.isfinite(center).all():
+        raise SpecValidationError(
+            "eigenvalues: spectral centre (2n+1) omega / 2 overflows on this grid"
+        )
     eigen = (_complex(center + half_re, 0.0 + half_im), _complex(center - half_re, 0.0 - half_im))
 
     wanted = set(spec.quantities)
@@ -588,11 +596,11 @@ def _parsed(fn, raw, field: str, where) -> list:
     """fn over a column of raw values; a value it rejects names its row."""
     try:
         return list(map(fn, raw))
-    except (TypeError, ValueError, KeyError):
+    except (TypeError, ValueError, KeyError, OverflowError):
         for k, value in enumerate(raw):
             try:
                 fn(value)
-            except (TypeError, ValueError, KeyError):
+            except (TypeError, ValueError, KeyError, OverflowError):
                 raise SweepFileError(f"{where(k)}: bad {field} {value!r}") from None
         raise
 
@@ -774,7 +782,7 @@ def _params_from_dict(fixed) -> ModelParams:
             gamma=float(fixed.get("gamma", 1.0)),
             n=n,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecValidationError(f"fixed: {exc}") from exc
 
 
@@ -798,7 +806,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
         try:
             name, lo, hi = str(raw["name"]), float(raw["min"]), float(raw["max"])
             steps = raw["steps"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecValidationError(f"axes[{i}]: {exc!r}") from exc
         axes.append(Axis(name, lo, hi, _whole(steps, f"axes[{i}].steps")))
     quantities = data.get("quantities", ("phase",))
@@ -807,8 +815,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
     n_list = tuple(_whole(n, "n_list") for n in _sequence(data, "n_list", ()))
     try:
         initial_bloch = tuple(float(x) for x in _sequence(data, "initial_bloch", (0.0, 0.0, 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError(str(exc)) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecValidationError(f"initial_bloch: {exc}") from exc
     spec = SweepSpec(
         fixed=params,
         axis1=axes[0],
@@ -867,10 +875,11 @@ def export_json(table: SweepTable, path, spec: SweepSpec) -> None:
 def read_json(path) -> tuple[SweepTable, SweepSpec]:
     """Parse a file produced by export_json back into (table, spec).
 
-    Malformed input (text that is not JSON or nests too deep, no `meta`, a
-    cell without a field or with one run_sweep never writes, a bad value, a
-    bool where a number belongs, an n that is not a whole number) raises
-    SweepFileError naming the field or the cell.
+    Malformed input (text that is not JSON or nests too deep, no `meta` or
+    one that spec_from_dict refuses, a cell without a field or with one
+    run_sweep never writes, a bad value, a bool where a number belongs, an n
+    that is not a whole number) raises SweepFileError naming the field or
+    the cell.
     """
     with _opened(path, "r") as stream:
         try:
@@ -881,7 +890,10 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
         if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
             raise SweepFileError(f"JSON: missing or malformed field {key!r}")
     objs = payload["cells"]
-    spec = spec_from_dict(payload["meta"])
+    try:
+        spec = spec_from_dict(payload["meta"])
+    except SpecValidationError as exc:
+        raise SweepFileError(f"meta: {exc}") from exc
     axis_names = tuple(a.name for a in (spec.axis1, spec.axis2) if a is not None)
     known = (*axis_names, *_BASE_COLUMNS)
     for k, obj in enumerate(objs):

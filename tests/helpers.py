@@ -11,7 +11,9 @@ and subject.  reference_csv writes a sweep one value at a time, the oracle
 for export_csv's column-wise formatting; reference_json builds one dict per
 cell for json.dumps, the oracle for export_json's templates; and
 reference_read_csv calls float() and int() on every field, the oracle for
-read_csv's one-call parse.  mp_metric is the arbitrary-precision oracle
+read_csv's one-call parse.  pseudo_hermiticity_residual measures
+||H - G^-1 H^dag G|| with a general matrix inverse, the check that a
+metric G makes H pseudo-Hermitian.  mp_metric is the arbitrary-precision oracle
 for the metric G: it starts from the exact float inputs and builds G from
 eigenvectors in mpmath (Johansson et al., mpmath, mpmath.org), not from the
 package's closed form; mp_entropy does the same for the entanglement
@@ -126,6 +128,17 @@ def eig2(m) -> EigenPair2:
     return EigenPair2(
         (complex(l1), complex(l2)), (rights[0], rights[1]), (lefts[0], lefts[1]), defective
     )
+
+
+def pseudo_hermiticity_residual(h, big_g) -> float:
+    """Frobenius norm of H - G^-1 H^dag G, with G^-1 from np.linalg.inv.
+
+    Zero exactly when H = G^-1 H^dag G, the relation that makes G a metric
+    for H (Mostafazadeh, J. Math. Phys. 43, 205 (2002)).
+    """
+    h = _as_matrix(h)
+    big_g = _as_matrix(big_g)
+    return float(np.linalg.norm(h - np.linalg.inv(big_g) @ h.conj().T @ big_g))
 
 
 def expm2(m, t: float = 1.0) -> np.ndarray:

@@ -230,6 +230,17 @@ def test_validation_errors_exit_one(capsys):
     # a degenerate fixed point cannot seed the default time grid
     code, _, err = run_cli(capsys, ["dynamics", "--gamma", "2"])
     assert code == 1
+    # a block index past the float range, and a spectral centre that overflows
+    for argv, message in (
+        (["exponent", "--n", str(10**400)], f"fixed: n must be a non-negative integer, got {10**400}"),
+        (
+            ["spectrum", "--grid", "gamma:0:1:3", "--omega", "1.7e308", "--epsilon", "1.7e308",
+             "--n", "3"],
+            "eigenvalues: spectral centre (2n+1) omega / 2 overflows on this grid",
+        ),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (1, "", f"nhjc: error: {message}\n")
 
 
 def test_sweep_overflow_exits_one(capsys):
@@ -275,6 +286,14 @@ def test_oversized_grid_exits_one(capsys):
         ),
         ("exponent", {"fixed": {"n": 1.5}}, "fixed.n"),
         ("dynamics", {"fixed": {"gamma": 4, "n": True}}, "fixed.n"),
+        # whole numbers past the float range
+        ("exponent", {"fixed": {"omega": 10**400}}, "fixed"),
+        ("spectrum", {"axes": [{"name": "delta", "min": 0, "max": 10**400, "steps": 3}]}, "axes[1]"),
+        (
+            "dynamics",
+            {"axes": [{"name": "t", "min": 0, "max": 1, "steps": 3}], "initial_bloch": [10**400, 0, 0]},
+            "initial_bloch",
+        ),
     ],
 )
 def test_config_type_errors_exit_one(capsys, tmp_path, command, config, field):

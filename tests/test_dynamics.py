@@ -201,6 +201,20 @@ def test_weight_overflow_raises_value_error(two_gamma_t, r_y):
     assert type(info.value) is ValueError
 
 
+def test_weight_that_cancels_or_an_angle_that_overflows_raises_value_error():
+    gen = effective_generator(BROKEN)
+    # r_y = -1: cosh - sinh rounds to 0 from 2 Gamma t of about 19
+    state = BlochState(np.array([0.0, -1.0, 0.0]))
+    assert evolve_no_jump(gen, state, 10.0 / (2.0 * gen.rate)).weight > 0.0
+    with pytest.raises(ValueError, match="^no-jump weight cancels to 0 at r_y = -1") as info:
+        evolve_no_jump(gen, state, 40.0 / (2.0 * gen.rate))
+    assert type(info.value) is ValueError
+    # 2 * rate * t is past the float range, in either phase
+    for p in (BROKEN, UNBROKEN):
+        with pytest.raises(ValueError, match=r"^2 \* rate \* t overflows at rate "):
+            evolve_no_jump(effective_generator(p), state, 1e308)
+
+
 def test_default_time_grid():
     gen = effective_generator(BROKEN)
     grid = default_time_grid(gen)

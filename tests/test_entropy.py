@@ -10,7 +10,7 @@ from helpers import eig2, mp_entropy, mp_relative_error, random_params
 from nhjc.biortho import eigenvector_ratios
 from nhjc.cli import PRESETS
 from nhjc.entropy import LN2, entanglement_entropy, reduced_spectrum
-from nhjc.errors import ExceptionalPointError, SpecValidationError, ZeroCouplingError
+from nhjc.errors import ExceptionalPointError, SpecValidationError
 from nhjc.model import Branch, ModelParams, build_block, spectrum_closed_form
 from nhjc.scan import Axis, SweepSpec, run_sweep, spec_from_dict
 
@@ -26,7 +26,7 @@ def test_alpha_frozen_values():
     assert math.isclose(a_two.real, -SQRT3 - 2.0, rel_tol=1e-14)
     a = eigenvector_ratios(DELTA_FOUR)[0]
     assert abs(a - (-0.5 + 0.8660254037844386j)) < 1e-15
-    with pytest.raises(ZeroCouplingError):
+    with pytest.raises(ValueError, match="^eigenvector ratios are undefined at gamma = 0$"):
         eigenvector_ratios(ModelParams(1.0, 5.0, 0.0, 0))
 
 

@@ -16,7 +16,6 @@ from nhjc.biortho import (
     intertwiner,
     metric,
     projectors,
-    pseudo_hermiticity_residual,
 )
 from nhjc.dynamics import effective_generator
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
@@ -44,6 +43,8 @@ def test_params_validation():
         ModelParams(math.nan, 5.0, 1.0, 0)
     with pytest.raises(ValueError):
         ModelParams(1.0, math.inf, 1.0, 0)
+    with pytest.raises(ValueError, match="^omega must be a finite real number"):
+        ModelParams(10**400, 5.0, 1.0, 0)  # past the float range
     with pytest.raises(ValueError):
         ModelParams(1.0, 5.0, 1.0, -1)
     with pytest.raises(ValueError):
@@ -52,7 +53,15 @@ def test_params_validation():
         ModelParams(1.0, 5.0, 1.0, True)
 
 
-@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, "2", 2 + 0j, None])
+@pytest.mark.parametrize(
+    "n",
+    [
+        math.inf, -math.inf, math.nan, "2", 2 + 0j, None,
+        # n + 1 is past the float range, where math.isfinite raises OverflowError
+        pytest.param(2**1024 - 1, id="2**1024-1"),
+        pytest.param(10**400, id="10**400"),
+    ],
+)
 def test_params_reject_non_finite_or_non_numeric_n(n):
     # int() alone raises OverflowError or TypeError on these
     with pytest.raises(ValueError, match="n must be a non-negative integer"):
@@ -143,7 +152,6 @@ SCALAR_API = [
     metric,
     intertwiner,
     projectors,
-    pseudo_hermiticity_residual,
     effective_generator,
     lambda p: entanglement_entropy(p, Branch.I),
     lambda p: reduced_spectrum(p, Branch.II, "left"),
@@ -172,7 +180,6 @@ def test_each_caller_keeps_its_exceptional_point_message():
     messages = {
         eigenvector_ratios: "eigenvectors coalesce near the exceptional point (discriminant 0.000e+00)",
         effective_generator: "no-jump generator is defective at the exceptional point",
-        pseudo_hermiticity_residual: "metric is singular at the exceptional point",
         eigensystem: "eigenvectors coalesce near the exceptional point (discriminant 0.000e+00)",
     }
     for _ in range(2):
@@ -257,6 +264,25 @@ def test_critical_gamma():
         p = random_params(rng)
         at_critical = ModelParams(p.omega, p.epsilon, critical_gamma(p), p.n)
         assert classify_phase(at_critical).value is Phase.EXCEPTIONAL_POINT
+    with pytest.raises(ValueError, match=r"^critical_gamma: \|omega - epsilon\| overflows at "):
+        critical_gamma(ModelParams(1.7e308, -1.7e308, 1.0, 3))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ModelParams(1.7e308, 1.7e308, 1.0, 3),  # (2n+1) omega / 2 rounds to inf
+        ModelParams(1.0, 5.0, 0.0, 2**1023),  # 2n + 1 is past the float range
+    ],
+    ids=["omega=1.7e308", "n=2**1023"],
+)
+def test_spectral_centre_overflow_raises_value_error(p):
+    assert math.isfinite(classify_phase(p).discriminant)
+    overflows = r"^spectral centre \(2n\+1\) omega / 2 overflows at "
+    for call in (spectrum_closed_form, eigensystem, intertwiner, effective_generator):
+        with pytest.raises(ValueError, match=overflows) as info:
+            call(p)
+        assert type(info.value) is ValueError
 
 
 def test_ground_state_energy():

@@ -16,13 +16,9 @@ PUBLIC_NAMES = [
     "EffectiveGenerator",
     "EmptySweepError",
     "ExceptionalPointError",
-    "InsufficientSamplesError",
     "LN2",
     "MetricBundle",
     "ModelParams",
-    "NonPositiveDataError",
-    "NotHermitianError",
-    "NotPositiveDefiniteError",
     "Phase",
     "PhaseCell",
     "PhaseLabel",
@@ -32,8 +28,6 @@ PUBLIC_NAMES = [
     "SweepFileError",
     "SweepSpec",
     "SweepTable",
-    "WrongPhaseError",
-    "ZeroCouplingError",
     "build_block",
     "classify_phase",
     "critical_gamma",
@@ -50,7 +44,6 @@ PUBLIC_NAMES = [
     "metric",
     "metric_divergence_exponent",
     "projectors",
-    "pseudo_hermiticity_residual",
     "read_csv",
     "read_json",
     "reduced_spectrum",
@@ -66,4 +59,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 41

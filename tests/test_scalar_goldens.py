@@ -22,7 +22,6 @@ from nhjc.biortho import (
     metric,
     metric_divergence_exponent,
     projectors,
-    pseudo_hermiticity_residual,
 )
 from nhjc.dynamics import BlochState, default_time_grid, effective_generator, evolve_no_jump
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
@@ -140,7 +139,6 @@ FUNCTIONS = {
     "metric": metric,
     "intertwiner": _intertwiner,
     "projectors": projectors,
-    "pseudo_hermiticity_residual": pseudo_hermiticity_residual,
     "entanglement_entropy": lambda p: [entanglement_entropy(p, b) for b in Branch],
     "reduced_spectrum": _reduced_spectrum,
     "effective_generator": _generator,
@@ -152,12 +150,11 @@ FUNCTIONS = {
 DIGESTS = {
     "classify_phase": "7c232d8a66c43130",
     "spectrum_closed_form": "31f82c8e973c0ca8",
-    "eigenvector_ratios": "4d47a50892e20a2e",
+    "eigenvector_ratios": "b692971b5dccd8c8",
     "eigensystem": "396b82363ebb5d43",
     "metric": "7b6dc24e29ef0e94",
     "intertwiner": "6805e4649b4b0c67",
     "projectors": "c12831035a3d54c8",
-    "pseudo_hermiticity_residual": "669a864fe720a279",
     "entanglement_entropy": "d3fca08dce7a6141",
     "reduced_spectrum": "6dfedabb2ed5667a",
     "effective_generator": "d0dc240f83e7a2da",
@@ -167,19 +164,39 @@ DIGESTS = {
 }
 
 
-def _digest(name: str) -> str:
+def _lines(name: str) -> list[str]:
     lines = []
     for p in POINTS:
         try:
             lines.append(_encode(FUNCTIONS[name](p)))
         except ValueError as exc:
             lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+def _hash(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def _digest(name: str) -> str:
+    return _hash(_lines(name))
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_scalar_api_matches_golden(name):
     assert _digest(name) == DIGESTS[name]
+
+
+def test_eigenvector_ratios_moved_only_by_its_zero_coupling_class():
+    # the gamma = 0 rows raised ZeroCouplingError, a ValueError subclass,
+    # before it became a plain ValueError with the same message: named as
+    # before, they give the digest pinned before
+    message = "eigenvector ratios are undefined at gamma = 0"
+    lines = _lines("eigenvector_ratios")
+    assert lines.count(f"ValueError: {message}") == 3
+    renamed = [f"ZeroCouplingError: {message}" if line == f"ValueError: {message}" else line
+               for line in lines]
+    assert _hash(renamed) == "4d47a50892e20a2e"
 
 
 if __name__ == "__main__":

@@ -52,6 +52,8 @@ def test_validation_rejects_bad_axes():
         simple_spec(axis1=Axis("gamma", 0.0, 1.0, 1)).validate()
     with pytest.raises(SpecValidationError, match="finite"):
         simple_spec(axis1=Axis("gamma", 0.0, math.inf, 5)).validate()
+    with pytest.raises(SpecValidationError, match="^axis1: min/max must be finite$"):
+        simple_spec(axis1=Axis("gamma", 0, 10**400, 5)).validate()  # past the float range
     with pytest.raises(SpecValidationError, match="delta_sq"):
         simple_spec(axis1=Axis("delta_sq", -1.0, 1.0, 5)).validate()
     with pytest.raises(SpecValidationError, match="t must"):
@@ -89,6 +91,9 @@ def test_block_indices_fit_the_int64_n_column():
         simple_spec(n_list=(0, 2**63)).validate()
     with pytest.raises(SpecValidationError, match=f"^fixed.n: {too_big}{10**30}$"):
         simple_spec(fixed=ModelParams(1.0, 5.0, 1.0, 10**30)).validate()
+    # past the float range too: refused by value, without an OverflowError
+    with pytest.raises(SpecValidationError, match=f"^n_list: {too_big}{10**400}$"):
+        simple_spec(n_list=(10**400,)).validate()
     with pytest.raises(SpecValidationError, match="^fixed: expected a ModelParams, got NoneType$"):
         simple_spec(fixed=None).validate()
     # up to the last int64, 2n + 1 and n + 1 stay exact in the kernel
@@ -113,6 +118,8 @@ def test_validation_rejects_bad_quantities_and_state():
         simple_spec(initial_bloch=(0.0, 0.0, 2.0)).validate()
     with pytest.raises(SpecValidationError, match="initial_bloch"):
         simple_spec(initial_bloch=(0.0, math.nan, 0.0)).validate()
+    with pytest.raises(SpecValidationError, match="^initial_bloch: need 3 finite components$"):
+        simple_spec(initial_bloch=(10**400, 0, 0)).validate()
     # several problems are reported together
     with pytest.raises(SpecValidationError, match="axis1.name.*quantities"):
         simple_spec(axis1=Axis("bad", 0.0, 1.0, 5), quantities=("nope",)).validate()
@@ -346,10 +353,20 @@ def _json_payload(**changes):
             r"cells\[0\]: bad discriminant True",
         ),
         (
+            # a whole number past the float range
+            _json_payload(cells=[dict(_json_payload()["cells"][0], discriminant=10**400)]),
+            rf"cells\[0\]: bad discriminant {10**400}",
+        ),
+        (
             _json_payload(
                 cells=[*_json_payload()["cells"][:2], {**_json_payload()["cells"][0], "bogus": 1}]
             ),
             r"cells\[2\]: unknown field.* bogus$",
+        ),
+        (
+            # n + 1 is past the float range
+            _json_payload(meta=dict(_json_payload()["meta"], fixed={"n": 10**400})),
+            rf"^meta: fixed: n must be a non-negative integer, got {10**400}$",
         ),
         # a str is the file's text: json.load gives up on the nesting
         ("[" * 200_000, "JSON: maximum recursion depth exceeded"),
@@ -476,6 +493,10 @@ def test_run_sweep_overflow_names_the_quantity():
                 quantities=("survival",),
             )
         )
+    # (2n+1) omega / 2 rounds to inf at omega = 1.7e308, n = 3
+    with pytest.raises(SpecValidationError, match=r"^eigenvalues: spectral centre \(2n\+1\) "):
+        run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1.0, 3),
+                              fixed=ModelParams(1.7e308, 1.7e308, 1.0, 3)))
 
 
 def test_axis_and_quantity_registries():
