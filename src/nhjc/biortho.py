@@ -281,10 +281,45 @@ def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
+def _centred_logs(xs) -> tuple[np.ndarray, float]:
+    """log(xs) less its mean, and the sum of its squares."""
+    lx = np.log(xs)
+    lx -= lx.sum() / lx.size  # the bits of lx.mean(), without its Python layer
+    return lx, float(np.dot(lx, lx))
+
+
+def _ols_slope(centred: tuple[np.ndarray, float], ys) -> float:
+    """OLS slope of log(ys) against the x logs that _centred_logs returned."""
+    lx, var = centred
+    ly = np.log(ys)
+    return float(np.dot(lx, ly - ly.sum() / ly.size) / var)
+
+
 # metric_divergence_exponent fits this many offsets |delta - delta_c|,
-# spaced geometrically on this window
+# spaced geometrically on this window; the signed offsets delta - delta_c of
+# each side and the offsets' centred logs are formed once
 _EXPONENT_POINTS = 20
 _EXPONENT_WINDOW = (1e-4, 1e-1)
+_EXPONENT_OFFSETS = np.geomspace(*_EXPONENT_WINDOW, _EXPONENT_POINTS)
+_EXPONENT_SIGNED = {"below": -_EXPONENT_OFFSETS, "above": _EXPONENT_OFFSETS}
+_EXPONENT_LOGS = _centred_logs(_EXPONENT_OFFSETS)
+
+
+def _fit_discriminants(b, n1, gammas: list[float]) -> np.ndarray | None:
+    """D of each fit block with the operations of _form_root; None where a
+    square is not a finite float or some D falls in the EP band."""
+    try:
+        b2 = float(b**2)
+        c2 = [4.0 * g**2 * n1 for g in gammas]  # libm pow, as in _form_root
+    except OverflowError:
+        return None
+    if not (math.isfinite(b2) and math.isfinite(max(c2))):
+        return None
+    c2 = np.array(c2)
+    d = b2 - c2
+    if (abs(d) <= 1e-10 * np.maximum(max(1.0, b2), c2)).any():
+        return None
+    return d
 
 
 def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
@@ -296,7 +331,8 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
     either side when delta_c <= 1e-1: the 'below' window would reach or
     cross gamma = 0, and the 'above' window would reach 2 delta_c, past the
     range where ||G||_F follows the -1/2 power (at delta_c = 0, G = I and
-    nothing diverges).
+    nothing diverges).  Every offset block that metric() would refuse, by
+    an overflowing square or the EP band, makes this raise its error.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
@@ -312,13 +348,17 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
             f"the '{side}' window delta_c {window} [{low:g}, {high:g}] {reach}:"
             f" delta_c = |omega - epsilon| / 2 = {delta_c!r} must exceed {high:g}"
         )
-    sign = -1.0 if side == "below" else 1.0
-    offsets = np.geomspace(*_EXPONENT_WINDOW, _EXPONENT_POINTS)
-    blocks = [ModelParams(p.omega, p.epsilon, (delta_c + sign * x) / root_n1, p.n)
-              for x in offsets.tolist()]
-    # each block raises what metric() raises there; the norms take one array pass
-    _, b, t, d = zip(*map(_metric_arguments, blocks))
-    return loglog_slope(offsets, _metric_norm(np.array(b), np.array(t), np.array(d)))
+    signed = _EXPONENT_SIGNED[side]
+    # the coupling of each offset block, elementwise as one
+    # ModelParams(omega, epsilon, (delta_c + x) / root_n1, n) per signed offset x
+    gammas = (delta_c + signed) / root_n1
+    b = p.omega - p.epsilon
+    d = _fit_discriminants(b, p.n + 1, gammas.tolist())
+    if d is None:
+        # rebuilt in order, the first block that metric() refuses raises its error
+        for x in signed.tolist():
+            _metric_arguments(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n))
+    return _ols_slope(_EXPONENT_LOGS, _metric_norm(b, 2.0 * root_n1 * gammas, d))
 
 
 def loglog_slope(xs, ys) -> float:
@@ -333,10 +373,7 @@ def loglog_slope(xs, ys) -> float:
         np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
     ):
         raise ValueError("log-log fit needs positive finite data")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    lx -= lx.mean()
-    var = float(np.dot(lx, lx))
-    if var == 0.0:
+    centred = _centred_logs(xs)
+    if centred[1] == 0.0:
         raise ValueError("all x values coincide")
-    return float(np.dot(lx, ly - ly.mean()) / var)
+    return _ols_slope(centred, ys)

@@ -81,6 +81,16 @@ def _is_block_index(n) -> bool:
     )
 
 
+def _successor_is_exact(n) -> bool:
+    """n + 1, which the closed forms take, is exact in n's own type and within
+    the float range, for a block index n."""
+    if isinstance(n, int):
+        return n + 1 <= _FLOAT_MAX
+    if isinstance(n, np.integer):  # compared with the maximum, where n + 1 would wrap
+        return n < np.iinfo(n.dtype).max
+    return n + 1 <= _FLOAT_MAX and int(n + 1) == int(n) + 1
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of one invariant subspace.
@@ -108,8 +118,7 @@ class ModelParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        # the closed forms take sqrt(n + 1)
-        if not (_is_block_index(self.n) and self.n + 1 <= _FLOAT_MAX):
+        if not (_is_block_index(self.n) and _successor_is_exact(self.n)):
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
 
     def __getstate__(self):
@@ -169,9 +178,10 @@ def _form_root(p: ModelParams) -> tuple[PhaseLabel, complex]:
     try:
         b2 = (p.omega - p.epsilon) ** 2
         c2 = 4.0 * p.gamma**2 * (p.n + 1)
-    except OverflowError:
-        b2 = c2 = math.inf
-    if not (math.isfinite(b2) and math.isfinite(c2)):
+        finite = math.isfinite(b2) and math.isfinite(c2)
+    except OverflowError:  # a float square, or an int square past the float range
+        finite = False
+    if not finite:
         raise ValueError(
             f"discriminant: (omega - epsilon)**2 - 4 gamma**2 (n+1) overflows at {p}"
         )

@@ -157,20 +157,24 @@ class SweepSpec:
                 continue
             if axis.name not in AXIS_NAMES:
                 problems.append(f"{label}.name: {axis.name!r} not in {AXIS_NAMES}")
-            if not all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in (axis.min, axis.max)):
-                problems.append(f"{label}: min/max must be finite")
-            elif not axis.min < axis.max:
-                problems.append(f"{label}: min {axis.min} must be < max {axis.max}")
+            unreal = [(end, v) for end, v in (("min", axis.min), ("max", axis.max))
+                      if not isinstance(v, numbers.Real)]
+            for end, v in unreal:
+                problems.append(f"{label}.{end}: expected a real number, got {v!r}")
+            # the order and sign checks compare the bounds: only real ones
+            if not unreal:
+                if not all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in (axis.min, axis.max)):
+                    problems.append(f"{label}: min/max must be finite")
+                elif not axis.min < axis.max:
+                    problems.append(f"{label}: min {axis.min} must be < max {axis.max}")
             if isinstance(axis.steps, bool) or not isinstance(axis.steps, numbers.Integral):
                 problems.append(f"{label}.steps: expected an integer, got {axis.steps!r}")
             elif axis.steps < 2:
                 problems.append(f"{label}.steps: need at least 2, got {axis.steps}")
             else:
                 cells *= axis.steps
-            if axis.name == "delta_sq" and axis.min < 0.0:
-                problems.append(f"{label}: delta_sq must be non-negative")
-            if axis.name == "t" and axis.min < 0.0:
-                problems.append(f"{label}: t must be non-negative")
+            if not unreal and axis.name in ("delta_sq", "t") and axis.min < 0.0:
+                problems.append(f"{label}: {axis.name} must be non-negative")
         if self.axis2 is not None and isinstance(self.axis2, Axis) and isinstance(
             self.axis1, Axis
         ):

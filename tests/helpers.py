@@ -11,8 +11,10 @@ and subject.  reference_csv writes a sweep one value at a time, the oracle
 for export_csv's column-wise formatting; reference_json builds one dict per
 cell for json.dumps, the oracle for export_json's templates; and
 reference_read_csv calls float() and int() on every field, the oracle for
-read_csv's one-call parse.  pseudo_hermiticity_residual measures
-||H - G^-1 H^dag G|| with a general matrix inverse, the check that a
+read_csv's one-call parse.  reference_exponent fits the metric divergence
+exponent block by block through metric(), the oracle for
+metric_divergence_exponent's one array pass.  pseudo_hermiticity_residual
+measures ||H - G^-1 H^dag G|| with a general matrix inverse, the check that a
 metric G makes H pseudo-Hermitian.  mp_metric is the arbitrary-precision oracle
 for the metric G: it starts from the exact float inputs and builds G from
 eigenvectors in mpmath (Johansson et al., mpmath, mpmath.org), not from the
@@ -33,7 +35,8 @@ import mpmath
 import numpy as np
 
 from nhjc.errors import SweepFileError
-from nhjc.model import ModelParams, Phase, classify_phase
+from nhjc.biortho import loglog_slope, metric
+from nhjc.model import ModelParams, Phase, classify_phase, critical_gamma
 from nhjc.scan import SweepTable, spec_to_dict
 
 _TAYLOR_TERMS = 30
@@ -420,6 +423,23 @@ def reference_read_csv(text: str) -> SweepTable:
         extras,
         {k: [row[header.index(k)] == "" for row in rows] for k in extra_keys},
     )
+
+
+def reference_exponent(p: ModelParams, side: str) -> float:
+    """metric_divergence_exponent one offset block at a time, for a window
+    past its delta_c > 0.1 check: a ModelParams per offset, metric() on each,
+    which raises where that block's square overflows or it sits in the EP
+    band, and loglog_slope over the norms sqrt(2 (G00^2 + G01^2))."""
+    root_n1 = math.sqrt(p.n + 1)
+    delta_c = root_n1 * critical_gamma(p)
+    sign = -1.0 if side == "below" else 1.0
+    offsets = np.geomspace(1e-4, 1e-1, 20)
+    metrics = [metric(ModelParams(p.omega, p.epsilon, (delta_c + sign * x) / root_n1, p.n))
+               for x in offsets.tolist()]
+    diag = np.array([g[0, 0].real for g in metrics])
+    off = np.array([g[0, 1].real for g in metrics])
+    return loglog_slope(offsets, np.sqrt(2.0 * (diag * diag + off * off)))
+
 
 # ---------------------------------------------------------------------------
 # Hand-derived closed forms at omega = 1, epsilon = 5, delta = sqrt(n+1) gamma.

@@ -417,6 +417,67 @@ def test_exponent_below_window_inside_one_phase():
     assert -0.52 < metric_divergence_exponent(p, "below") < -0.48
 
 
+# (omega, epsilon, gamma, n): n of several types, delta_c just above 0.1,
+# |omega - epsilon| >= 2e6, where the first offsets fall in the EP band, and
+# near 1.4e154, where the squares overflow and the error names the block
+_FIT_POINTS = [
+    (1.0, 5.0, 1.0, 0),
+    (1.0, 5.0, 1.0, np.int64(2)),
+    (1.0, 5.0, 1.0, 2.0),
+    (1.0, 5.0, 1.0, True),  # refused by ModelParams on both paths
+    (1.0, 5.0, 1.0, np.uint64(7)),
+    (np.float64(0.3), -1.7, 0.9, 5),
+    (-2, 3, -4, 5),
+    (1.0, 1.2000000000000002, 0.3, 0),  # delta_c = 0.10000000000000009
+    (1.0, 1.2 + 1e-9, 0.3, 3),
+    (0.0, 2e6, 1.0, 0),
+    (0.0, -4e6, 1.0, np.int64(1)),
+    (3e9, -1e9, 1.0, 2),
+    (10**20, 0, 1.0, 0),
+    (0.0, 1.3e154, 1.0, 0),
+    (0.0, 1.3407807929942596e154, 1.0, 0),
+    (0.0, 1.4e154, 1.0, 0),
+    (1.4e154, -1e153, 1.0, 3),
+    (2**512, 0, 1.0, 0),  # an int square past the float range
+    (np.float64(1.4e154), 0.0, 1.0, 0),  # numpy's overflow warning, an error here
+]
+
+
+def _random_fit_points(count):
+    rng = np.random.default_rng(15)
+    for _ in range(count):
+        omega = rng.uniform(-5.0, 5.0)
+        gap = 10.0 ** rng.uniform(-0.69, 7.5) * rng.choice([-1.0, 1.0])
+        n = int(rng.integers(0, 9))
+        yield omega, omega + gap, 1.0, np.int64(n) if rng.random() < 0.3 else n
+
+
+def _fit_outcome(fit, point, side):
+    try:
+        return float.hex(fit(ModelParams(*point), side))
+    except Exception as exc:  # the differential test compares every error
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_exponent_matches_the_per_block_fit(side):
+    kinds = set()
+    for point in [*_FIT_POINTS, *_random_fit_points(150)]:
+        got = _fit_outcome(metric_divergence_exponent, point, side)
+        assert got == _fit_outcome(helpers.reference_exponent, point, side), point
+        kinds.add(got[0] if isinstance(got, tuple) else "value")
+    # every branch is met: fits, the EP band and overflowing squares
+    assert {"value", ExceptionalPointError, ValueError} <= kinds
+
+
+def test_exponent_errors_name_the_refused_block():
+    with pytest.raises(ExceptionalPointError, match=r"discriminant 2\.000e\+03\)$"):
+        metric_divergence_exponent(ModelParams(1.0, 5e6, 1.0, 0), "below")
+    overflow = r"^discriminant: .* overflows at ModelParams\(omega=0\.0, epsilon=1\.4e\+154, gamma="
+    with pytest.raises(ValueError, match=overflow):
+        metric_divergence_exponent(ModelParams(0.0, 1.4e154, 1.0, 0), "above")
+
+
 def test_bior_system_pairs_accessor():
     system = eigensystem(UNBROKEN)
     assert isinstance(system, BiorthoSystem)
@@ -476,6 +537,18 @@ def test_loglog_slope_exact_power_law():
     xs = np.geomspace(1e-4, 1e-1, 20)
     assert math.isclose(loglog_slope(xs, 3.0 * xs**-0.5), -0.5, abs_tol=1e-12)
     assert math.isclose(loglog_slope(xs, 0.1 * xs**2.0), 2.0, abs_tol=1e-12)
+
+
+def test_loglog_slope_keeps_the_bits_of_the_mean_formula():
+    rng = np.random.default_rng(16)
+    for size in (3, 7, 20, 101):
+        for _ in range(50):
+            xs = 10.0 ** rng.uniform(-5.0, 5.0, size)
+            ys = 10.0 ** rng.uniform(-5.0, 5.0, size)
+            lx, ly = np.log(xs), np.log(ys)
+            lx -= lx.mean()
+            want = float(np.dot(lx, ly - ly.mean()) / float(np.dot(lx, lx)))
+            assert float.hex(loglog_slope(xs, ys)) == float.hex(want)
 
 
 def test_loglog_slope_errors():

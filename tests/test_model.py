@@ -68,6 +68,34 @@ def test_params_reject_non_finite_or_non_numeric_n(n):
         ModelParams(1.0, 5.0, 1.0, n)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "n",
+    [np.uint64(2**64 - 1), np.int64(2**63 - 1), np.int32(2**31 - 1), np.uint8(255), 2.0**53],
+    ids=["uint64-max", "int64-max", "int32-max", "uint8-max", "2.0**53"],
+)
+def test_params_reject_a_block_index_whose_successor_is_not_exact(n):
+    # n + 1 would wrap to 0 (or to the type's minimum) or round back to n
+    with pytest.raises(ValueError, match="^n must be a non-negative integer, got "):
+        ModelParams(1.0, 5.0, 1.0, n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_params_keep_a_block_index_whose_successor_is_exact():
+    for n in (np.uint64(2**64 - 2), np.int64(2**63 - 2), np.uint8(254), 2.0**53 - 1, 2**1023):
+        assert ModelParams(1.0, 5.0, 1.0, n).n == n
+    p = ModelParams(1.0, 5.0, 1.0, np.uint64(2**64 - 2))
+    assert critical_gamma(p) == 4.0 / (2.0 * math.sqrt(2.0**64))
+
+
+def test_int_square_past_the_float_range_raises_value_error():
+    # (omega - epsilon)**2 of ints is an int: 2**1024 is past the float range
+    p = ModelParams(2**512, 0, 1.0, 0)
+    with pytest.raises(ValueError, match=r"^discriminant: .* overflows at ") as info:
+        classify_phase(p)
+    assert type(info.value) is ValueError
+
+
 def test_params_derived_quantities():
     p = ModelParams(1.0, 5.0, 1.0, 0)
     assert build_block(p)[0, 1] == 1.0  # delta = sqrt(n+1) gamma

@@ -73,6 +73,21 @@ def test_validation_rejects_non_integer_steps():
     simple_spec(axis1=Axis("gamma", 0.0, 1.0, np.int64(5))).validate()
 
 
+def test_validation_rejects_non_numeric_bounds():
+    for axis, field in [
+        (Axis("gamma", "0", 1.0, 3), "min"),
+        (Axis("t", 0.0, None, 3), "max"),
+        (Axis("delta_sq", 0.0, 1 + 0j, 3), "max"),
+    ]:
+        with pytest.raises(SpecValidationError, match=rf"^axis1\.{field}: expected a real number"):
+            simple_spec(axis1=axis).validate()
+    # each bound is named, and the steps check still runs beside them
+    with pytest.raises(SpecValidationError) as info:
+        simple_spec(axis1=Axis("gamma", "0", "1", 1)).validate()
+    for field in ("axis1.min: ", "axis1.max: ", "axis1.steps: "):
+        assert field in str(info.value)
+
+
 def test_validation_caps_total_cells():
     # checked by validation only: none of these grids is allocated
     big = Axis("gamma", 0.0, 1.0, 10**6)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhjc.cli import PRESETS
 from nhjc.dynamics import default_time_grid, effective_generator
@@ -18,6 +20,7 @@ from nhjc.errors import EmptySweepError, SweepFileError
 from nhjc.model import ModelParams, Phase
 from nhjc.plots import render_svg
 from nhjc.scan import (
+    AXIS_NAMES,
     Axis,
     PhaseCell,
     SweepSpec,
@@ -383,3 +386,58 @@ _GUARDED = [
 def test_read_csv_guards_send_numpy_blind_spots_to_the_checks(k):
     edit, message = _GUARDED[k]
     assert _agree(edit(_csv(_CSV_TABLE))) == message
+
+
+# --- round trips on generated tables ----------------------------------------
+
+_ROUND_TRIP = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+# the edge values weighted in beside arbitrary floats, so signed zeros, NaN
+# and the extremes turn up in most tables
+_cell_values = st.one_of(st.sampled_from(_EDGES), st.floats())
+_EXTRA_COLUMNS = (
+    "metric_norm", "entropy_I", "entropy_II", "survival", "bloch_x", "bloch_y", "bloch_z"
+)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(1, 6))
+
+    def column(values=_cell_values):
+        return draw(st.lists(values, min_size=rows, max_size=rows))
+
+    def complex_column():
+        z = np.empty(rows, complex)  # re + 1j * im would turn inf parts into NaN
+        z.real, z.imag = column(), column()
+        return z
+
+    axis_names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1, max_size=2, unique=True))
+    extras = draw(st.lists(st.sampled_from(_EXTRA_COLUMNS), max_size=3, unique=True))
+    return SweepTable(
+        axis_names,
+        [column() for _ in axis_names],
+        column(st.integers(0, 2**63 - 1)),
+        column(st.integers(0, 2)),
+        column(),
+        complex_column(),
+        complex_column(),
+        {k: column() for k in extras},
+        {k: column(st.booleans()) for k in extras},
+    )
+
+
+@_ROUND_TRIP
+@given(_tables())
+def test_csv_round_trips_generated_tables(table):
+    back = read_csv(io.StringIO(_csv(table)))
+    assert back.axis_names == table.axis_names and _bits(back) == _bits(table)
+
+
+@_ROUND_TRIP
+@given(_tables())
+def test_json_round_trips_generated_tables(table):
+    spec = SweepSpec(FIXED, *(Axis(name, 0.0, 1.0, 2) for name in table.axis_names))
+    back, back_spec = read_json(io.StringIO(_json(table, spec)))
+    assert back_spec == spec
+    assert back.axis_names == table.axis_names and _bits(back) == _bits(table)
