@@ -33,9 +33,10 @@ from .model import (
     Phase,
     PhaseLabel,
     Spectrum,
+    _Block,
+    _block,
     _center,
     _finite,
-    _root,
     _spectrum,
     critical_gamma,
 )
@@ -100,30 +101,27 @@ def eigenvector_ratios(p: ModelParams) -> tuple[complex, complex]:
     """
     if p.gamma == 0.0:
         raise ValueError("eigenvector ratios are undefined at gamma = 0")
-    ratios = _ratios(p, _root(p, _COALESCE)[1])
+    ratios = _ratios(_block(p, _COALESCE))
     for name, a in zip(("a_I", "a_II"), ratios):
         if not cmath.isfinite(a):
             raise ValueError(f"eigenvector ratio {name} = {a} is not finite at {p}")
     return ratios
 
 
-def _coupled_ratios(p: ModelParams) -> tuple[complex, complex] | None:
-    """eigenvector_ratios unchecked, for entropy: None in the EP band."""
-    label, root = _root(p)
-    return None if label.value is Phase.EXCEPTIONAL_POINT else _ratios(p, root)
-
-
-def _ratios(p: ModelParams, root: complex) -> tuple[complex, complex]:
-    b = p.omega - p.epsilon
-    two_delta = 2.0 * math.sqrt(p.n + 1) * p.gamma
-    if root.imag != 0.0:
-        # broken phase: |b + root| = |b - root|, no cancellation either way
-        return (b + root) / two_delta, (b - root) / two_delta
-    if b >= 0.0:
-        a_one = (b + root.real) / two_delta
-        return a_one, 1.0 / a_one
-    a_two = (b - root.real) / two_delta
-    return 1.0 / a_two, a_two
+def _ratios(block: _Block) -> tuple[complex, complex]:
+    """eigenvector_ratios unchecked, of a coupled block off the EP band; kept."""
+    if block.ratios is None:
+        b, two_delta, root = block.b, block.t, block.root
+        if root.imag != 0.0:
+            # broken phase: |b + root| = |b - root|, no cancellation either way
+            block.ratios = (b + root) / two_delta, (b - root) / two_delta
+        elif b >= 0.0:
+            a_one = (b + root.real) / two_delta
+            block.ratios = a_one, 1.0 / a_one
+        else:
+            a_two = (b - root.real) / two_delta
+            block.ratios = 1.0 / a_two, a_two
+    return block.ratios
 
 
 def eigensystem(p: ModelParams) -> BiorthoSystem:
@@ -140,11 +138,11 @@ def eigensystem(p: ModelParams) -> BiorthoSystem:
     ExceptionalPointError
         Inside the tolerance band, where the block is defective.
     """
-    return _system(p, _root(p, _COALESCE)[1])
+    return _system(p, _block(p, _COALESCE))
 
 
-def _system(p: ModelParams, root: complex) -> BiorthoSystem:
-    eigenvalues = _spectrum(p, root)
+def _system(p: ModelParams, block: _Block) -> BiorthoSystem:
+    eigenvalues = _spectrum(p, block)
     if p.gamma == 0.0:
         # decoupled block: the Hamiltonian is already diagonal
         e1 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
@@ -157,7 +155,7 @@ def _system(p: ModelParams, root: complex) -> BiorthoSystem:
         return BiorthoSystem(rights[0], rights[1], lefts[0], lefts[1], eigenvalues)
 
     rights, lefts = [], []
-    for a in _ratios(p, root):
+    for a in _ratios(block):
         # right (1, a) and left (1, -conj a); where |a| > 1 the same vectors
         # divided by a and -conj a, written with the reciprocal ratio w = 1/a,
         # so that their overlap 1 - w^2 cannot overflow as gamma -> 0
@@ -192,10 +190,12 @@ def _metric_norm(b, t, d):
     return np.sqrt(2.0 * (diag * diag + off * off))
 
 
-def _metric_arguments(p: ModelParams):
-    """(label, b, t, D) of one block; raises as _root(p, _COALESCE) does."""
-    label = _root(p, _COALESCE)[0]
-    return label, p.omega - p.epsilon, 2.0 * math.sqrt(p.n + 1) * p.gamma, label.discriminant
+def _entries(block: _Block) -> tuple[float, float]:
+    """_metric_entries of a block off the EP band, as Python floats; kept."""
+    if block.entries is None:
+        diag, off = _metric_entries(block.b, block.t, block.label.discriminant)
+        block.entries = float(diag), float(off)
+    return block.entries
 
 
 def _symmetric(diag, off) -> np.ndarray:
@@ -211,8 +211,7 @@ def metric(p: ModelParams) -> np.ndarray:
     J. Math. Phys. 43, 205 (2002)): det G = 1, G = I at gamma = 0, and
     ||G|| diverges like |delta - delta_c|**-0.5 toward the EP.
     """
-    _, *arguments = _metric_arguments(p)
-    return _symmetric(*_metric_entries(*arguments))
+    return _symmetric(*_entries(_block(p, _COALESCE)))
 
 
 def sqrt_hpd(m) -> np.ndarray:
@@ -254,16 +253,18 @@ def intertwiner(p: ModelParams) -> MetricBundle:
     diagonal spectrum) in the unbroken phase, non-Hermitian yet isospectral
     to H in the broken phase.
     """
-    label, b, t, d = _metric_arguments(p)
-    diag, off = _metric_entries(b, t, d)
+    block = _block(p, _COALESCE)
+    diag, off = _entries(block)
     scale = math.sqrt(2.0 * diag + 2.0)
     g_diag, g_off = (diag + 1.0) / scale, off / scale
-    center = _center(p)
-    x = 0.5 * (diag * b + off * t)
-    y = 0.5 * (off * b + diag * t)
-    h = _finite(np.array([[center - x, y], [-y, center + x]], dtype=complex))
+    center = _center(p, block)
+    x = 0.5 * (diag * block.b + off * block.t)
+    y = 0.5 * (off * block.b + diag * block.t)
+    if not (math.isfinite(center - x) and math.isfinite(center + x) and math.isfinite(y)):
+        raise ValueError("matrix entries must be finite")
+    h = np.array([[center - x, y], [-y, center + x]], dtype=complex)
     return MetricBundle(
-        _symmetric(diag, off), _symmetric(g_diag, g_off), _symmetric(g_diag, -g_off), h, label
+        _symmetric(diag, off), _symmetric(g_diag, g_off), _symmetric(g_diag, -g_off), h, block.label
     )
 
 
@@ -306,11 +307,11 @@ _EXPONENT_LOGS = _centred_logs(_EXPONENT_OFFSETS)
 
 
 def _fit_discriminants(b, n1, gammas: list[float]) -> np.ndarray | None:
-    """D of each fit block with the operations of _form_root; None where a
+    """D of each fit block with the operations of _form_block; None where a
     square is not a finite float or some D falls in the EP band."""
     try:
         b2 = float(b**2)
-        c2 = [4.0 * g**2 * n1 for g in gammas]  # libm pow, as in _form_root
+        c2 = [4.0 * g**2 * n1 for g in gammas]  # libm pow, as in _form_block
     except OverflowError:
         return None
     if not (math.isfinite(b2) and math.isfinite(max(c2))):
@@ -357,7 +358,7 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
     if d is None:
         # rebuilt in order, the first block that metric() refuses raises its error
         for x in signed.tolist():
-            _metric_arguments(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n))
+            _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)
     return _ols_slope(_EXPONENT_LOGS, _metric_norm(b, 2.0 * root_n1 * gammas, d))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Phase, _center, _root
+from .model import ModelParams, Phase, _block, _center
 
 __all__ = [
     "BlochState",
@@ -101,8 +101,9 @@ def effective_generator(p: ModelParams) -> EffectiveGenerator:
     similarity to shift * I + i Gamma sigma_y breaks down, and ValueError
     where the shift overflows.
     """
-    label, root = _root(p, "no-jump generator is defective at the exceptional point")
-    return EffectiveGenerator(p.n, 0.5 * abs(root), _center(p), label.value is Phase.BROKEN)
+    block = _block(p, "no-jump generator is defective at the exceptional point")
+    rate, broken = 0.5 * abs(block.root), block.label.value is Phase.BROKEN
+    return EffectiveGenerator(p.n, rate, _center(p, block), broken)
 
 
 def _broken_flow(ch, sh, rx, ry, rz):

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .biortho import _coupled_ratios
-from .model import Branch, ModelParams
+from .biortho import _ratios
+from .model import Branch, ModelParams, Phase, _block
 
 __all__ = [
     "LN2",
@@ -59,10 +59,10 @@ def _square_or_inf(v: float) -> float:
 def _ratio_squared(p: ModelParams, branch: Branch, side: str) -> float:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    ratios = _coupled_ratios(p)
-    if ratios is None:
+    block = _block(p)
+    if block.label.value is Phase.EXCEPTIONAL_POINT:
         return 1.0  # EP band: the ratios coalesce on the unit circle
-    a = ratios[0] if branch is Branch.I else ratios[1]
+    a = _ratios(block)[0 if branch is Branch.I else 1]
     if side == "left":
         a = -a.conjugate()  # left coefficient; same modulus by construction
     return _square_or_inf(abs(a))

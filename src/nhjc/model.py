@@ -17,16 +17,17 @@ conjugate pair for the opposite sign, and defective on the boundary (the
 exceptional point).  Everything in this package works on these blocks, where
 all quantities are available in closed form.
 
-The discriminant D, its exceptional-point band, the phase and sqrt(D) are
-formed once per ModelParams, on first use, and kept on it; every scalar
-function reads them through `_root`.  A D past the float range is never
-kept: it raises ValueError on every call.
+Each ModelParams keeps one private record of its block's scalars (`_Block`),
+formed on first use; every scalar function reads them through `_block`.  A
+D past the float range, an overflowing centre and the EP band's
+ExceptionalPointError are never kept: they raise on every call.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -69,26 +70,25 @@ class Phase(Enum):
 _FLOAT_MAX = sys.float_info.max
 
 
-def _is_block_index(n) -> bool:
-    """n is a whole, non-negative real number (not a bool)."""
-    # type first, and finiteness before int(), which raises its own errors on
-    # inf and nan; an int is whole at any size
-    return (
-        not isinstance(n, bool)
-        and isinstance(n, numbers.Real)
-        and (isinstance(n, int) or -_FLOAT_MAX <= n <= _FLOAT_MAX and n == int(n))
-        and n >= 0
-    )
-
-
-def _successor_is_exact(n) -> bool:
-    """n + 1, which the closed forms take, is exact in n's own type and within
-    the float range, for a block index n."""
-    if isinstance(n, int):
-        return n + 1 <= _FLOAT_MAX
-    if isinstance(n, np.integer):  # compared with the maximum, where n + 1 would wrap
-        return n < np.iinfo(n.dtype).max
-    return n + 1 <= _FLOAT_MAX and int(n + 1) == int(n) + 1
+def _block_index(n) -> int | None:
+    """n as a Python int where it is a whole, non-negative real number (not
+    a bool), else None.  n is converted before any comparison:
+    operator.index for integer types, float() for the others."""
+    if type(n) is int:  # ahead of the slower checks against the numbers ABCs
+        k = n
+    elif isinstance(n, bool) or not isinstance(n, numbers.Real):
+        return None
+    elif isinstance(n, numbers.Integral):
+        k = operator.index(n)
+    else:
+        try:
+            x = float(n)
+        except OverflowError:  # a Fraction past the float range
+            x = math.nan
+        if not (x.is_integer() and x == n):
+            return None
+        k = int(x)
+    return k if k >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ class ModelParams:
         Spin-oscillator coupling.  Negative values are allowed; every
         phase-related quantity depends on gamma**2 only.
     n : int
-        Block index; the block spans |n, up> and |n+1, down>.
+        Block index; the block spans |n, up> and |n+1, down>.  Stored as a
+        Python int: 2.0 and np.int64(2) are kept as 2.
     """
 
     omega: float
@@ -116,14 +117,16 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega", "epsilon", "gamma"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and -_FLOAT_MAX <= value <= _FLOAT_MAX):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if not (_is_block_index(self.n) and _successor_is_exact(self.n)):
+        n = _block_index(self.n)
+        if n is None or n + 1 > _FLOAT_MAX:
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)  # so n + 1 and 2n + 1 are exact at any size
 
     def __getstate__(self):
-        # the memo that `_root` keeps is derived from the fields: pickles and
-        # copies omit it
+        # pickles and copies omit the record that `_block` derives from the fields
         return {name: value for name, value in self.__dict__.items() if name != _MEMO}
 
 
@@ -163,20 +166,33 @@ def build_block(p: ModelParams) -> np.ndarray:
     return _finite(m)
 
 
-# The attribute under which a ModelParams keeps its (PhaseLabel, root).
-_MEMO = "_root_memo"
+# The attribute under which a ModelParams keeps its _Block.
+_MEMO = "_block_memo"
 
 
-def _form_root(p: ModelParams) -> tuple[PhaseLabel, complex]:
-    """Phase label and sqrt(D) of one block, from one evaluation of D.
+class _Block:
+    """Scalars of one block, kept on its ModelParams: label (D and its phase),
+    b = omega - epsilon, t = 2 gamma sqrt(n+1) and root = sqrt(D) from the
+    start; center, ratios and the metric's entries None until first formed."""
+
+    __slots__ = ("label", "b", "t", "root", "center", "ratios", "entries")
+
+    def __init__(self, label: PhaseLabel, b, t: float, root: complex):
+        self.label, self.b, self.t, self.root = label, b, t, root
+        self.center = self.ratios = self.entries = None
+
+
+def _form_block(p: ModelParams) -> _Block:
+    """The record of one block, from one evaluation of D.
 
     The squares (omega - epsilon)**2 and 4 gamma**2 (n+1) are formed once;
     D is their difference and the EP band is |D| <= 1e-10 times the largest
     of 1 and either square.  The root is +i sqrt(|D|) on the broken side.
     Raises ValueError when a square is not a finite float.
     """
+    b = p.omega - p.epsilon
     try:
-        b2 = (p.omega - p.epsilon) ** 2
+        b2 = b**2
         c2 = 4.0 * p.gamma**2 * (p.n + 1)
         finite = math.isfinite(b2) and math.isfinite(c2)
     except OverflowError:  # a float square, or an int square past the float range
@@ -191,42 +207,44 @@ def _form_root(p: ModelParams) -> tuple[PhaseLabel, complex]:
     else:
         phase = Phase.UNBROKEN if d > 0.0 else Phase.BROKEN
     root = complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
-    return PhaseLabel(phase, d), root
+    return _Block(PhaseLabel(phase, d), b, 2.0 * math.sqrt(p.n + 1) * p.gamma, root)
 
 
-def _root(p: ModelParams, ep_message: str | None = None) -> tuple[PhaseLabel, complex]:
-    """Phase label and sqrt(D) of one block, formed on first use and kept on p.
+def _block(p: ModelParams, ep_message: str | None = None) -> _Block:
+    """The record of one block, formed on first use and kept on p.
 
-    A ValueError from `_form_root` keeps nothing, so it recurs on every call.
+    A ValueError from `_form_block` keeps nothing, so it recurs on every call.
     Given ep_message, raises ExceptionalPointError(ep_message) inside the EP
     band on every call, with a `{d}` field filled by D.
     """
     # a plain attribute, not functools.cached_property, which before Python
-    # 3.12 takes a lock on every miss and builds p.__dict__: the exponent
-    # fit's offset blocks are each used once
-    memo = getattr(p, _MEMO, None)
-    if memo is None:
-        memo = _form_root(p)
-        object.__setattr__(p, _MEMO, memo)
-    if ep_message is not None and memo[0].value is Phase.EXCEPTIONAL_POINT:
-        raise ExceptionalPointError(ep_message.format(d=memo[0].discriminant))
-    return memo
+    # 3.12 takes a lock on every miss and builds p.__dict__
+    block = getattr(p, _MEMO, None)
+    if block is None:
+        block = _form_block(p)
+        object.__setattr__(p, _MEMO, block)
+    if ep_message is not None and block.label.value is Phase.EXCEPTIONAL_POINT:
+        raise ExceptionalPointError(ep_message.format(d=block.label.discriminant))
+    return block
 
 
-def _center(p: ModelParams) -> float:
-    """Spectral centre (2n+1) omega / 2 of a block; ValueError where it overflows."""
-    try:
-        center = 0.5 * (2 * p.n + 1) * p.omega
-    except OverflowError:  # 2n + 1 past the float range
-        center = math.inf
-    if not math.isfinite(center):
-        raise ValueError(f"spectral centre (2n+1) omega / 2 overflows at {p}")
+def _center(p: ModelParams, block: _Block) -> float:
+    """Spectral centre (2n+1) omega / 2, kept; ValueError on every call where it overflows."""
+    center = block.center
+    if center is None:
+        try:
+            center = 0.5 * (2 * p.n + 1) * p.omega
+        except OverflowError:  # 2n + 1 past the float range
+            center = math.inf
+        if not math.isfinite(center):
+            raise ValueError(f"spectral centre (2n+1) omega / 2 overflows at {p}")
+        block.center = center
     return center
 
 
-def _spectrum(p: ModelParams, root: complex) -> Spectrum:
-    center = _center(p)
-    half_root = 0.5 * root
+def _spectrum(p: ModelParams, block: _Block) -> Spectrum:
+    center = _center(p, block)
+    half_root = 0.5 * block.root
     return Spectrum(center + half_root, center - half_root)
 
 
@@ -236,12 +254,12 @@ def spectrum_closed_form(p: ModelParams) -> Spectrum:
     Branch I is the '+' root.  In the broken phase the pair is exactly
     complex conjugate with Im(eigenvalue_I) > 0.
     """
-    return _spectrum(p, _root(p)[1])
+    return _spectrum(p, _block(p))
 
 
 def classify_phase(p: ModelParams) -> PhaseLabel:
     """Label the spectral phase, with a relative tolerance band at the EP."""
-    return _root(p)[0]
+    return _block(p).label
 
 
 def critical_gamma(p: ModelParams) -> float:

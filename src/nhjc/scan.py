@@ -69,7 +69,7 @@ from .entropy import (
     _square_or_inf,
 )
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
-from .model import _FLOAT_MAX, ModelParams, Phase, Spectrum, _is_block_index
+from .model import _FLOAT_MAX, ModelParams, Phase, Spectrum, _block_index
 
 __all__ = [
     "AXIS_NAMES",
@@ -190,7 +190,7 @@ class SweepSpec:
             problems.append("quantities: survival/bloch require a 't' axis")
         # a block index must fit the table's int64 n column
         for n in self.n_list:
-            if not _is_block_index(n):
+            if _block_index(n) is None:
                 problems.append(f"n_list: entries must be non-negative integers, got {n!r}")
             elif n >= 2**63:
                 problems.append(f"n_list: block indices must be below 2**63, got {n}")
@@ -403,7 +403,7 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
     omega, gamma = params["omega"], params["gamma"]
     b = omega - params["epsilon"]
 
-    # model._root: D, its EP band and classify_phase
+    # model._form_block: D, its EP band and classify_phase
     b2 = _elementwise(_square, b, "discriminant", "(omega - epsilon)**2")
     c2 = 4.0 * _elementwise(_square, gamma, "discriminant", "gamma**2") * (n + 1)
     d = b2 - c2
@@ -908,7 +908,7 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
             raise SweepFileError(f"cells[{k}]: missing field(s) {', '.join(missing)}")
         # int() and float() would take 1.5 as n = 1 and true as 1.0
         bad = [f for f, v in obj.items()
-               if isinstance(v, bool) or (f == "n" and not _is_block_index(v))]
+               if isinstance(v, bool) or (f == "n" and _block_index(v) is None)]
         if bad:
             raise SweepFileError(f"cells[{k}]: bad {bad[0]} {obj[bad[0]]!r}")
     extra_keys = sorted(set().union(*objs).difference(known))

@@ -1,5 +1,6 @@
 """Tests for block construction, spectra and phase classification."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -9,7 +10,7 @@ import pytest
 
 from helpers import random_params
 
-from nhjc import model
+from nhjc import biortho, model
 from nhjc.biortho import (
     eigensystem,
     eigenvector_ratios,
@@ -26,8 +27,8 @@ from nhjc.model import (
     Phase,
     PhaseLabel,
     _MEMO,
-    _form_root,
-    _root,
+    _block,
+    _form_block,
     build_block,
     classify_phase,
     critical_gamma,
@@ -74,10 +75,12 @@ def test_params_reject_non_finite_or_non_numeric_n(n):
     [np.uint64(2**64 - 1), np.int64(2**63 - 1), np.int32(2**31 - 1), np.uint8(255), 2.0**53],
     ids=["uint64-max", "int64-max", "int32-max", "uint8-max", "2.0**53"],
 )
-def test_params_reject_a_block_index_whose_successor_is_not_exact(n):
-    # n + 1 would wrap to 0 (or to the type's minimum) or round back to n
-    with pytest.raises(ValueError, match="^n must be a non-negative integer, got "):
-        ModelParams(1.0, 5.0, 1.0, n)
+def test_params_store_a_block_index_as_a_python_int(n):
+    # n + 1 is formed on the stored int: it cannot wrap or round back to n
+    p = ModelParams(1.0, 5.0, 1.0, n)
+    assert type(p.n) is int and p.n == int(n)
+    assert p == ModelParams(1.0, 5.0, 1.0, int(n))
+    assert classify_phase(p).discriminant == 16.0 - 4.0 * (int(n) + 1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -86,6 +89,37 @@ def test_params_keep_a_block_index_whose_successor_is_exact():
         assert ModelParams(1.0, 5.0, 1.0, n).n == n
     p = ModelParams(1.0, 5.0, 1.0, np.uint64(2**64 - 2))
     assert critical_gamma(p) == 4.0 / (2.0 * math.sqrt(2.0**64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_block_indices_neither_wrap_nor_warn():
+    # 2n + 1 = 2**63 + 1 is past the int64 range: formed on the int, it stays positive
+    s = spectrum_closed_form(ModelParams(1.0, 5.0, 1.0, np.int64(2**62)))
+    assert s.eigenvalue_I.real > 4.6e18 and s.eigenvalue_I.real == 0.5 * (2**63 + 1)
+    # converted before any comparison, so the largest double is never cast to float32
+    p = ModelParams(1.0, 5.0, 1.0, np.float32(3.0))
+    assert type(p.n) is int and p.n == 3
+    assert classify_phase(p) == classify_phase(ModelParams(1.0, 5.0, 1.0, 3))
+
+
+def test_float_block_index_is_kept_as_its_int():
+    # 2**53 and above too: the stored int, not the float, takes n + 1
+    for n in (2.0, 2.0**53, 2.0**60):
+        p, q = ModelParams(1.0, 5.0, 1.0, n), ModelParams(1.0, 5.0, 1.0, int(n))
+        assert repr(p) == repr(q) and pickle.dumps(p) == pickle.dumps(q)
+    assert repr(ModelParams(1.0, 5.0, 1.0, 2.0)) == "ModelParams(omega=1.0, epsilon=5.0, gamma=1.0, n=2)"
+    for n in (2.5, -1.0, math.inf):
+        with pytest.raises(ValueError, match="^n must be a non-negative integer, got "):
+            ModelParams(1.0, 5.0, 1.0, n)
+
+
+@pytest.mark.parametrize("field", ["omega", "epsilon", "gamma"])
+@pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+def test_params_reject_a_bool_coupling_or_energy(field, value):
+    fields = dict(omega=1.0, epsilon=5.0, gamma=1.0, n=0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got "):
+        ModelParams(**fields)
 
 
 def test_int_square_past_the_float_range_raises_value_error():
@@ -167,8 +201,8 @@ def test_broken_pair_is_exactly_conjugate():
 
 
 def test_sqrt_discriminant_branch():
-    assert _root(ModelParams(1.0, 5.0, 1.0, 0))[1] == math.sqrt(12.0)
-    root = _root(ModelParams(1.0, 5.0, 3.0, 0))[1]
+    assert _block(ModelParams(1.0, 5.0, 1.0, 0)).root == math.sqrt(12.0)
+    root = _block(ModelParams(1.0, 5.0, 3.0, 0)).root
     assert root.real == 0.0 and math.isclose(root.imag, math.sqrt(20.0))
 
 
@@ -187,17 +221,26 @@ SCALAR_API = [
 
 
 def test_root_is_formed_once_per_params(monkeypatch):
-    formed = []
+    # SCALAR_API makes every call on p that one point of the benchmark's
+    # pointwise workload makes (bench/workloads.py, _run_point), and more
+    formed, entries = [], []
 
-    def counted(p):
-        formed.append(p)
-        return _form_root(p)
+    def counted(log, fn):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(model, "_form_root", counted)
+    monkeypatch.setattr(model, "_form_block", counted(formed, _form_block))
+    monkeypatch.setattr(biortho, "_metric_entries", counted(entries, biortho._metric_entries))
     p = ModelParams(1.0, 5.0, 1.0, 2)
-    for call in SCALAR_API:
-        call(p)
-    assert formed == [p]
+    for _ in range(2):
+        for call in SCALAR_API:
+            call(p)
+    assert formed == [(p,)] and len(entries) == 1
+    block = vars(p)[_MEMO]
+    assert block.center == 2.5 and len(block.ratios) == 2
+    assert all(type(x) is float for x in block.entries)
     classify_phase(ModelParams(1.0, 5.0, 1.0, 2))  # an equal, new ModelParams forms its own
     assert len(formed) == 2
 
@@ -218,24 +261,74 @@ def test_each_caller_keeps_its_exceptional_point_message():
     assert spectrum_closed_form(p).eigenvalue_I == 0.5
 
 
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return repr(value)
+
+
+@pytest.mark.parametrize("params", [(1.0, 5.0, 1.3, 2), (1.0, 5.0, 3.7, 1), (5.0, 1.0, -2e-9, 0)])
+def test_results_do_not_depend_on_call_order(params):
+    first, second = ModelParams(*params), ModelParams(*params)
+    forward = [_bits(metric(first)), _bits(intertwiner(first))]
+    backward = [_bits(intertwiner(second)), _bits(metric(second))][::-1]
+    assert forward == backward
+    first, second = ModelParams(*params), ModelParams(*params)
+    forward = [entanglement_entropy(first, b) for b in (Branch.I, Branch.II)]
+    backward = [entanglement_entropy(second, b) for b in (Branch.II, Branch.I)][::-1]
+    assert forward == backward and _bits(projectors(first)) == _bits(projectors(second))
+
+
+def test_exceptional_point_keeps_no_error_and_no_part():
+    p = ModelParams(1.0, 5.0, 2.0, 0)
+    for _ in range(2):
+        for call in (metric, intertwiner, eigenvector_ratios, effective_generator):
+            with pytest.raises(ExceptionalPointError):
+                call(p)
+    block = vars(p)[_MEMO]
+    assert block.label.value is Phase.EXCEPTIONAL_POINT
+    assert block.entries is None and block.ratios is None and block.center is None
+    assert entanglement_entropy(p, Branch.I) == math.log(2.0) and block.ratios is None
+
+
+def test_centre_overflow_is_kept_by_neither_the_record_nor_classify_phase():
+    p = ModelParams(1.7e308, 1.7e308, 1.0, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^spectral centre "):
+            spectrum_closed_form(p)
+        assert classify_phase(p).value is Phase.BROKEN
+    assert vars(p)[_MEMO].center is None
+    assert critical_gamma(ModelParams(1.0, 5.0, 1e200, 0)) == 2.0  # D overflows there
+    assert build_block(ModelParams(1.0, 5.0, 1e200, 0))[0, 1] == 1e200
+
+
 def test_memo_leaves_value_semantics_alone():
     p = ModelParams(1.0, 5.0, 1.0, 2)
     before = repr(p), hash(p), pickle.dumps(p)
+    for call in SCALAR_API:  # forms the record and every part of it
+        call(p)
     label = classify_phase(p)
     assert _MEMO in vars(p)
     assert p == ModelParams(1.0, 5.0, 1.0, 2)
     assert (repr(p), hash(p), pickle.dumps(p)) == before
-    copy = pickle.loads(pickle.dumps(p))
-    assert copy == p and _MEMO not in vars(copy)
-    assert classify_phase(copy) == label
+    for duplicate in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert duplicate == p and _MEMO not in vars(duplicate)
+        assert classify_phase(duplicate) == label
+        assert vars(duplicate)[_MEMO] is not vars(p)[_MEMO]
 
 
 def test_replaced_params_form_their_own_root():
     p = ModelParams(1.0, 5.0, 1.0, 0)
     assert classify_phase(p).value is Phase.UNBROKEN
+    metric(p)
     q = dataclasses.replace(p, gamma=3.0)
+    assert _MEMO not in vars(q)
     assert classify_phase(q) == PhaseLabel(Phase.BROKEN, -20.0)
     assert classify_phase(p) == PhaseLabel(Phase.UNBROKEN, 12.0)
+    assert _bits(metric(q)) == _bits(metric(ModelParams(1.0, 5.0, 3.0, 0)))
+    assert vars(q)[_MEMO] is not vars(p)[_MEMO]
 
 
 @pytest.mark.parametrize(
