@@ -37,6 +37,7 @@ from .model import (
     _block,
     _center,
     _finite,
+    _in_band,
     _spectrum,
     critical_gamma,
 )
@@ -191,10 +192,16 @@ def _metric_norm(b, t, d):
 
 
 def _entries(block: _Block) -> tuple[float, float]:
-    """_metric_entries of a block off the EP band, as Python floats; kept."""
+    """_metric_entries of a block off the EP band, as Python floats; kept.
+    G = I where t = 0, with the off-diagonal zero signed as _metric_entries
+    signs it, which |b| / sqrt(D) would miss where D = 0 or b**2 is subnormal."""
     if block.entries is None:
-        diag, off = _metric_entries(block.b, block.t, block.label.discriminant)
-        block.entries = float(diag), float(off)
+        b, t = block.b, block.t
+        if t == 0.0:
+            block.entries = 1.0, -math.copysign(0.0, b * t)
+        else:
+            diag, off = _metric_entries(b, t, block.label.discriminant)
+            block.entries = float(diag), float(off)
     return block.entries
 
 
@@ -308,7 +315,8 @@ _EXPONENT_LOGS = _centred_logs(_EXPONENT_OFFSETS)
 
 def _fit_discriminants(b, n1, gammas: list[float]) -> np.ndarray | None:
     """D of each fit block with the operations of _form_block; None where a
-    square is not a finite float or some D falls in the EP band."""
+    square is not a finite float or some D falls in the EP band.  Every fit
+    coupling is positive, since delta_c exceeds the largest offset."""
     try:
         b2 = float(b**2)
         c2 = [4.0 * g**2 * n1 for g in gammas]  # libm pow, as in _form_block
@@ -318,7 +326,7 @@ def _fit_discriminants(b, n1, gammas: list[float]) -> np.ndarray | None:
         return None
     c2 = np.array(c2)
     d = b2 - c2
-    if (abs(d) <= 1e-10 * np.maximum(max(1.0, b2), c2)).any():
+    if _in_band(b2, c2, d, True, np.maximum).any():
         return None
     return d
 

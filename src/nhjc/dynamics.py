@@ -27,11 +27,12 @@ ValueError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Phase, _block, _center
+from .model import _FLOAT_MAX, ModelParams, Phase, _block, _center
 
 __all__ = [
     "BlochState",
@@ -79,8 +80,9 @@ class BlochState:
 class EffectiveGenerator:
     """Parameters of Heff = shift * I + i Gamma sigma_y on block n.
 
-    rate is Gamma > 0 in the broken phase and Lambda > 0 in the unbroken
-    phase, where Gamma = i Lambda.
+    rate is Gamma > 0 in the broken phase and Lambda >= 0 in the unbroken
+    phase, where Gamma = i Lambda; Lambda = 0 only on a decoupled block
+    with D = 0, the diabolic point omega == epsilon, gamma = 0.
     """
 
     n: int
@@ -155,7 +157,15 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
 
 
 def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:
-    """Uniform grid on [0, 5 / rate]; rate = Gamma or Lambda as appropriate."""
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
-    return np.linspace(0.0, 5.0 / gen.rate, points)
+    """Uniform grid on [0, 5 / rate]; rate = Gamma or Lambda as appropriate.
+
+    Raises ValueError unless the rate is positive with 5 / rate finite, and
+    points is an integer >= 2.  A decoupled block at omega == epsilon has
+    rate 0: nothing evolves there, so no time scale.
+    """
+    rate = float(gen.rate)  # a numpy float would warn where 5 / rate overflows
+    if not (0.0 < rate <= _FLOAT_MAX and math.isfinite(5.0 / rate)):
+        raise ValueError(f"time grid: rate must be positive with 5 / rate finite, got {rate!r}")
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValueError(f"time grid: points must be an integer >= 2, got {points!r}")
+    return np.linspace(0.0, 5.0 / rate, points)

@@ -14,13 +14,15 @@ Hamiltonian restricts to the 2x2 block
 
 whose spectrum is real for (omega - epsilon)^2 > 4 gamma^2 (n+1), a complex
 conjugate pair for the opposite sign, and defective on the boundary (the
-exceptional point).  Everything in this package works on these blocks, where
-all quantities are available in closed form.
+exceptional point) unless gamma = 0.  Everything in this package works on
+these blocks, where all quantities are available in closed form.
 
 Each ModelParams keeps one private record of its block's scalars (`_Block`),
 formed on first use; every scalar function reads them through `_block`.  A
 D past the float range, an overflowing centre and the EP band's
-ExceptionalPointError are never kept: they raise on every call.
+ExceptionalPointError are never kept: they raise on every call.  The EP
+band itself is `_in_band`, the one test that the record, the metric
+exponent fit and the sweep kernel share.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -129,6 +131,12 @@ class ModelParams:
         # pickles and copies omit the record that `_block` derives from the fields
         return {name: value for name, value in self.__dict__.items() if name != _MEMO}
 
+    def __setstate__(self, state):
+        # an unpickled state passes the constructor's checks and int conversion
+        for f in fields(self):
+            object.__setattr__(self, f.name, state[f.name])
+        self.__post_init__()
+
 
 def _finite(m: np.ndarray) -> np.ndarray:
     """m itself; ValueError if an entry overflowed to inf or nan."""
@@ -182,13 +190,28 @@ class _Block:
         self.center = self.ratios = self.entries = None
 
 
+def _in_band(b2, c2, d, coupled, biggest=max):
+    """Whether D = b2 - c2 of a coupled block is in the EP band,
+    |D| <= 1e-10 max(b2, c2): floats with the builtin max, arrays with
+    np.maximum.
+
+    Relative, so it does not depend on the energy unit while a square is
+    normal; floored at the smallest normal float, below which subnormal
+    squares are too coarse to measure |D| against.  A decoupled block is
+    never in the band: at omega == epsilon it is the diabolic point
+    (n + 1/2) omega I, degenerate but diagonalizable.
+    """
+    return (abs(d) <= 1e-10 * biggest(biggest(b2, c2), sys.float_info.min)) & coupled
+
+
 def _form_block(p: ModelParams) -> _Block:
     """The record of one block, from one evaluation of D.
 
     The squares (omega - epsilon)**2 and 4 gamma**2 (n+1) are formed once;
-    D is their difference and the EP band is |D| <= 1e-10 times the largest
-    of 1 and either square.  The root is +i sqrt(|D|) on the broken side.
-    Raises ValueError when a square is not a finite float.
+    D is their difference and `_in_band` decides the EP band; outside it the
+    phase is Unbroken where D >= 0 (the diabolic point included), and the
+    root is +i sqrt(|D|) where D < 0.  Raises ValueError when a square is
+    not a finite float.
     """
     b = p.omega - p.epsilon
     try:
@@ -202,10 +225,10 @@ def _form_block(p: ModelParams) -> _Block:
             f"discriminant: (omega - epsilon)**2 - 4 gamma**2 (n+1) overflows at {p}"
         )
     d = b2 - c2
-    if abs(d) <= 1e-10 * max(1.0, b2, c2):
+    if _in_band(b2, c2, d, p.gamma != 0.0):
         phase = Phase.EXCEPTIONAL_POINT
     else:
-        phase = Phase.UNBROKEN if d > 0.0 else Phase.BROKEN
+        phase = Phase.UNBROKEN if d >= 0.0 else Phase.BROKEN
     root = complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
     return _Block(PhaseLabel(phase, d), b, 2.0 * math.sqrt(p.n + 1) * p.gamma, root)
 

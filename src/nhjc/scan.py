@@ -69,7 +69,7 @@ from .entropy import (
     _square_or_inf,
 )
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
-from .model import _FLOAT_MAX, ModelParams, Phase, Spectrum, _block_index
+from .model import _FLOAT_MAX, ModelParams, Phase, Spectrum, _block_index, _in_band
 
 __all__ = [
     "AXIS_NAMES",
@@ -378,7 +378,9 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
 
     - the discriminant squares: the builtin `_square` maps about 13% faster
       than a Python function, and the error names the square that overflowed;
-    - the EP band and the spectral centre: one expression each;
+    - the spectral centre: one expression;
+    - G = I at gamma = 0: biortho keeps its entries, this needs only the
+      norm sqrt(2);
     - phase and eigenvalue assembly: model builds Phase and complex, this
       builds int8 codes and re/im parts that keep -0.0;
     - ratio selection: biortho gives complex ratios, this needs moduli;
@@ -409,8 +411,9 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
     d = b2 - c2
     if not np.isfinite(d).all():
         raise SpecValidationError("discriminant: 4 gamma**2 (n+1) overflows on this grid")
-    at_ep = np.abs(d) <= 1e-10 * np.maximum(1.0, np.maximum(b2, c2))
-    code = np.where(at_ep, 2, np.where(d > 0.0, 0, 1))
+    coupled = gamma != 0.0
+    at_ep = _in_band(b2, c2, d, coupled, np.maximum)
+    code = np.where(at_ep, 2, np.where(d >= 0.0, 0, 1))
 
     # spectrum_closed_form: center +- sqrt(D) / 2
     root = np.sqrt(np.abs(d))
@@ -427,7 +430,6 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
 
     wanted = set(spec.quantities)
     columns: dict[str, np.ndarray] = {}
-    coupled = gamma != 0.0
     coupling = 2.0 * sqrt_n1 * gamma
     if "entropy" in wanted:
         def log(x):
@@ -454,7 +456,8 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
             columns[key] = np.zeros(size)
             columns[key][live] = values
     if "metric_norm" in wanted:
-        columns["metric_norm"] = np.where(at_ep, math.nan, _metric_norm(b, coupling, d))
+        norm = np.where(coupled, _metric_norm(b, coupling, d), math.sqrt(2.0))
+        columns["metric_norm"] = np.where(at_ep, math.nan, norm)
     if wanted & {"survival", "bloch"}:
         # evolve_no_jump from effective_generator: cosh/sinh of 2 Gamma t on
         # the broken side, a rotation by 2 Lambda t on the unbroken side

@@ -15,6 +15,7 @@ import pytest
 
 import nhjc
 from nhjc.cli import PRESETS, cli_main
+from nhjc.model import Phase
 from nhjc.scan import read_csv, read_json
 
 
@@ -143,6 +144,20 @@ def test_dynamics_default_time_grid(capsys):
         math.cosh(2.0 * math.sqrt(12.0) * cells[-1].coords[0]),
         rel_tol=1e-10,
     )
+
+
+def test_dynamics_at_the_diabolic_point(capsys):
+    # decoupled at omega == epsilon: rate 0, so no default time grid, and a
+    # given grid evolves nothing
+    argv = ["dynamics", "--omega", "2", "--epsilon", "2", "--gamma", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("nhjc: error: time grid: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, [*argv, "--grid", "t:0:1:3"])
+    assert (code, err) == (0, "")
+    cells = read_csv(io.StringIO(out))
+    assert [cell.phase for cell in cells] == [Phase.UNBROKEN] * 3
+    assert all(cell.extras["survival"] == 1.0 for cell in cells)
 
 
 def test_dynamics_r0_flag(capsys):

@@ -12,8 +12,10 @@ run draws the same examples.
 import cmath
 import dataclasses
 import enum
+import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,13 @@ from nhjc.biortho import (
     projectors,
     sqrt_hpd,
 )
-from nhjc.dynamics import BlochState, default_time_grid, effective_generator, evolve_no_jump
+from nhjc.dynamics import (
+    BlochState,
+    EffectiveGenerator,
+    default_time_grid,
+    effective_generator,
+    evolve_no_jump,
+)
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
 from nhjc.model import (
     Branch,
@@ -112,6 +120,29 @@ def test_scalar_api_is_finite_or_raises_value_error(omega, epsilon, gamma, n, t)
     _finite_or_value_error(default_time_grid, gen)
     for state in STATES:
         _finite_or_value_error(evolve_no_jump, gen, state, t)
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e-320])
+def test_default_time_grid_refuses_a_rate_without_a_finite_time_scale(rate):
+    # a bare linspace to 5 / rate gives a ZeroDivisionError, a NaN grid, an
+    # all-zero grid, inf and NaN, or negative times on these
+    with pytest.raises(ValueError, match="^time grid: rate must be positive"):
+        default_time_grid(EffectiveGenerator(0, rate, 0.0, True))
+
+
+@pytest.mark.parametrize("points", [2.5, 2.0, "500", None, 1, 0, -3, True])
+def test_default_time_grid_refuses_points_that_are_not_an_integer_of_two_or_more(points):
+    with pytest.raises(ValueError, match="^time grid: points must be an integer >= 2"):
+        default_time_grid(EffectiveGenerator(0, 1.0, 0.0, True), points)
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(rate=st.floats(), points=st.one_of(st.integers(-3, 600), st.floats()))
+def test_default_time_grid_is_finite_or_raises_value_error(rate, points):
+    gen = EffectiveGenerator(0, rate, 0.0, False)
+    grid = _finite_or_value_error(default_time_grid, gen, points)
+    if grid is not None:
+        assert grid[0] == 0.0 and grid.size == points and (np.diff(grid) >= 0.0).all()
 
 
 entries = st.floats()

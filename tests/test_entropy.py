@@ -55,13 +55,14 @@ def test_ep_band_takes_the_coalesced_limit(p):
 
 
 def test_ep_band_sweep_reads_ln2():
-    # gamma = 0 is the decoupled product state; every other cell of this
-    # grid lies in the EP band, where gamma**2 underflows
+    # gamma = 0 is the decoupled product state, the diabolic point (never in
+    # the band); every other cell of this grid lies in the EP band, where
+    # gamma**2 underflows
     spec = SweepSpec(
         ModelParams(-1.0, -1.0, 0.0, 36), Axis("gamma", 0.0, 3e-199, 4), quantities=("entropy",)
     )
     table = run_sweep(spec)
-    assert table.phase.tolist() == [2, 2, 2, 2]
+    assert table.phase.tolist() == [0, 2, 2, 2]
     for key in ("entropy_I", "entropy_II"):
         assert table.extras[key].tolist() == [0.0, LN2, LN2, LN2]
 

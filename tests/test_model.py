@@ -319,6 +319,23 @@ def test_memo_leaves_value_semantics_alone():
         assert vars(duplicate)[_MEMO] is not vars(p)[_MEMO]
 
 
+def _pickled_with_n(n) -> bytes:
+    """A pickle of ModelParams(1.0, 5.0, 1.0, 0) whose state holds n as
+    given, as one written by an older version or by hand can."""
+    p = ModelParams(1.0, 5.0, 1.0, 0)
+    object.__setattr__(p, "n", n)
+    return pickle.dumps(p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unpickled_params_pass_the_constructor_checks():
+    p = pickle.loads(_pickled_with_n(np.int64(2**62)))
+    assert type(p.n) is int and p == ModelParams(1.0, 5.0, 1.0, 2**62)
+    assert spectrum_closed_form(p).eigenvalue_I.real == 0.5 * (2**63 + 1)
+    with pytest.raises(ValueError, match="^n must be a non-negative integer, got -3$"):
+        pickle.loads(_pickled_with_n(-3))
+
+
 def test_replaced_params_form_their_own_root():
     p = ModelParams(1.0, 5.0, 1.0, 0)
     assert classify_phase(p).value is Phase.UNBROKEN

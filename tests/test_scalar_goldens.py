@@ -25,7 +25,14 @@ from nhjc.biortho import (
 )
 from nhjc.dynamics import BlochState, default_time_grid, effective_generator, evolve_no_jump
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
-from nhjc.model import Branch, ModelParams, classify_phase, spectrum_closed_form
+from nhjc.model import (
+    Branch,
+    ModelParams,
+    Phase,
+    build_block,
+    classify_phase,
+    spectrum_closed_form,
+)
 
 # Both phases, the EP and its band, gamma = 0, gamma = 1e-300, negative
 # gamma and n up to 5.  No point overflows the discriminant.
@@ -37,7 +44,7 @@ POINTS = [
     ModelParams(1.0, 5.0, 1.0, 3),  # EP of block n = 3
     ModelParams(1.0, 5.0, 0.0, 0),  # decoupled, epsilon > omega
     ModelParams(5.0, 1.0, 0.0, 2),  # decoupled, epsilon < omega
-    ModelParams(2.0, 2.0, 0.0, 0),  # decoupled at the EP
+    ModelParams(2.0, 2.0, 0.0, 0),  # decoupled at omega == epsilon: the diabolic point
     ModelParams(1.0, 5.0, 1e-300, 0),
     ModelParams(5.0, 1.0, 1e-300, 1),
     ModelParams(1.0, 5.0, -1.0, 2),
@@ -110,7 +117,8 @@ def _evolve(p):
     out = []
     for state in STATES:
         for k in (0.0, 0.3, 2.0):
-            evolved = evolve_no_jump(gen, state, k / gen.rate)
+            # k in units of 1 / rate; at rate 0, the diabolic point, k itself
+            evolved = evolve_no_jump(gen, state, k / gen.rate if gen.rate else k)
             out.append((evolved.r, evolved.weight))
     return out
 
@@ -148,18 +156,18 @@ FUNCTIONS = {
 }
 
 DIGESTS = {
-    "classify_phase": "7c232d8a66c43130",
+    "classify_phase": "ee979d60f4c8fc99",
     "spectrum_closed_form": "31f82c8e973c0ca8",
     "eigenvector_ratios": "b692971b5dccd8c8",
-    "eigensystem": "396b82363ebb5d43",
-    "metric": "7b6dc24e29ef0e94",
-    "intertwiner": "6805e4649b4b0c67",
-    "projectors": "c12831035a3d54c8",
+    "eigensystem": "f24844f6bbb034f0",
+    "metric": "eaae7543bef7e12d",
+    "intertwiner": "889eec0c3c5fdb78",
+    "projectors": "aa57a1cd7c63ef75",
     "entanglement_entropy": "d3fca08dce7a6141",
     "reduced_spectrum": "6dfedabb2ed5667a",
-    "effective_generator": "d0dc240f83e7a2da",
-    "evolve_no_jump": "9ea963c1d25908ac",
-    "default_time_grid": "329acb3070e0fe97",
+    "effective_generator": "0a5473dfe7d89633",
+    "evolve_no_jump": "f3bec5a1511b5c20",
+    "default_time_grid": "c0878199fe31f6bc",
     "metric_divergence_exponent": "6e33d6ca7d768de1",
 }
 
@@ -185,6 +193,35 @@ def _digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_scalar_api_matches_golden(name):
     assert _digest(name) == DIGESTS[name]
+
+
+def test_diabolic_point_rows_are_analytic():
+    # the one point whose rows moved when the decoupled block left the EP
+    # band: H = I, so the spectrum is (1, 1), G = g = h = I, the projectors
+    # are the diagonal ones and nothing evolves (rate 0, no time grid)
+    p = ModelParams(2.0, 2.0, 0.0, 0)
+    eye = np.eye(2, dtype=complex)
+    assert np.array_equal(build_block(p), eye)
+    label = classify_phase(p)
+    assert (label.value, label.discriminant) == (Phase.UNBROKEN, 0.0)
+    assert _spectrum(spectrum_closed_form(p)) == (1.0, 1.0)
+    system = eigensystem(p)
+    assert _spectrum(system.eigenvalues) == (1.0, 1.0)
+    for right, left in system.pairs():
+        assert np.vdot(left, right) == 1.0 and np.array_equal(right, left)
+    bundle = intertwiner(p)
+    for m in (metric(p), bundle.G, bundle.g, bundle.g_inv, bundle.h):
+        assert np.array_equal(m, eye)
+    rho_one, rho_two = projectors(p)
+    assert np.array_equal(rho_one + rho_two, eye) and np.array_equal(rho_one @ rho_two, 0 * eye)
+    gen = effective_generator(p)
+    assert (gen.rate, gen.shift, gen.is_broken) == (0.0, 1.0, False)
+    assert np.array_equal(gen.matrix(), eye)
+    for state in STATES:
+        evolved = evolve_no_jump(gen, state, 2.0)
+        assert np.array_equal(evolved.r, state.r) and evolved.weight == state.weight
+    with pytest.raises(ValueError, match="rate must be positive"):
+        default_time_grid(gen)
 
 
 def test_eigenvector_ratios_moved_only_by_its_zero_coupling_class():
