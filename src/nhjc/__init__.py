@@ -3,15 +3,14 @@
 The package works on the 2x2 invariant subspaces of the Hamiltonian
 (epsilon/2) sigma_z + omega a^dag a + gamma (sigma_+ a - sigma_- a^dag):
 closed-form spectra and phase classification around the exceptional points,
-biorthogonal eigensystems with the metric/intertwiner construction, no-jump
-conditional dynamics, spin-oscillator entanglement entropy, and parameter
-sweeps with CSV/JSON/SVG export (see the `nhjc` command-line tool).
+eigenvector ratios, spectral projectors and the metric/intertwiner
+construction, no-jump conditional dynamics, spin-oscillator entanglement
+entropy, and parameter sweeps with CSV/JSON/SVG export (see the `nhjc`
+command-line tool).
 """
 
 from .biortho import (
-    BiorthoSystem,
     MetricBundle,
-    eigensystem,
     eigenvector_ratios,
     intertwiner,
     metric,

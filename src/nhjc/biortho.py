@@ -1,4 +1,4 @@
-"""Biorthogonal eigensystems, metric operators, intertwiners, projectors.
+"""Biorthogonal eigenvector ratios, metric operators, intertwiners, projectors.
 
 A non-Hermitian block has distinct right and left eigenvectors,
 
@@ -18,6 +18,10 @@ positive G that is no longer a similarity to a Hermitian problem; h-tilde
 stays non-Hermitian, G-norms grow and the residual ||H - G^-1 H^dag G|| is
 of order one.  ||G|| diverges as |delta - delta_c| to the power -1/2 on
 both sides of the exceptional point.
+
+The pairs themselves are not public: `eigenvector_ratios` gives right
+(1, a_i) and left (1, -conj a_i), `projectors` forms rho_i from them, and
+`metric` and `intertwiner` use the closed form of G.
 """
 
 from __future__ import annotations
@@ -30,44 +34,24 @@ import numpy as np
 
 from .model import (
     ModelParams,
-    Phase,
     PhaseLabel,
-    Spectrum,
     _Block,
     _block,
     _center,
     _finite,
     _in_band,
-    _spectrum,
     critical_gamma,
 )
 
 __all__ = [
-    "BiorthoSystem",
     "MetricBundle",
     "eigenvector_ratios",
-    "eigensystem",
     "metric",
     "intertwiner",
     "projectors",
     "metric_divergence_exponent",
     "sqrt_hpd",
-    "loglog_slope",
 ]
-
-
-@dataclass(frozen=True)
-class BiorthoSystem:
-    """Paired left/right eigenvectors of one block."""
-
-    right_I: np.ndarray
-    right_II: np.ndarray
-    left_I: np.ndarray
-    left_II: np.ndarray
-    eigenvalues: Spectrum
-
-    def pairs(self):
-        return ((self.right_I, self.left_I), (self.right_II, self.left_II))
 
 
 @dataclass(frozen=True)
@@ -123,56 +107,6 @@ def _ratios(block: _Block) -> tuple[complex, complex]:
             a_two = (b - root.real) / two_delta
             block.ratios = 1.0 / a_two, a_two
     return block.ratios
-
-
-def eigensystem(p: ModelParams) -> BiorthoSystem:
-    """Biorthogonally normalized left/right eigenvector pairs of one block.
-
-    Pairing follows the eigenvalues: the left partner of branch i is the
-    eigenvector of H^dag with eigenvalue conj(R_i), which guarantees
-    <L_i|R_j> = 0 off the diagonal.  The pairs are scaled to
-    <L_i|R_i> = 1 with the symmetric convention ||L_i|| = ||R_i||; the
-    relative phase lands on the right vector.
-
-    Raises
-    ------
-    ExceptionalPointError
-        Inside the tolerance band, where the block is defective.
-    """
-    return _system(p, _block(p, _COALESCE))
-
-
-def _system(p: ModelParams, block: _Block) -> BiorthoSystem:
-    eigenvalues = _spectrum(p, block)
-    if p.gamma == 0.0:
-        # decoupled block: the Hamiltonian is already diagonal
-        e1 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-        e2 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
-        if p.epsilon > p.omega:
-            rights = [e1, e2]
-        else:
-            rights = [e2, e1]
-        lefts = [v.copy() for v in rights]
-        return BiorthoSystem(rights[0], rights[1], lefts[0], lefts[1], eigenvalues)
-
-    rights, lefts = [], []
-    for a in _ratios(block):
-        # right (1, a) and left (1, -conj a); where |a| > 1 the same vectors
-        # divided by a and -conj a, written with the reciprocal ratio w = 1/a,
-        # so that their overlap 1 - w^2 cannot overflow as gamma -> 0
-        # (|1 - a^2| = |a|^2 |1 - w^2|)
-        if abs(a) > 1.0:
-            w = 1.0 / a
-            right = np.array([w, 1.0], dtype=complex)
-            left = np.array([-np.conj(w), 1.0], dtype=complex)
-        else:
-            right = np.array([1.0, a], dtype=complex)
-            left = np.array([1.0, -np.conj(a)], dtype=complex)
-        c = complex(np.vdot(left, right))  # 1 - a^2 or 1 - w^2, never 0 off the EP
-        scale = 1.0 / math.sqrt(abs(c))
-        lefts.append(left * scale)
-        rights.append(right * (c.conjugate() / abs(c)) * scale)
-    return BiorthoSystem(rights[0], rights[1], lefts[0], lefts[1], eigenvalues)
 
 
 def _metric_entries(b, t, d):
@@ -279,38 +213,55 @@ def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projectors rho_i = |R_i><L_i| / <L_i|R_i>.
 
     Trace one, idempotent, mutually annihilating, and complete; independent
-    of how the eigenvector pairs are scaled.
+    of how the eigenvector pairs are scaled.  The pairs are right (1, a_i)
+    and left (1, -conj a_i) of eigenvector_ratios, biorthogonal since the
+    left partner of branch i belongs to H^dag's eigenvalue conj(R_i), and
+    scaled to <L_i|R_i> = 1 with ||L_i|| = ||R_i||.  At gamma = 0 they are
+    the unit vectors, branch I on the larger diagonal entry.
+
+    Raises ExceptionalPointError inside the EP band, where the block is
+    defective.
     """
-    system = eigensystem(p)
+    block = _block(p, _COALESCE)
+    if p.gamma == 0.0:
+        # decoupled block: the Hamiltonian is already diagonal
+        e1 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
+        e2 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
+        pairs = [(e1, e1), (e2, e2)] if p.epsilon > p.omega else [(e2, e2), (e1, e1)]
+    else:
+        pairs = []
+        for a in _ratios(block):
+            # where |a| > 1 the same vectors divided by a and -conj a, written
+            # with the reciprocal ratio w = 1/a, so that their overlap 1 - w^2
+            # cannot overflow as gamma -> 0 (|1 - a^2| = |a|^2 |1 - w^2|)
+            if abs(a) > 1.0:
+                w = 1.0 / a
+                right = np.array([w, 1.0], dtype=complex)
+                left = np.array([-np.conj(w), 1.0], dtype=complex)
+            else:
+                right = np.array([1.0, a], dtype=complex)
+                left = np.array([1.0, -np.conj(a)], dtype=complex)
+            c = complex(np.vdot(left, right))  # 1 - a^2 or 1 - w^2, never 0 off the EP
+            scale = 1.0 / math.sqrt(abs(c))
+            pairs.append((right * (c.conjugate() / abs(c)) * scale, left * scale))
     out = []
-    for right, left in system.pairs():
+    for right, left in pairs:
         c = complex(np.vdot(left, right))
         out.append(_finite(np.outer(right, left.conj()) / c))
     return out[0], out[1]
 
 
-def _centred_logs(xs) -> tuple[np.ndarray, float]:
-    """log(xs) less its mean, and the sum of its squares."""
-    lx = np.log(xs)
-    lx -= lx.sum() / lx.size  # the bits of lx.mean(), without its Python layer
-    return lx, float(np.dot(lx, lx))
-
-
-def _ols_slope(centred: tuple[np.ndarray, float], ys) -> float:
-    """OLS slope of log(ys) against the x logs that _centred_logs returned."""
-    lx, var = centred
-    ly = np.log(ys)
-    return float(np.dot(lx, ly - ly.sum() / ly.size) / var)
-
-
 # metric_divergence_exponent fits this many offsets |delta - delta_c|,
 # spaced geometrically on this window; the signed offsets delta - delta_c of
-# each side and the offsets' centred logs are formed once
+# each side, the offsets' logs less their mean and the sum of their squares
+# are formed once
 _EXPONENT_POINTS = 20
 _EXPONENT_WINDOW = (1e-4, 1e-1)
 _EXPONENT_OFFSETS = np.geomspace(*_EXPONENT_WINDOW, _EXPONENT_POINTS)
 _EXPONENT_SIGNED = {"below": -_EXPONENT_OFFSETS, "above": _EXPONENT_OFFSETS}
-_EXPONENT_LOGS = _centred_logs(_EXPONENT_OFFSETS)
+_EXPONENT_LOGS = np.log(_EXPONENT_OFFSETS)
+_EXPONENT_LOGS -= _EXPONENT_LOGS.sum() / _EXPONENT_LOGS.size  # the bits of .mean()
+_EXPONENT_VAR = float(np.dot(_EXPONENT_LOGS, _EXPONENT_LOGS))
 
 
 def _fit_discriminants(b, n1, gammas: list[float]) -> np.ndarray | None:
@@ -367,22 +318,7 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
         # rebuilt in order, the first block that metric() refuses raises its error
         for x in signed.tolist():
             _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)
-    return _ols_slope(_EXPONENT_LOGS, _metric_norm(b, 2.0 * root_n1 * gammas, d))
-
-
-def loglog_slope(xs, ys) -> float:
-    """Ordinary least-squares slope of log(y) against log(x)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("xs and ys must be 1-d arrays of equal length")
-    if xs.size < 3:
-        raise ValueError(f"need at least 3 samples, got {xs.size}")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0) or not (
-        np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
-    ):
-        raise ValueError("log-log fit needs positive finite data")
-    centred = _centred_logs(xs)
-    if centred[1] == 0.0:
-        raise ValueError("all x values coincide")
-    return _ols_slope(centred, ys)
+    # OLS slope of log ||G||_F against the offsets' centred logs; the mean
+    # as a sum over the size keeps the bits of ly.mean() without its Python layer
+    ly = np.log(_metric_norm(b, 2.0 * root_n1 * gammas, d))
+    return float(np.dot(_EXPONENT_LOGS, ly - ly.sum() / ly.size) / _EXPONENT_VAR)

@@ -82,13 +82,23 @@ class EffectiveGenerator:
 
     rate is Gamma > 0 in the broken phase and Lambda >= 0 in the unbroken
     phase, where Gamma = i Lambda; Lambda = 0 only on a decoupled block
-    with D = 0, the diabolic point omega == epsilon, gamma = 0.
+    with D = 0, the diabolic point omega == epsilon, gamma = 0.  Raises
+    ValueError unless rate is finite and >= 0 and shift is finite.
     """
 
     n: int
     rate: float
     shift: float
     is_broken: bool
+
+    def __post_init__(self):
+        # as ModelParams checks its energies: false for NaN, inf, str and complex
+        if not (isinstance(self.rate, (int, float)) and 0.0 <= self.rate <= _FLOAT_MAX):
+            raise ValueError(
+                f"effective generator: rate must be finite and >= 0, got {self.rate!r}"
+            )
+        if not (isinstance(self.shift, (int, float)) and -_FLOAT_MAX <= self.shift <= _FLOAT_MAX):
+            raise ValueError(f"effective generator: shift must be finite, got {self.shift!r}")
 
     def matrix(self) -> np.ndarray:
         """The 2x2 generator; isospectral to the Hamiltonian block."""

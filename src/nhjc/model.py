@@ -265,19 +265,16 @@ def _center(p: ModelParams, block: _Block) -> float:
     return center
 
 
-def _spectrum(p: ModelParams, block: _Block) -> Spectrum:
-    center = _center(p, block)
-    half_root = 0.5 * block.root
-    return Spectrum(center + half_root, center - half_root)
-
-
 def spectrum_closed_form(p: ModelParams) -> Spectrum:
     """Closed-form block eigenvalues (2n+1) omega / 2 +- sqrt(D) / 2.
 
     Branch I is the '+' root.  In the broken phase the pair is exactly
     complex conjugate with Im(eigenvalue_I) > 0.
     """
-    return _spectrum(p, _block(p))
+    block = _block(p)
+    center = _center(p, block)
+    half_root = 0.5 * block.root
+    return Spectrum(center + half_root, center - half_root)
 
 
 def classify_phase(p: ModelParams) -> PhaseLabel:

@@ -884,9 +884,9 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
 
     Malformed input (text that is not JSON or nests too deep, no `meta` or
     one that spec_from_dict refuses, a cell without a field or with one
-    run_sweep never writes, a bad value, a bool where a number belongs, an n
-    that is not a whole number) raises SweepFileError naming the field or
-    the cell.
+    run_sweep never writes, a bad value, a bool or a string where a number
+    belongs, an n that is not a whole number) raises SweepFileError naming
+    the field or the cell.
     """
     with _opened(path, "r") as stream:
         try:
@@ -903,15 +903,17 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
         raise SweepFileError(f"meta: {exc}") from exc
     axis_names = tuple(a.name for a in (spec.axis1, spec.axis2) if a is not None)
     known = (*axis_names, *_BASE_COLUMNS)
+    numeric = _EXTRA_NAMES.union(known).difference(("phase", "n"))
     for k, obj in enumerate(objs):
         if not isinstance(obj, dict):
             raise SweepFileError(f"cells[{k}]: expected an object")
         missing = [f for f in known if f not in obj]
         if missing:
             raise SweepFileError(f"cells[{k}]: missing field(s) {', '.join(missing)}")
-        # int() and float() would take 1.5 as n = 1 and true as 1.0
+        # int() and float() would take 1.5 as n = 1, true as 1.0 and "1_0" as 10.0
         bad = [f for f, v in obj.items()
-               if isinstance(v, bool) or (f == "n" and _block_index(v) is None)]
+               if isinstance(v, bool) or (f == "n" and _block_index(v) is None)
+               or (f in numeric and type(v) not in (int, float))]
         if bad:
             raise SweepFileError(f"cells[{k}]: bad {bad[0]} {obj[bad[0]]!r}")
     extra_keys = sorted(set().union(*objs).difference(known))

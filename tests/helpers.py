@@ -35,7 +35,7 @@ import mpmath
 import numpy as np
 
 from nhjc.errors import SweepFileError
-from nhjc.biortho import loglog_slope, metric
+from nhjc.biortho import metric
 from nhjc.model import ModelParams, Phase, classify_phase, critical_gamma
 from nhjc.scan import SweepTable, spec_to_dict
 
@@ -429,7 +429,8 @@ def reference_exponent(p: ModelParams, side: str) -> float:
     """metric_divergence_exponent one offset block at a time, for a window
     past its delta_c > 0.1 check: a ModelParams per offset, metric() on each,
     which raises where that block's square overflows or it sits in the EP
-    band, and loglog_slope over the norms sqrt(2 (G00^2 + G01^2))."""
+    band, and the OLS slope of log sqrt(2 (G00^2 + G01^2)) against the
+    offsets' logs, each mean formed as a sum over the size."""
     root_n1 = math.sqrt(p.n + 1)
     delta_c = root_n1 * critical_gamma(p)
     sign = -1.0 if side == "below" else 1.0
@@ -438,7 +439,10 @@ def reference_exponent(p: ModelParams, side: str) -> float:
                for x in offsets.tolist()]
     diag = np.array([g[0, 0].real for g in metrics])
     off = np.array([g[0, 1].real for g in metrics])
-    return loglog_slope(offsets, np.sqrt(2.0 * (diag * diag + off * off)))
+    lx = np.log(offsets)
+    lx -= lx.sum() / lx.size
+    ly = np.log(np.sqrt(2.0 * (diag * diag + off * off)))
+    return float(np.dot(lx, ly - ly.sum() / ly.size) / float(np.dot(lx, lx)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for biorthogonal eigensystems, metrics, intertwiners and projectors."""
+"""Tests for eigenvector ratios, metrics, intertwiners and projectors."""
 
 import math
 
@@ -9,11 +9,8 @@ import helpers
 from helpers import eig2, expm2, pseudo_hermiticity_residual, random_complex, random_params
 
 from nhjc.biortho import (
-    BiorthoSystem,
-    eigensystem,
     eigenvector_ratios,
     intertwiner,
-    loglog_slope,
     metric,
     metric_divergence_exponent,
     projectors,
@@ -90,82 +87,64 @@ def test_ratios_past_the_float_range_raise(p, name):
         assert reduced_spectrum(p, branch).lam in (0.0, 1.0)
 
 
-def test_raw_eigensystem_components():
-    # each pair is a rescaled right (1, a_i) and left (1, -conj a_i)
-    system = eigensystem(UNBROKEN)
-    for a, right, left in zip(eigenvector_ratios(UNBROKEN), *zip(*system.pairs())):
-        assert abs(right[1] / right[0] - a) <= 1e-15 * abs(a)
-        assert abs(left[1] / left[0] + np.conj(a)) <= 1e-15 * abs(a)
+def test_projectors_carry_the_eigenvector_ratios():
+    # rho_i = |R_i><L_i| / <L_i|R_i> for right (1, a_i) and left (1, -conj a_i):
+    # its columns are parallel to R_i and its rows to L_i^dag
+    for p in (UNBROKEN, BROKEN):
+        for a, rho in zip(eigenvector_ratios(p), projectors(p)):
+            assert abs(rho[1, 0] / rho[0, 0] - a) <= 1e-15 * abs(a)
+            assert abs(rho[0, 1] / rho[0, 0] + a) <= 1e-15 * abs(a)
 
 
-def test_eigensystem_solves_block():
+def test_projectors_solve_block():
+    # H rho_i = E_i rho_i = rho_i H: right and left eigenvectors of each branch
     rng = np.random.default_rng(63)
     for _ in range(200):
         p = random_params(rng)
         h = build_block(p)
-        system = eigensystem(p)
-        s = system.eigenvalues
-        for value, right, left in (
-            (s.eigenvalue_I, system.right_I, system.left_I),
-            (s.eigenvalue_II, system.right_II, system.left_II),
-        ):
-            scale = max(1.0, float(np.linalg.norm(h)))
-            assert np.linalg.norm(h @ right - value * right) < 1e-9 * scale * np.linalg.norm(right)
-            assert np.linalg.norm(h.conj().T @ left - np.conj(value) * left) < 1e-9 * scale * np.linalg.norm(left)
+        s = spectrum_closed_form(p)
+        scale = max(1.0, float(np.linalg.norm(h)))
+        for value, rho in zip((s.eigenvalue_I, s.eigenvalue_II), projectors(p)):
+            size = float(np.linalg.norm(rho))
+            assert np.linalg.norm(h @ rho - value * rho) < 1e-9 * scale * size
+            assert np.linalg.norm(rho @ h - value * rho) < 1e-9 * scale * size
 
 
-def test_biorthogonality_and_symmetric_norms():
-    rng = np.random.default_rng(64)
-    for _ in range(300):
-        p = random_params(rng)
-        system = eigensystem(p)
-        lefts = (system.left_I, system.left_II)
-        rights = (system.right_I, system.right_II)
-        for i in range(2):
-            for j in range(2):
-                overlap = complex(np.vdot(lefts[i], rights[j]))
-                assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-10
-            assert math.isclose(
-                float(np.linalg.norm(lefts[i])),
-                float(np.linalg.norm(rights[i])),
-                rel_tol=1e-12,
-            )
-
-
-def test_dirac_right_normalization():
-    # Dirac-normalized, both vectors of a branch carry the reduced spectrum
-    # {1, |a_i|^2} / (1 + |a_i|^2) of the entropy module
+def test_projector_vectors_carry_the_reduced_spectrum():
+    # Dirac-normalized, the right vector (a column) and the left vector (a
+    # row) of a branch carry the reduced spectrum {1, |a_i|^2} / (1 + |a_i|^2)
+    # of the entropy module
     for p in (UNBROKEN, BROKEN):
-        system = eigensystem(p)
-        for branch, (right, left) in zip((Branch.I, Branch.II), system.pairs()):
+        for branch, rho in zip((Branch.I, Branch.II), projectors(p)):
             lam = reduced_spectrum(p, branch).lam
-            for v in (right, left):
+            for v in (rho[:, 0], rho[0, :]):
                 weights = np.abs(v / np.linalg.norm(v)) ** 2
                 assert abs(weights[0] - lam) < 1e-14
                 assert abs(weights[1] - (1.0 - lam)) < 1e-14
 
 
-def test_eigensystem_at_exceptional_point_raises():
-    with pytest.raises(ExceptionalPointError):
-        eigensystem(ModelParams(1.0, 5.0, 2.0, 0))
-    with pytest.raises(ExceptionalPointError):
-        eigensystem(ModelParams(1.0, 5.0, 2.0 * (1.0 + 1e-13), 0))
+def test_projectors_at_exceptional_point_raise():
+    coalesce = r"^eigenvectors coalesce near the exceptional point \(discriminant "
+    with pytest.raises(ExceptionalPointError, match=coalesce):
+        projectors(ModelParams(1.0, 5.0, 2.0, 0))
+    with pytest.raises(ExceptionalPointError, match=coalesce):
+        projectors(ModelParams(1.0, 5.0, 2.0 * (1.0 + 1e-13), 0))
 
 
-def test_eigensystem_decoupled_block():
-    # gamma = 0: the block is diagonal; branch I belongs to the larger eigenvalue
-    p = ModelParams(1.0, 5.0, 0.0, 0)
-    system = eigensystem(p)
-    h = build_block(p)
-    s = system.eigenvalues
-    assert np.allclose(h @ system.right_I, s.eigenvalue_I * system.right_I)
-    assert np.allclose(h @ system.right_II, s.eigenvalue_II * system.right_II)
-    q = ModelParams(5.0, 1.0, 0.0, 0)  # omega > epsilon swaps the basis order
-    system = eigensystem(q)
-    h = build_block(q)
-    s = system.eigenvalues
-    assert np.allclose(h @ system.right_I, s.eigenvalue_I * system.right_I)
-    assert np.allclose(h @ system.right_II, s.eigenvalue_II * system.right_II)
+def test_projectors_of_decoupled_block():
+    # gamma = 0: the block is diagonal; branch I belongs to the larger
+    # eigenvalue, the first basis vector where epsilon > omega
+    e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for p, want in (
+        (ModelParams(1.0, 5.0, 0.0, 0), (e1, e2)),
+        (ModelParams(5.0, 1.0, 0.0, 0), (e2, e1)),  # omega > epsilon swaps the order
+    ):
+        rho_one, rho_two = projectors(p)
+        assert np.array_equal(rho_one, want[0]) and np.array_equal(rho_two, want[1])
+        h = build_block(p)
+        s = spectrum_closed_form(p)
+        assert np.allclose(h @ rho_one, s.eigenvalue_I * rho_one)
+        assert np.allclose(h @ rho_two, s.eigenvalue_II * rho_two)
 
 
 def test_metric_pinned_closed_forms():
@@ -478,14 +457,6 @@ def test_exponent_errors_name_the_refused_block():
         metric_divergence_exponent(ModelParams(0.0, 1.4e154, 1.0, 0), "above")
 
 
-def test_bior_system_pairs_accessor():
-    system = eigensystem(UNBROKEN)
-    assert isinstance(system, BiorthoSystem)
-    (r1, l1), (r2, l2) = system.pairs()
-    assert r1 is system.right_I and l1 is system.left_I
-    assert r2 is system.right_II and l2 is system.left_II
-
-
 # --- sqrt_hpd ---------------------------------------------------------------
 
 
@@ -529,40 +500,3 @@ def test_sqrt_hpd_rejects_bad_input():
     with pytest.raises(ValueError, match=r"^determinant 0\.0 and trace 1\.0 must be positive$"):
         sqrt_hpd(np.diag([1.0, 0.0]))
 
-
-# --- loglog_slope -----------------------------------------------------------
-
-
-def test_loglog_slope_exact_power_law():
-    xs = np.geomspace(1e-4, 1e-1, 20)
-    assert math.isclose(loglog_slope(xs, 3.0 * xs**-0.5), -0.5, abs_tol=1e-12)
-    assert math.isclose(loglog_slope(xs, 0.1 * xs**2.0), 2.0, abs_tol=1e-12)
-
-
-def test_loglog_slope_keeps_the_bits_of_the_mean_formula():
-    rng = np.random.default_rng(16)
-    for size in (3, 7, 20, 101):
-        for _ in range(50):
-            xs = 10.0 ** rng.uniform(-5.0, 5.0, size)
-            ys = 10.0 ** rng.uniform(-5.0, 5.0, size)
-            lx, ly = np.log(xs), np.log(ys)
-            lx -= lx.mean()
-            want = float(np.dot(lx, ly - ly.mean()) / float(np.dot(lx, lx)))
-            assert float.hex(loglog_slope(xs, ys)) == float.hex(want)
-
-
-def test_loglog_slope_errors():
-    xs = np.array([1.0, 2.0, 3.0])
-    positive = "^log-log fit needs positive finite data$"
-    with pytest.raises(ValueError, match="^need at least 3 samples, got 2$"):
-        loglog_slope([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ValueError, match="^all x values coincide$"):
-        loglog_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match=positive):
-        loglog_slope(xs, [1.0, -2.0, 3.0])
-    with pytest.raises(ValueError, match=positive):
-        loglog_slope([0.0, 2.0, 3.0], xs)
-    with pytest.raises(ValueError, match=positive):
-        loglog_slope(xs, [1.0, np.inf, 3.0])
-    with pytest.raises(ValueError):
-        loglog_slope(xs, [1.0, 2.0])

@@ -4,8 +4,9 @@ For any finite omega, epsilon and gamma and any block index from 0 up to
 2**1100, every public scalar function either returns finite values or
 raises a ValueError subclass: never an OverflowError, a RuntimeWarning
 (an error under pyproject.toml's filterwarnings), an inf or a NaN.
-sqrt_hpd and loglog_slope face arbitrary float input, NaN and inf
-included.  The search is derandomized with a fixed example count, so every
+sqrt_hpd faces arbitrary float input, NaN and inf included, and an
+EffectiveGenerator built from arbitrary fields either refuses them or
+evolves to finite values.  The search is derandomized with a fixed example count, so every
 run draws the same examples.
 """
 
@@ -20,10 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nhjc.biortho import (
-    eigensystem,
     eigenvector_ratios,
     intertwiner,
-    loglog_slope,
     metric,
     metric_divergence_exponent,
     projectors,
@@ -94,7 +93,6 @@ SCALAR_CALLS = [
     critical_gamma,
     ground_state_energy,
     eigenvector_ratios,
-    eigensystem,
     metric,
     intertwiner,
     projectors,
@@ -125,8 +123,10 @@ def test_scalar_api_is_finite_or_raises_value_error(omega, epsilon, gamma, n, t)
 @pytest.mark.parametrize("rate", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e-320])
 def test_default_time_grid_refuses_a_rate_without_a_finite_time_scale(rate):
     # a bare linspace to 5 / rate gives a ZeroDivisionError, a NaN grid, an
-    # all-zero grid, inf and NaN, or negative times on these
-    with pytest.raises(ValueError, match="^time grid: rate must be positive"):
+    # all-zero grid, inf and NaN, or negative times on these; the generator
+    # itself refuses the negative and the non-finite ones
+    refused = "^(time grid: rate must be positive|effective generator: rate must be finite)"
+    with pytest.raises(ValueError, match=refused):
         default_time_grid(EffectiveGenerator(0, rate, 0.0, True))
 
 
@@ -139,7 +139,9 @@ def test_default_time_grid_refuses_points_that_are_not_an_integer_of_two_or_more
 @settings(_SETTINGS, max_examples=300)
 @given(rate=st.floats(), points=st.one_of(st.integers(-3, 600), st.floats()))
 def test_default_time_grid_is_finite_or_raises_value_error(rate, points):
-    gen = EffectiveGenerator(0, rate, 0.0, False)
+    gen = _finite_or_value_error(EffectiveGenerator, 0, rate, 0.0, False)
+    if gen is None:
+        return
     grid = _finite_or_value_error(default_time_grid, gen, points)
     if grid is not None:
         assert grid[0] == 0.0 and grid.size == points and (np.diff(grid) >= 0.0).all()
@@ -162,11 +164,39 @@ def test_sqrt_hpd_is_finite_or_raises_value_error(arbitrary, hermitian):
     _finite_or_value_error(sqrt_hpd, np.array([[a, b], [b.conjugate(), d]]))
 
 
+@pytest.mark.parametrize(
+    "fields, refused",
+    [
+        ((0, -1.0, 0.0, True), "rate must be finite and >= 0, got -1.0"),
+        ((0, math.inf, 0.0, False), "rate must be finite and >= 0, got inf"),
+        ((0, math.nan, 0.0, True), "rate must be finite and >= 0, got nan"),
+        ((0, 1.0, -math.inf, True), "shift must be finite, got -inf"),
+        ((0, 1.0, math.nan, False), "shift must be finite, got nan"),
+        ((0, "1.0", 0.0, True), "rate must be finite and >= 0, got '1.0'"),
+        ((0, 1.0, 1j, True), r"shift must be finite, got 1j"),
+    ],
+    ids=["rate=-1", "rate=inf", "rate=nan", "shift=-inf", "shift=nan", "rate=str", "shift=1j"],
+)
+def test_effective_generator_refuses_a_bad_rate_or_shift(fields, refused):
+    # unchecked, a negative rate would evolve r_y to -0.964, an infinite one
+    # make an all-NaN matrix, a NaN one surface as a non-finite Bloch vector
+    # and a str or complex one raise TypeError
+    with pytest.raises(ValueError, match=f"^effective generator: {refused}$"):
+        EffectiveGenerator(*fields)
+
+
 @settings(_SETTINGS, max_examples=300)
 @given(
-    xs=st.lists(entries, min_size=0, max_size=6),
-    ys=st.lists(entries, min_size=0, max_size=6),
+    n=block_index,
+    rate=st.floats(),
+    shift=st.floats(),
+    is_broken=st.booleans(),
+    t=st.floats(min_value=0.0),
 )
-def test_loglog_slope_is_finite_or_raises_value_error(xs, ys):
-    _finite_or_value_error(loglog_slope, xs, ys)
-    _finite_or_value_error(loglog_slope, xs, xs[::-1])
+def test_effective_generator_is_finite_or_raises_value_error(n, rate, shift, is_broken, t):
+    gen = _finite_or_value_error(EffectiveGenerator, n, rate, shift, is_broken)
+    if gen is None:
+        return
+    _finite_or_value_error(gen.matrix)
+    for state in STATES:
+        _finite_or_value_error(evolve_no_jump, gen, state, t)

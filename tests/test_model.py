@@ -12,7 +12,6 @@ from helpers import random_params
 
 from nhjc import biortho, model
 from nhjc.biortho import (
-    eigensystem,
     eigenvector_ratios,
     intertwiner,
     metric,
@@ -210,7 +209,6 @@ SCALAR_API = [
     classify_phase,
     spectrum_closed_form,
     eigenvector_ratios,
-    eigensystem,
     metric,
     intertwiner,
     projectors,
@@ -251,7 +249,7 @@ def test_each_caller_keeps_its_exceptional_point_message():
     messages = {
         eigenvector_ratios: "eigenvectors coalesce near the exceptional point (discriminant 0.000e+00)",
         effective_generator: "no-jump generator is defective at the exceptional point",
-        eigensystem: "eigenvectors coalesce near the exceptional point (discriminant 0.000e+00)",
+        projectors: "eigenvectors coalesce near the exceptional point (discriminant 0.000e+00)",
     }
     for _ in range(2):
         for call, message in messages.items():
@@ -417,10 +415,14 @@ def test_critical_gamma():
 def test_spectral_centre_overflow_raises_value_error(p):
     assert math.isfinite(classify_phase(p).discriminant)
     overflows = r"^spectral centre \(2n\+1\) omega / 2 overflows at "
-    for call in (spectrum_closed_form, eigensystem, intertwiner, effective_generator):
+    for call in (spectrum_closed_form, intertwiner, effective_generator):
         with pytest.raises(ValueError, match=overflows) as info:
             call(p)
         assert type(info.value) is ValueError
+    # the projectors do not depend on the centre
+    rho_one, rho_two = projectors(p)
+    assert np.isfinite(rho_one).all() and np.isfinite(rho_two).all()
+    assert np.array_equal(rho_one + rho_two, np.eye(2))
 
 
 def test_ground_state_energy():

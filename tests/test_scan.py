@@ -372,6 +372,40 @@ def _json_payload(**changes):
             _json_payload(cells=[dict(_json_payload()["cells"][0], discriminant=10**400)]),
             rf"cells\[0\]: bad discriminant {10**400}",
         ),
+        # float() would read these strings as 0.5, NaN and 10.0, and "" as an
+        # omitted extra, which export_json never writes
+        (
+            _json_payload(cells=[dict(_json_payload()["cells"][0], delta="0.5")]),
+            r"^cells\[0\]: bad delta '0\.5'$",
+        ),
+        (
+            _json_payload(cells=[dict(_json_payload()["cells"][0], discriminant=" nan ")]),
+            r"^cells\[0\]: bad discriminant ' nan '$",
+        ),
+        (
+            _json_payload(cells=[dict(_json_payload()["cells"][0], eigenvalue_I_re="1_0")]),
+            r"^cells\[0\]: bad eigenvalue_I_re '1_0'$",
+        ),
+        (
+            _json_payload(cells=[dict(_json_payload()["cells"][0], metric_norm="")]),
+            r"^cells\[0\]: bad metric_norm ''$",
+        ),
+        (
+            # missing before bad, bad before unknown
+            _json_payload(cells=[{"delta": "0.5", "n": 0}]),
+            r"^cells\[0\]: missing field\(s\) phase,",
+        ),
+        (
+            _json_payload(cells=[
+                {**_json_payload()["cells"][0], "bogus": "1"},
+                dict(_json_payload()["cells"][0], delta="0.5"),
+            ]),
+            r"^cells\[1\]: bad delta '0\.5'$",
+        ),
+        (
+            _json_payload(cells=[{**_json_payload()["cells"][0], "bogus": "1"}]),
+            r"^cells\[0\]: unknown field\(s\) bogus$",
+        ),
         (
             _json_payload(
                 cells=[*_json_payload()["cells"][:2], {**_json_payload()["cells"][0], "bogus": 1}]
