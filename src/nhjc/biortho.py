@@ -109,14 +109,16 @@ def _ratios(block: _Block) -> tuple[complex, complex]:
     return block.ratios
 
 
-def _metric_entries(b, t, d):
+def _metric_entries(b, t, d, sqrt=np.sqrt, biggest=np.maximum, smallest=np.minimum,
+                    copysign=np.copysign):
     """Entries (diag, off) of metric()'s G = [[diag, off], [off, diag]] from
-    b, t and d = D outside the EP band, floats or arrays.  -sgn(b t) min(|b|, |t|)
-    is -sgn(b) t where d > 0 and -sgn(t) b where d < 0, signed zeros included;
-    |d| > 1e-10 max(b^2, t^2) keeps diag below 1e5."""
-    root = np.sqrt(abs(d))
-    small = np.minimum(abs(b), abs(t))
-    return np.maximum(abs(b), abs(t)) / root, -np.copysign(small, b * t) / root
+    b, t and d = D outside the EP band: arrays with the numpy defaults, Python
+    floats with math.sqrt, max, min and math.copysign, the same bits either
+    way.  -sgn(b t) min(|b|, |t|) is -sgn(b) t where d > 0 and -sgn(t) b where
+    d < 0, signed zeros included; |d| > 1e-10 max(b^2, t^2) keeps diag below 1e5."""
+    root = sqrt(abs(d))
+    small = smallest(abs(b), abs(t))
+    return biggest(abs(b), abs(t)) / root, -copysign(small, b * t) / root
 
 
 def _metric_norm(b, t, d):
@@ -134,13 +136,13 @@ def _entries(block: _Block) -> tuple[float, float]:
         if t == 0.0:
             block.entries = 1.0, -math.copysign(0.0, b * t)
         else:
-            diag, off = _metric_entries(b, t, block.label.discriminant)
-            block.entries = float(diag), float(off)
+            d = block.label.discriminant
+            block.entries = _metric_entries(b, t, d, math.sqrt, max, min, math.copysign)
     return block.entries
 
 
 def _symmetric(diag, off) -> np.ndarray:
-    return np.array([[diag, off], [off, diag]], dtype=complex)
+    return np.array((diag, off, off, diag), dtype=complex).reshape(2, 2)
 
 
 def metric(p: ModelParams) -> np.ndarray:
@@ -203,7 +205,7 @@ def intertwiner(p: ModelParams) -> MetricBundle:
     y = 0.5 * (off * block.b + diag * block.t)
     if not (math.isfinite(center - x) and math.isfinite(center + x) and math.isfinite(y)):
         raise ValueError("matrix entries must be finite")
-    h = np.array([[center - x, y], [-y, center + x]], dtype=complex)
+    h = np.array((center - x, y, -y, center + x), dtype=complex).reshape(2, 2)
     return MetricBundle(
         _symmetric(diag, off), _symmetric(g_diag, g_off), _symmetric(g_diag, -g_off), h, block.label
     )

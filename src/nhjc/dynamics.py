@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _FLOAT_MAX, ModelParams, Phase, _block, _center
+from .model import _FLOAT_MAX, ModelParams, Phase, _block, _block_index, _center
 
 __all__ = [
     "BlochState",
@@ -83,7 +83,8 @@ class EffectiveGenerator:
     rate is Gamma > 0 in the broken phase and Lambda >= 0 in the unbroken
     phase, where Gamma = i Lambda; Lambda = 0 only on a decoupled block
     with D = 0, the diabolic point omega == epsilon, gamma = 0.  Raises
-    ValueError unless rate is finite and >= 0 and shift is finite.
+    ValueError unless n is a block index (kept as an int), is_broken a bool
+    or numpy.bool_ (kept as a bool), rate finite and >= 0 and shift finite.
     """
 
     n: int
@@ -92,6 +93,11 @@ class EffectiveGenerator:
     is_broken: bool
 
     def __post_init__(self):
+        n = _block_index(self.n)
+        if n is None or n + 1 > _FLOAT_MAX:
+            raise ValueError(f"effective generator: n must be a non-negative integer, got {self.n!r}")
+        if not isinstance(self.is_broken, (bool, np.bool_)):
+            raise ValueError(f"effective generator: is_broken must be a bool, got {self.is_broken!r}")
         # as ModelParams checks its energies: false for NaN, inf, str and complex
         if not (isinstance(self.rate, (int, float)) and 0.0 <= self.rate <= _FLOAT_MAX):
             raise ValueError(
@@ -99,6 +105,8 @@ class EffectiveGenerator:
             )
         if not (isinstance(self.shift, (int, float)) and -_FLOAT_MAX <= self.shift <= _FLOAT_MAX):
             raise ValueError(f"effective generator: shift must be finite, got {self.shift!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "is_broken", bool(self.is_broken))
 
     def matrix(self) -> np.ndarray:
         """The 2x2 generator; isospectral to the Hamiltonian block."""
@@ -162,7 +170,7 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
                 f"no-jump weight cancels to 0 at r_y = -1, 2 Gamma t = {angle}"
             ) from None
         return BlochState(r, rho0.weight * d)
-    r = _unbroken_rotation(math.cos(angle), math.sin(angle), *rho0.r)
+    r = _unbroken_rotation(math.cos(angle), math.sin(angle), *rho0.r.tolist())
     return BlochState(r, rho0.weight)
 
 

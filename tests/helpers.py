@@ -19,9 +19,9 @@ metric G makes H pseudo-Hermitian.  mp_metric is the arbitrary-precision oracle
 for the metric G: it starts from the exact float inputs and builds G from
 eigenvectors in mpmath (Johansson et al., mpmath, mpmath.org), not from the
 package's closed form; mp_entropy does the same for the entanglement
-entropy.  The closed-form matrices further down are
-hand-derived for omega = 1, epsilon = 5 and serve as entrywise pinning
-targets.
+entropy, and mp_projectors forms the spectral projectors from the block and
+its eigenvalues.  The closed-form matrices further down are hand-derived for
+omega = 1, epsilon = 5 and serve as entrywise pinning targets.
 """
 
 from __future__ import annotations
@@ -223,6 +223,20 @@ def mp_metric(omega: float, epsilon: float, gamma: float, n: int, dps: int = 50)
                 for j in range(2):
                     big_g[i, j] += weight * left[i] * mpmath.conj(left[j])
         return big_g
+
+
+def mp_projectors(omega: float, epsilon: float, gamma: float, n: int, dps: int = 60):
+    """Spectral projectors (P_I, P_II) of one block at dps digits, mpmath
+    matrices: P_I = (H - lambda_II I) / (lambda_I - lambda_II) and
+    P_II = I - P_I, with lambda_I the '+' root as in spectrum_closed_form.
+    The inputs are taken as the exact binary values of the floats.  Off the
+    EP band only; gamma != 0."""
+    with mpmath.workdps(dps):
+        h, trace, root = _mp_block(omega, epsilon, gamma, n)
+        lam_two = (trace - root) / 2
+        p_one = mpmath.matrix(h) - lam_two * mpmath.eye(2)
+        p_one /= root
+        return p_one, mpmath.eye(2) - p_one
 
 
 def mp_condition(omega: float, epsilon: float, gamma: float, n: int, dps: int = 50) -> float:

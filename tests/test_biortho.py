@@ -2,13 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import eig2, expm2, pseudo_hermiticity_residual, random_complex, random_params
 
 from nhjc.biortho import (
+    _metric_entries,
     eigenvector_ratios,
     intertwiner,
     metric,
@@ -18,7 +22,7 @@ from nhjc.biortho import (
 )
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
 from nhjc.errors import ExceptionalPointError
-from nhjc.model import Branch, ModelParams, Phase, build_block, spectrum_closed_form
+from nhjc.model import Branch, ModelParams, Phase, _in_band, build_block, spectrum_closed_form
 from nhjc.scan import Axis, SweepSpec, run_sweep
 
 SQRT3 = math.sqrt(3.0)
@@ -147,6 +151,41 @@ def test_projectors_of_decoupled_block():
         assert np.allclose(h @ rho_two, s.eigenvalue_II * rho_two)
 
 
+# Both phases, n up to 5, and the weak couplings at (omega, epsilon) = (5, 1)
+# where the naive closed form (H - lambda_II I) / sqrt(D) cancels; away from
+# the EP, whose conditioning test_metric_and_sweep_norm_against_oracle covers
+PROJECTOR_POINTS = [
+    (5.0, 1.0, 1e-2, 0),
+    (5.0, 1.0, 1e-2, 5),
+    (5.0, 1.0, 1e-5, 0),
+    (5.0, 1.0, 1e-5, 5),
+    (5.0, 1.0, 1e-8, 0),
+    (5.0, 1.0, -1e-8, 2),
+    (5.0, 1.0, 1e-8, 5),
+    (1.0, 5.0, 1e-8, 1),
+    (1.0, 5.0, 1.0, 0),
+    (5.0, 1.0, 0.5, 3),
+    (0.3, -1.7, -0.2, 4),
+    (1.0, 5.0, 4.0, 0),
+    (5.0, 1.0, 3.0, 5),
+    (-2.0, 0.7, 1.5, 1),
+    (2.9, -4.6, -7.0, 2),
+]
+# The worst entrywise relative error over PROJECTOR_POINTS was 4.0e-16
+# (3.6 ulps, at (5, 1, 1e-5, 0)); the bound is 8 ulps.
+PROJECTOR_ERROR_BOUND = 8 * 2.0**-53
+
+
+@pytest.mark.parametrize("omega, epsilon, gamma, n", PROJECTOR_POINTS)
+def test_projectors_entrywise_against_oracle(omega, epsilon, gamma, n):
+    with mpmath.workdps(60):
+        wants = helpers.mp_projectors(omega, epsilon, gamma, n)
+        for got, want in zip(projectors(ModelParams(omega, epsilon, gamma, n)), wants):
+            for (i, j), value in np.ndenumerate(got):
+                error = abs(mpmath.mpc(complex(value)) - want[i, j]) / abs(want[i, j])
+                assert error <= PROJECTOR_ERROR_BOUND, (i, j)
+
+
 def test_metric_pinned_closed_forms():
     np.testing.assert_allclose(
         metric(UNBROKEN), helpers.unbroken_metric(1.0), atol=1e-14
@@ -200,6 +239,60 @@ def test_metric_and_sweep_norm_against_oracle(omega, epsilon, n, sign, distance)
 
 def test_metric_is_identity_without_coupling():
     np.testing.assert_allclose(metric(ModelParams(1.0, 5.0, 0.0, 2)), EYE)
+
+
+@pytest.mark.parametrize("omega, epsilon, gamma, off", [
+    (1.0, 5.0, 0.0, 0.0),
+    (1.0, 5.0, -0.0, -0.0),
+    (5.0, 1.0, 0.0, -0.0),
+    (5.0, 1.0, -0.0, 0.0),
+    (2.0, 2.0, 0.0, -0.0),  # the diabolic point
+])
+def test_metric_and_intertwiner_without_coupling_sign_the_zero(omega, epsilon, gamma, off):
+    # t = 0: G = g = g^-1 = I, the off-diagonal zero signed -sgn(b t) as
+    # _metric_entries signs it where t != 0, and h is the diagonal block
+    p = ModelParams(omega, epsilon, gamma, 2)
+
+    def same_bits(got, diag, off):
+        want = np.array([[diag, off], [off, diag]], dtype=complex)
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    assert same_bits(metric(p), 1.0, off)
+    bundle = intertwiner(p)
+    assert same_bits(bundle.G, 1.0, off)
+    assert same_bits(bundle.g, 1.0, off) and same_bits(bundle.g_inv, 1.0, -off)
+    assert np.array_equal(bundle.h, build_block(p))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+# int b within int64, which numpy 1.24 takes as int64 and not as an object array
+@given(b=st.one_of(finite, st.integers(-(2**62), 2**62)), t=finite)
+@example(b=0.0, t=1.0)
+@example(b=-0.0, t=1.0)
+@example(b=-0.0, t=-1.0)
+@example(b=5e-324, t=1e-320)
+@example(b=-3e-310, t=2.5)
+@example(b=3, t=-1.5)
+@example(b=-(2**62) - 1, t=3.0)  # no float equals it
+def test_metric_entries_on_floats_match_the_numpy_defaults(b, t):
+    # metric() forms G's entries with math.sqrt, max, min and math.copysign on
+    # Python floats, the sweep kernel with numpy's ufuncs: the same bits,
+    # signed zeros, subnormal and int b included
+    try:
+        b2, c2 = b**2, t * t
+        if not (math.isfinite(b2) and math.isfinite(c2)):
+            return
+    except OverflowError:
+        return
+    d = b2 - c2
+    if t == 0.0 or _in_band(b2, c2, d, True):
+        return
+    floats = _metric_entries(b, t, d, math.sqrt, max, min, math.copysign)
+    assert all(type(x) is float for x in floats)
+    assert [x.hex() for x in floats] == [float(x).hex() for x in _metric_entries(b, t, d)]
 
 
 def test_metric_positive_definite_everywhere():

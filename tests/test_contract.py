@@ -185,6 +185,34 @@ def test_effective_generator_refuses_a_bad_rate_or_shift(fields, refused):
         EffectiveGenerator(*fields)
 
 
+@pytest.mark.parametrize(
+    "fields, refused",
+    [
+        ((-3, 1.0, 0.0, False), "n must be a non-negative integer, got -3"),
+        (("x", 1.0, 0.0, np.bool_(True)), "n must be a non-negative integer, got 'x'"),
+        ((2.5, 1.0, 0.0, True), "n must be a non-negative integer, got 2.5"),
+        ((True, 1.0, 0.0, True), "n must be a non-negative integer, got True"),
+        ((2**1100, 1.0, 0.0, True), f"n must be a non-negative integer, got {2**1100}"),
+        ((0, 1.0, 0.0, "no"), "is_broken must be a bool, got 'no'"),
+        ((0, 1.0, 0.0, 1), "is_broken must be a bool, got 1"),
+        ((0, 1.0, 0.0, None), "is_broken must be a bool, got None"),
+    ],
+    ids=["n=-3", "n=str", "n=2.5", "n=True", "n=2**1100", "is_broken=str", "is_broken=1",
+         "is_broken=None"],
+)
+def test_effective_generator_refuses_a_bad_block_index_or_phase_flag(fields, refused):
+    # unchecked, the truthy 'no' would evolve as the broken phase to weight 3.76
+    with pytest.raises(ValueError, match=f"^effective generator: {refused}$"):
+        EffectiveGenerator(*fields)
+
+
+@pytest.mark.parametrize("n", [2, 2.0, np.int64(2), np.uint8(2)])
+@pytest.mark.parametrize("is_broken", [True, np.bool_(True)])
+def test_effective_generator_keeps_n_as_an_int_and_is_broken_as_a_bool(n, is_broken):
+    gen = EffectiveGenerator(n, 1.0, 0.0, is_broken)
+    assert type(gen.n) is int and gen.n == 2 and gen.is_broken is True
+
+
 @settings(_SETTINGS, max_examples=300)
 @given(
     n=block_index,
