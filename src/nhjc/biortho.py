@@ -164,7 +164,10 @@ def sqrt_hpd(m) -> np.ndarray:
     Math. Mag. 53, 222 (1980)).  Raises ValueError when the input is not a
     finite 2x2 matrix, is not Hermitian or is not positive definite.
     """
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except OverflowError:  # an int past the float range
+        raise ValueError("expected a finite 2x2 matrix, got an int past the float range") from None
     if m.shape != (2, 2) or not np.isfinite(m).all():
         raise ValueError(f"expected a finite 2x2 matrix, got shape {m.shape}")
     big = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))

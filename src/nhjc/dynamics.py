@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _FLOAT_MAX, ModelParams, Phase, _block, _block_index, _center
+from .model import ModelParams, Phase, _block, _block_index, _center, _finite_real, _is_finite
 
 __all__ = [
     "BlochState",
@@ -64,7 +64,7 @@ class BlochState:
         length = math.sqrt(x * x + y * y + z * z)
         if length > 1.0 + 1e-9:
             raise ValueError(f"Bloch vector length {length} exceeds 1")
-        if not math.isfinite(self.weight) or self.weight < 0.0:
+        if isinstance(self.weight, bool) or not (_is_finite(self.weight) and self.weight >= 0.0):
             raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
         object.__setattr__(self, "r", r)
 
@@ -84,7 +84,8 @@ class EffectiveGenerator:
     phase, where Gamma = i Lambda; Lambda = 0 only on a decoupled block
     with D = 0, the diabolic point omega == epsilon, gamma = 0.  Raises
     ValueError unless n is a block index (kept as an int), is_broken a bool
-    or numpy.bool_ (kept as a bool), rate finite and >= 0 and shift finite.
+    or numpy.bool_ (kept as a bool), rate finite and >= 0 and shift finite,
+    each an int or float but not a bool.
     """
 
     n: int
@@ -94,16 +95,16 @@ class EffectiveGenerator:
 
     def __post_init__(self):
         n = _block_index(self.n)
-        if n is None or n + 1 > _FLOAT_MAX:
+        if n is None or not _is_finite(n + 1):
             raise ValueError(f"effective generator: n must be a non-negative integer, got {self.n!r}")
         if not isinstance(self.is_broken, (bool, np.bool_)):
             raise ValueError(f"effective generator: is_broken must be a bool, got {self.is_broken!r}")
-        # as ModelParams checks its energies: false for NaN, inf, str and complex
-        if not (isinstance(self.rate, (int, float)) and 0.0 <= self.rate <= _FLOAT_MAX):
+        # as ModelParams checks its energies
+        if not (_finite_real(self.rate) and self.rate >= 0.0):
             raise ValueError(
                 f"effective generator: rate must be finite and >= 0, got {self.rate!r}"
             )
-        if not (isinstance(self.shift, (int, float)) and -_FLOAT_MAX <= self.shift <= _FLOAT_MAX):
+        if not _finite_real(self.shift):
             raise ValueError(f"effective generator: shift must be finite, got {self.shift!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "is_broken", bool(self.is_broken))
@@ -144,11 +145,12 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
 
     Broken phase: weight picks up D(t) = cosh(2 Gamma t) + r_y sinh(2 Gamma t)
     and the Bloch vector flows toward (0, 1, 0).  Unbroken phase: weight is
-    unchanged and (r_x, r_z) rotate by the angle 2 Lambda t.  Raises
-    ValueError when cosh(2 Gamma t) or the angle itself overflows, and when
-    the weight cancels to 0 (r_y = -1 past 2 Gamma t of about 19).
+    unchanged and (r_x, r_z) rotate by the angle 2 Lambda t.  Raises ValueError
+    for a t that is a bool or not finite and >= 0, when cosh(2 Gamma t) or the
+    angle overflows, and when the weight cancels to 0 (r_y = -1 past 2 Gamma t
+    of about 19).
     """
-    if not math.isfinite(t) or t < 0.0:
+    if isinstance(t, bool) or not (_is_finite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and non-negative, got {t}")
     angle = 2.0 * gen.rate * t
     if math.isinf(angle):
@@ -182,7 +184,7 @@ def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:
     rate 0: nothing evolves there, so no time scale.
     """
     rate = float(gen.rate)  # a numpy float would warn where 5 / rate overflows
-    if not (0.0 < rate <= _FLOAT_MAX and math.isfinite(5.0 / rate)):
+    if not (rate > 0.0 and _is_finite(rate) and math.isfinite(5.0 / rate)):
         raise ValueError(f"time grid: rate must be positive with 5 / rate finite, got {rate!r}")
     if not isinstance(points, numbers.Integral) or points < 2:
         raise ValueError(f"time grid: points must be an integer >= 2, got {points!r}")

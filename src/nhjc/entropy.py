@@ -57,8 +57,13 @@ def _square_or_inf(v: float) -> float:
 
 
 def _ratio_squared(p: ModelParams, branch: Branch, side: str) -> float:
+    """|alpha|^2 of one eigenvector, 0 at gamma = 0; refuses a bad branch or side."""
+    if not isinstance(branch, Branch):
+        raise ValueError(f"branch must be a Branch, got {branch!r}")
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    if p.gamma == 0.0:
+        return 0.0
     block = _block(p)
     if block.label.value is Phase.EXCEPTIONAL_POINT:
         return 1.0  # EP band: the ratios coalesce on the unit circle
@@ -75,9 +80,8 @@ def reduced_spectrum(
 
     gamma = 0 gives the product-state limit lam = 1 and the EP band (1/2, 1/2);
     the left and right eigenvectors of a branch share the same spectrum.
+    Raises ValueError unless branch is a Branch.
     """
-    if p.gamma == 0.0:
-        return ReducedSpectrum(1.0, 0.0, branch)
     a2 = _ratio_squared(p, branch, side)
     lam = 1.0 / (1.0 + a2)
     return ReducedSpectrum(lam, 1.0 - lam, branch)
@@ -115,9 +119,8 @@ def entanglement_entropy(p: ModelParams, branch: Branch) -> float:
     ln 2 in the EP band; 0 in the gamma -> 0 limit (returned at gamma = 0),
     which it approaches with full relative accuracy: where the smaller
     reduced eigenvalue is below 1e-3, the larger one's log is log1p.
+    Raises ValueError unless branch is a Branch.
     """
-    if p.gamma == 0.0:
-        return 0.0
     a2 = _ratio_squared(p, branch, "right")
     if a2 == 0.0 or math.isinf(a2):
         return 0.0

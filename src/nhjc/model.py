@@ -72,6 +72,19 @@ class Phase(Enum):
 _FLOAT_MAX = sys.float_info.max
 
 
+def _is_finite(x) -> bool:
+    """Whether x is finite: an int or float as above, any other real by math.isfinite."""
+    if isinstance(x, (int, float)):
+        return -_FLOAT_MAX <= x <= _FLOAT_MAX
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
+def _finite_real(x) -> bool:
+    """Whether x is a finite int or float, not a bool; false for str and complex."""
+    real = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return real and -_FLOAT_MAX <= x <= _FLOAT_MAX
+
+
 def _block_index(n) -> int | None:
     """n as a Python int where it is a whole, non-negative real number (not
     a bool), else None.  n is converted before any comparison:
@@ -119,8 +132,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega", "epsilon", "gamma"):
             value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (real and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            if not _finite_real(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         n = _block_index(self.n)
         if n is None or n + 1 > _FLOAT_MAX:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .model import Phase
-from .scan import SweepTable, _formatted, _opened, _require_table
+from .scan import SweepTable, _float_columns, _formatted, _opened, _require_table
 
 __all__ = ["render_svg"]
 
@@ -126,32 +126,18 @@ def _data_range(values) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _line_series(table, kind: str) -> list[tuple[str, list[float]]]:
-    def extra(key):
-        if key not in table.extras:
-            return [math.nan] * len(table)
-        return np.where(table.omitted[key], math.nan, table.extras[key]).tolist()
-
-    if kind == "spectrum":
-        return [
-            ("Re I", table.eigenvalue_I.real.tolist()),
-            ("Re II", table.eigenvalue_II.real.tolist()),
-            ("Im I", table.eigenvalue_I.imag.tolist()),
-            ("Im II", table.eigenvalue_II.imag.tolist()),
-        ]
-    if kind == "entropy":
-        return [("S I", extra("entropy_I")), ("S II", extra("entropy_II"))]
-    if kind == "metric":
-        return [("|G|", extra("metric_norm"))]
-    if kind == "dynamics":
-        series = []
-        if "survival" in table.extras:
-            series.append(("D(t)", extra("survival")))
-        for key, label in (("bloch_x", "r_x"), ("bloch_y", "r_y"), ("bloch_z", "r_z")):
-            if key in table.extras:
-                series.append((label, extra(key)))
-        return series
-    raise ValueError(f"unknown plot kind {kind!r}")
+# Each line-plot kind's series as (label, file column) pairs.  render_svg's
+# "auto" takes the first kind in this order whose columns the table holds;
+# every table holds the spectrum's.
+_SERIES = {
+    "entropy": (("S I", "entropy_I"), ("S II", "entropy_II")),
+    "dynamics": (("D(t)", "survival"), ("r_x", "bloch_x"), ("r_y", "bloch_y"), ("r_z", "bloch_z")),
+    "metric": (("|G|", "metric_norm"),),
+    "spectrum": (
+        ("Re I", "eigenvalue_I_re"), ("Re II", "eigenvalue_II_re"),
+        ("Im I", "eigenvalue_I_im"), ("Im II", "eigenvalue_II_im"),
+    ),
+}
 
 
 def _ep_marker_x(table, spec) -> float | None:
@@ -171,26 +157,28 @@ def _ep_marker_x(table, spec) -> float | None:
 
 
 def _render_lines(table, kind: str, spec) -> str:
-    xs = table.coords[0].tolist()
-    series = _line_series(table, kind)
-    finite = [
-        (label, values) for label, values in series
-        if any(math.isfinite(v) for v in values)
-    ]
-    all_y = [v for _, values in finite for v in values if math.isfinite(v)]
-    if not all_y:
+    if kind not in _SERIES:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    xs = table.coords[0]
+    columns = _float_columns(table)
+    lines = []  # (label, x, y) of each series at its finite values, if it has one
+    for label, name in _SERIES[kind]:
+        # NaN where a cell omits the value or the table lacks the column
+        values = np.where(table.omitted.get(name, False), math.nan, columns.get(name, math.nan))
+        finite = np.isfinite(values)
+        if finite.any():
+            lines.append((label, xs[finite].tolist(), values[finite].tolist()))
+    if not lines:
         raise ValueError(f"no data to plot for kind {kind!r}")
-    sx = _Scale(min(xs), max(xs), _LEFT, _WIDTH - _RIGHT)
-    ylo, yhi = _data_range(all_y)
+    sx = _Scale(min(xs.tolist()), max(xs.tolist()), _LEFT, _WIDTH - _RIGHT)
+    ylo, yhi = _data_range([y for _, _, ys in lines for y in ys])
     sy = _Scale(ylo, yhi, _HEIGHT - _BOTTOM, _TOP)
     parts = _header(kind)
     parts += _axes(sx, sy, table.axis_names[0], kind)
     legend = []
-    for i, (label, values) in enumerate(finite):
+    for i, (label, pts_x, pts_y) in enumerate(lines):
         stroke = _PALETTE[i % len(_PALETTE)]
         dash = _DASHES[i % len(_DASHES)]
-        pts_x = [x for x, v in zip(xs, values) if math.isfinite(v)]
-        pts_y = [v for v in values if math.isfinite(v)]
         parts.append(_polyline(pts_x, pts_y, sx, sy, stroke, dash))
         legend.append((label, stroke, dash))
     marker = _ep_marker_x(table, spec)
@@ -211,13 +199,11 @@ def _boundary_points(axis_names, x_values, spec, n):
         return []
     omega = spec.fixed.omega
     root = 2.0 * math.sqrt(n + 1)
-    branches = []
     if axis_names == ("gamma", "epsilon"):
-        for sign in (1.0, -1.0):
-            branches.append([(g, omega + sign * root * g) for g in x_values])
-    elif axis_names == ("epsilon", "gamma"):
-        branches.append([(e, abs(omega - e) / root) for e in x_values])
-    return branches
+        return [[(g, omega + sign * root * g) for g in x_values] for sign in (1.0, -1.0)]
+    if axis_names == ("epsilon", "gamma"):
+        return [[(e, abs(omega - e) / root) for e in x_values]]
+    return []
 
 
 def _render_raster(table, spec) -> str:
@@ -275,16 +261,10 @@ def render_svg(table: SweepTable, path, kind: str = "auto", spec=None) -> None:
     """
     _require_table(table, "render")
     if kind == "auto":
-        if len(table.axis_names) == 2:
-            kind = "raster"
-        elif "entropy_I" in table.extras:
-            kind = "entropy"
-        elif "survival" in table.extras or "bloch_x" in table.extras:
-            kind = "dynamics"
-        elif "metric_norm" in table.extras:
-            kind = "metric"
-        else:
-            kind = "spectrum"
+        columns = _float_columns(table)
+        kind = "raster" if len(table.axis_names) == 2 else next(
+            k for k, series in _SERIES.items() if any(name in columns for _, name in series)
+        )
     if kind == "raster":
         if len(table.axis_names) != 2:
             raise ValueError("raster rendering needs a two-axis sweep")

@@ -33,9 +33,10 @@ comma-separated text that never needs quoting, and read_csv accepts that
 dialect only: a quoted field is an error.  Both writers work column by
 column and spell each distinct value of a column once, since grids repeat
 axis values and the spectrum repeats its real parts; export_csv joins each
-chunk of rows in one call, and export_json fills one %-template per
-pattern of omitted keys, giving the text json.dump(indent=2,
-sort_keys=True) gives.
+chunk of rows in one call, and export_json writes each cell as one join of
+the fields it holds, giving the text json.dump(indent=2, sort_keys=True)
+gives.  _float_columns and its inverse _table are the one map between a
+table and its named float columns, for the writers, the readers and plots.
 
 read_csv parses the body in one np.loadtxt call, the phase as a
 fixed-width text field, and counts no fields itself when that call
@@ -54,7 +55,7 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -175,18 +176,15 @@ class SweepSpec:
                 cells *= axis.steps
             if not unreal and axis.name in ("delta_sq", "t") and axis.min < 0.0:
                 problems.append(f"{label}: {axis.name} must be non-negative")
-        if self.axis2 is not None and isinstance(self.axis2, Axis) and isinstance(
-            self.axis1, Axis
-        ):
-            if self.axis1.name == self.axis2.name:
-                problems.append("axis2.name: must differ from axis1.name")
+        names = [a.name for _, a in axes if isinstance(a, Axis)]
+        if len(names) == 2 and names[0] == names[1]:
+            problems.append("axis2.name: must differ from axis1.name")
         if not self.quantities:
             problems.append("quantities: must not be empty")
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             problems.append(f"quantities: unknown {unknown}, allowed {QUANTITIES}")
-        axis_names = {a.name for _, a in axes if isinstance(a, Axis)}
-        if {"survival", "bloch"} & set(self.quantities) and "t" not in axis_names:
+        if {"survival", "bloch"} & set(self.quantities) and "t" not in names:
             problems.append("quantities: survival/bloch require a 't' axis")
         # a block index must fit the table's int64 n column
         for n in self.n_list:
@@ -330,6 +328,30 @@ class SweepTable:
         )
 
 
+def _float_columns(table: SweepTable) -> dict[str, np.ndarray]:
+    """The float columns of a table by file column name: the axes,
+    discriminant, the eigenvalue parts and the extras."""
+    return {
+        **dict(zip(table.axis_names, table.coords)),
+        "discriminant": table.discriminant,
+        "eigenvalue_I_re": table.eigenvalue_I.real,
+        "eigenvalue_I_im": table.eigenvalue_I.imag,
+        "eigenvalue_II_re": table.eigenvalue_II.real,
+        "eigenvalue_II_im": table.eigenvalue_II.imag,
+        **table.extras,
+    }
+
+
+def _table(axis_names, floats, n, code, omitted) -> SweepTable:
+    """Inverse of _float_columns, given n, the phase codes and each extra's omitted mask."""
+    return SweepTable(
+        axis_names, [floats[a] for a in axis_names], n, code, floats["discriminant"],
+        _complex(floats["eigenvalue_I_re"], floats["eigenvalue_I_im"]),
+        _complex(floats["eigenvalue_II_re"], floats["eigenvalue_II_im"]),
+        {k: floats[k] for k in omitted}, omitted,
+    )
+
+
 # Extra columns per quantity, in the order a cell's extras list them.
 _EXTRA_KEYS = {
     "metric_norm": ("metric_norm",),
@@ -369,12 +391,13 @@ _square = (2.0).__rpow__
 def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarray]]):
     """Every column over the whole grid, as arrays in grid order.
 
-    n is each cell's block index.  Returns (phase codes, discriminant,
-    (eigenvalue_I, eigenvalue_II), extras by key); extras that EP-band cells
-    omit hold NaN there.  Entropy, survival, Bloch and metric_norm call the
-    scalar closed forms, with libm log, log1p, cosh and sinh called once per
-    distinct value.  These stay twins of the scalar code, each for its
-    reason:
+    n is each cell's block index.  Returns the phase codes, the float
+    columns by file column name (discriminant, eigenvalue parts, the extras
+    computed) and the omitted mask of each requested extra, in the order of
+    spec.quantities; extras hold NaN where EP-band cells omit them.  Entropy, survival, Bloch and
+    metric_norm call the scalar closed forms, with libm log, log1p, cosh and
+    sinh called once per distinct value.  These stay twins of the scalar
+    code, each for its reason:
 
     - the discriminant squares: the builtin `_square` maps about 13% faster
       than a Python function, and the error names the square that overflowed;
@@ -426,10 +449,13 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
         raise SpecValidationError(
             "eigenvalues: spectral centre (2n+1) omega / 2 overflows on this grid"
         )
-    eigen = (_complex(center + half_re, 0.0 + half_im), _complex(center - half_re, 0.0 - half_im))
+    floats = {
+        "discriminant": d,
+        "eigenvalue_I_re": center + half_re, "eigenvalue_I_im": 0.0 + half_im,
+        "eigenvalue_II_re": center - half_re, "eigenvalue_II_im": 0.0 - half_im,
+    }
 
     wanted = set(spec.quantities)
-    columns: dict[str, np.ndarray] = {}
     coupling = 2.0 * sqrt_n1 * gamma
     if "entropy" in wanted:
         def log(x):
@@ -453,11 +479,11 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
             near = small < _NEAR_PRODUCT
             values = _binary_entropy(lam, comp, log)
             values[near] = _near_product_entropy(small[near], log, log1p)
-            columns[key] = np.zeros(size)
-            columns[key][live] = values
+            floats[key] = np.zeros(size)
+            floats[key][live] = values
     if "metric_norm" in wanted:
         norm = np.where(coupled, _metric_norm(b, coupling, d), math.sqrt(2.0))
-        columns["metric_norm"] = np.where(at_ep, math.nan, norm)
+        floats["metric_norm"] = np.where(at_ep, math.nan, norm)
     if wanted & {"survival", "bloch"}:
         # evolve_no_jump from effective_generator: cosh/sinh of 2 Gamma t on
         # the broken side, a rotation by 2 Lambda t on the unbroken side
@@ -471,14 +497,17 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
         turn = angle[unbroken]
         on_unbroken = (1.0, *_unbroken_rotation(np.cos(turn), np.sin(turn), *r0))
         for key, flowed, turned in zip(("survival", *_EXTRA_KEYS["bloch"]), on_broken, on_unbroken):
-            columns[key] = np.full(size, math.nan)
-            columns[key][broken] = flowed
-            columns[key][unbroken] = turned
-            if not np.isfinite(columns[key][~at_ep]).all():
+            floats[key] = np.full(size, math.nan)
+            floats[key][broken] = flowed
+            floats[key][unbroken] = turned
+            if not np.isfinite(floats[key][~at_ep]).all():
                 raise SpecValidationError(f"survival/bloch: {key} not finite on this grid")
 
-    extras = {key: columns[key] for q in spec.quantities for key in _EXTRA_KEYS.get(q, ())}
-    return code, d, eigen, extras
+    omitted = {
+        key: np.zeros_like(at_ep) if key in _KEPT_AT_EP else at_ep
+        for q in spec.quantities for key in _EXTRA_KEYS.get(q, ())
+    }
+    return code, floats, omitted
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -503,18 +532,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     ))
     coords.reverse()
     with np.errstate(all="ignore"):
-        code, disc, eigen, extras = _grid_columns(spec, n, list(zip(names, coords)))
-    at_ep = code == 2
-    return SweepTable(
-        names,
-        coords,
-        n,
-        code,
-        disc,
-        *eigen,
-        extras,
-        {key: np.zeros_like(at_ep) if key in _KEPT_AT_EP else at_ep for key in extras},
-    )
+        code, floats, omitted = _grid_columns(spec, n, list(zip(names, coords)))
+    return _table(names, {**dict(zip(names, coords)), **floats}, n, code, omitted)
 
 
 def _require_table(table, action: str) -> None:
@@ -558,18 +577,11 @@ def _json_float(v: float) -> str:
 def _spelled(table: SweepTable, spell, phases) -> dict[str, list[str]]:
     """Each column of a table as text, by name: spell(v) for the floats,
     str(n), phases[code] for the phase, "" for an omitted extra."""
-    floats = {
-        **dict(zip(table.axis_names, table.coords)),
-        "discriminant": table.discriminant,
-        "eigenvalue_I_re": table.eigenvalue_I.real,
-        "eigenvalue_I_im": table.eigenvalue_I.imag,
-        "eigenvalue_II_re": table.eigenvalue_II.real,
-        "eigenvalue_II_im": table.eigenvalue_II.imag,
+    columns = {
+        k: _formatted(c, spell, table.omitted.get(k)) for k, c in _float_columns(table).items()
     }
-    columns = {k: _formatted(c, spell) for k, c in floats.items()}
     columns["n"] = _formatted(table.n, str)
     columns["phase"] = list(map(phases.__getitem__, table.phase.tolist()))
-    columns.update((k, _formatted(c, spell, table.omitted[k])) for k, c in table.extras.items())
     return columns
 
 
@@ -623,18 +635,13 @@ def _parse_table(axis_names, column, extra_keys, where) -> SweepTable:
     if n and not 0 <= min(n) <= max(n) < 2**63:  # a block index that fits the int64 column
         k = next(k for k, v in enumerate(n) if not 0 <= v < 2**63)
         raise SweepFileError(f"{where(k)}: bad n {column('n')[k]!r}")
-    eigen = {k: _parsed(float, column(k), k, where) for k in _BASE_COLUMNS[3:]}
-    return SweepTable(
-        axis_names,
-        [_parsed(float, column(a), a, where) for a in axis_names],
-        n,
-        _parsed(_PHASE_CODE.__getitem__, column("phase"), "phase", where),
-        _parsed(float, column("discriminant"), "discriminant", where),
-        _complex(eigen["eigenvalue_I_re"], eigen["eigenvalue_I_im"]),
-        _complex(eigen["eigenvalue_II_re"], eigen["eigenvalue_II_im"]),
-        {k: _parsed(_float_or_omitted, column(k), k, where) for k in extra_keys},
-        {k: [v == "" for v in column(k)] for k in extra_keys},
-    )
+    # columns are checked in this order: the first bad one is named
+    floats = {k: _parsed(float, column(k), k, where) for k in (*_BASE_COLUMNS[3:], *axis_names)}
+    code = _parsed(_PHASE_CODE.__getitem__, column("phase"), "phase", where)
+    floats["discriminant"] = _parsed(float, column("discriminant"), "discriminant", where)
+    floats.update((k, _parsed(_float_or_omitted, column(k), k, where)) for k in extra_keys)
+    omitted = {k: [v == "" for v in column(k)] for k in extra_keys}
+    return _table(axis_names, floats, n, code, omitted)
 
 
 # numpy's dtype for each CSV column.  The phase is read into 17 characters,
@@ -661,7 +668,9 @@ def _loaded(header, body, n_axes) -> SweepTable | None:
             rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=dtype)
         if len(rows) != len(body):  # numpy skips blank lines
             return None
-        extras = {k: list(map(_float_or_omitted, rows[k].tolist())) for k in extra_keys}
+        # copies, so the table keeps none of the rows' text fields alive
+        floats = {k: rows[k].copy() for k, kind in dtype if kind is float}
+        floats.update((k, list(map(_float_or_omitted, rows[k].tolist()))) for k in extra_keys)
     except ValueError:
         return None
     code = np.full(len(rows), -1, dtype=np.int8)
@@ -669,17 +678,8 @@ def _loaded(header, body, n_axes) -> SweepTable | None:
         code[rows["phase"] == name] = k
     if (code < 0).any() or (rows["n"] < 0).any():
         return None
-    return SweepTable(
-        header[:n_axes],
-        [rows[a].copy() for a in header[:n_axes]],
-        rows["n"].copy(),
-        code,
-        rows["discriminant"].copy(),
-        _complex(rows["eigenvalue_I_re"], rows["eigenvalue_I_im"]),
-        _complex(rows["eigenvalue_II_re"], rows["eigenvalue_II_im"]),
-        extras,
-        {k: rows[k] == "" for k in extra_keys},
-    )
+    omitted = {k: rows[k] == "" for k in extra_keys}
+    return _table(header[:n_axes], floats, rows["n"].copy(), code, omitted)
 
 
 def read_csv(path) -> SweepTable:
@@ -746,19 +746,9 @@ def read_csv(path) -> SweepTable:
 
 def spec_to_dict(spec: SweepSpec) -> dict:
     """JSON-ready representation of a SweepSpec (the `meta` object)."""
-    axes = [
-        {"name": a.name, "min": a.min, "max": a.max, "steps": a.steps}
-        for a in (spec.axis1, spec.axis2)
-        if a is not None
-    ]
     return {
-        "fixed": {
-            "omega": spec.fixed.omega,
-            "epsilon": spec.fixed.epsilon,
-            "gamma": spec.fixed.gamma,
-            "n": spec.fixed.n,
-        },
-        "axes": axes,
+        "fixed": asdict(spec.fixed),
+        "axes": [asdict(a) for a in (spec.axis1, spec.axis2) if a is not None],
         "quantities": list(spec.quantities),
         "n_list": list(spec.n_list),
         "initial_bloch": list(spec.initial_bloch),
@@ -843,35 +833,20 @@ def export_json(table: SweepTable, path, spec: SweepSpec) -> None:
     The text is what json.dump(indent=2, sort_keys=True) writes for an
     object {"cells": [one object per cell], "meta": spec_to_dict(spec)},
     where a cell leaves out the extras it omits.  It is assembled from the
-    columns: each distinct value of a column is spelled once, and each
-    pattern of omitted keys has one %-template for its cells.  The text is
-    complete before the target is opened.  Raises ValueError for anything
-    but a SweepTable and EmptySweepError for a table with no cells.
+    columns: each distinct value of a column is spelled once, and each cell
+    is one join of the fields it holds.  The text is complete before the
+    target is opened.  Raises ValueError for anything but a SweepTable and
+    EmptySweepError for a table with no cells.
     """
     _require_table(table, "export")
     columns = _spelled(table, _json_float, [json.dumps(name) for name in _PHASE_NAMES])
     keys = sorted(columns)
-    pattern = np.zeros(len(table), dtype=np.int64)
-    for bit, mask in enumerate(table.omitted.values()):
-        pattern |= mask.astype(np.int64) << bit
-    found, index = np.unique(pattern, return_inverse=True)
-    templates = []
-    for omits in found.tolist():
-        omitted = {k for bit, k in enumerate(table.omitted) if omits >> bit & 1}
-        # "%.0s" takes an omitted key's value and prints nothing
-        template, separator = "    {", "\n"
-        for k in keys:
-            if k in omitted:
-                template += "%.0s"
-            else:
-                template += f"{separator}      {json.dumps(k).replace('%', '%%')}: %s"
-                separator = ",\n"
-        templates.append(template + "\n    }")
-    cells = ",\n".join(map(
-        str.__mod__,
-        np.array(templates, dtype=object)[index].tolist(),
-        zip(*(columns[k] for k in keys)),
-    ))
+    heads = [f"\n      {json.dumps(k)}: " for k in keys]
+    # a cell joins its present fields: only an omitted extra is spelled ""
+    cells = ",\n".join(
+        "    {" + ",".join([head + v for head, v in zip(heads, row) if v]) + "\n    }"
+        for row in zip(*(columns[k] for k in keys))
+    )
     meta = json.dumps(spec_to_dict(spec), indent=2, sort_keys=True).replace("\n", "\n  ")
     with _opened(path, "w") as stream:
         stream.write('{\n  "cells": [\n')

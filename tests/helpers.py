@@ -9,7 +9,7 @@ algorithm from expm2 (plain Taylor series with scaling and squaring versus
 the trace/traceless closed form), so the two can face each other as oracle
 and subject.  reference_csv writes a sweep one value at a time, the oracle
 for export_csv's column-wise formatting; reference_json builds one dict per
-cell for json.dumps, the oracle for export_json's templates; and
+cell for json.dumps, the oracle for export_json's per-cell joins; and
 reference_read_csv calls float() and int() on every field, the oracle for
 read_csv's one-call parse.  reference_exponent fits the metric divergence
 exponent block by block through metric(), the oracle for

@@ -6,7 +6,9 @@ raises a ValueError subclass: never an OverflowError, a RuntimeWarning
 (an error under pyproject.toml's filterwarnings), an inf or a NaN.
 sqrt_hpd faces arbitrary float input, NaN and inf included, and an
 EffectiveGenerator built from arbitrary fields either refuses them or
-evolves to finite values.  The search is derandomized with a fixed example count, so every
+evolves to finite values.  Times, rates, shifts, weights and sqrt_hpd's
+entries are also drawn as ints inside and past the float range and as
+bools.  The search is derandomized with a fixed example count, so every
 run draws the same examples.
 """
 
@@ -14,6 +16,7 @@ import cmath
 import dataclasses
 import enum
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +59,8 @@ _SETTINGS = settings(
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 block_index = st.one_of(st.integers(0, 8), st.integers(0, 2**1100))
+# ints inside and past the float range, and bools, which are ints too
+huge_or_bool = st.one_of(st.integers(-(2**1100), 2**1100), st.booleans())
 
 STATES = [
     BlochState(np.array([0.0, 0.0, 1.0])),
@@ -104,7 +109,9 @@ SCALAR_CALLS = [
 
 
 @_SETTINGS
-@given(omega=finite, epsilon=finite, gamma=finite, n=block_index, t=finite)
+@given(
+    omega=finite, epsilon=finite, gamma=finite, n=block_index, t=st.one_of(finite, huge_or_bool)
+)
 def test_scalar_api_is_finite_or_raises_value_error(omega, epsilon, gamma, n, t):
     p = _finite_or_value_error(ModelParams, omega, epsilon, gamma, n)
     if p is None:
@@ -164,6 +171,23 @@ def test_sqrt_hpd_is_finite_or_raises_value_error(arbitrary, hermitian):
     _finite_or_value_error(sqrt_hpd, np.array([[a, b], [b.conjugate(), d]]))
 
 
+@settings(_SETTINGS, max_examples=300)
+@given(entries=st.lists(st.one_of(finite, huge_or_bool), min_size=4, max_size=4))
+def test_sqrt_hpd_of_int_or_bool_entries_is_finite_or_raises_value_error(entries):
+    # np.asarray raised OverflowError on an int past the float range
+    a, b, c, d = entries
+    _finite_or_value_error(sqrt_hpd, [[a, b], [c, d]])
+    _finite_or_value_error(sqrt_hpd, [[a, b], [b, d]])
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(r=st.sampled_from(STATES), weight=st.one_of(st.floats(), huge_or_bool))
+def test_bloch_state_is_finite_or_raises_value_error(r, weight):
+    state = _finite_or_value_error(BlochState, r.r, weight)
+    accepted = not isinstance(weight, bool) and 0.0 <= weight <= sys.float_info.max
+    assert (state is not None) == accepted, weight
+
+
 @pytest.mark.parametrize(
     "fields, refused",
     [
@@ -174,8 +198,13 @@ def test_sqrt_hpd_is_finite_or_raises_value_error(arbitrary, hermitian):
         ((0, 1.0, math.nan, False), "shift must be finite, got nan"),
         ((0, "1.0", 0.0, True), "rate must be finite and >= 0, got '1.0'"),
         ((0, 1.0, 1j, True), r"shift must be finite, got 1j"),
+        ((0, True, 0.0, True), "rate must be finite and >= 0, got True"),
+        ((0, 1.0, False, True), "shift must be finite, got False"),
+        ((0, 10**400, 0.0, True), f"rate must be finite and >= 0, got {10**400}"),
+        ((0, 1.0, -(10**400), False), f"shift must be finite, got {-(10**400)}"),
     ],
-    ids=["rate=-1", "rate=inf", "rate=nan", "shift=-inf", "shift=nan", "rate=str", "shift=1j"],
+    ids=["rate=-1", "rate=inf", "rate=nan", "shift=-inf", "shift=nan", "rate=str", "shift=1j",
+         "rate=True", "shift=False", "rate=10**400", "shift=-10**400"],
 )
 def test_effective_generator_refuses_a_bad_rate_or_shift(fields, refused):
     # unchecked, a negative rate would evolve r_y to -0.964, an infinite one
@@ -216,15 +245,16 @@ def test_effective_generator_keeps_n_as_an_int_and_is_broken_as_a_bool(n, is_bro
 @settings(_SETTINGS, max_examples=300)
 @given(
     n=block_index,
-    rate=st.floats(),
-    shift=st.floats(),
+    rate=st.one_of(st.floats(), huge_or_bool),
+    shift=st.one_of(st.floats(), huge_or_bool),
     is_broken=st.booleans(),
-    t=st.floats(min_value=0.0),
+    t=st.one_of(st.floats(min_value=0.0), huge_or_bool),
 )
 def test_effective_generator_is_finite_or_raises_value_error(n, rate, shift, is_broken, t):
     gen = _finite_or_value_error(EffectiveGenerator, n, rate, shift, is_broken)
     if gen is None:
         return
+    assert not isinstance(gen.rate, bool) and not isinstance(gen.shift, bool)
     _finite_or_value_error(gen.matrix)
     for state in STATES:
         _finite_or_value_error(evolve_no_jump, gen, state, t)

@@ -32,6 +32,16 @@ def test_bloch_state_validation():
         BlochState(np.array([0.0, 0.0, 1.0]), weight=-1.0)
 
 
+@pytest.mark.parametrize(
+    "weight", [True, False, 10**400, -(10**400), math.inf, math.nan, "1", 1j, None]
+)
+def test_bloch_state_refuses_a_bool_or_non_finite_weight(weight):
+    # math.isfinite raised OverflowError on 10**400 and TypeError on "1", 1j
+    # and None, and True was kept as the weight
+    with pytest.raises(ValueError, match="^weight must be finite and non-negative, got "):
+        BlochState(np.array([0.0, 0.0, 1.0]), weight=weight)
+
+
 @pytest.mark.parametrize("length", [1.0, 1.0 + 5e-10])
 def test_bloch_state_accepts_unit_length_within_roundoff(length):
     r = np.array([0.6, 0.0, 0.8]) * length
@@ -188,6 +198,11 @@ def test_survival_probability():
     assert evolve_no_jump(gen_u, state, 2.0).weight == 1.5
     with pytest.raises(ValueError):
         evolve_no_jump(gen, state, -1.0)
+    # math.isfinite raised OverflowError on 10**400 and TypeError on "1", None
+    # and 1j, and True evolved to t = 1
+    for t in (10**400, "1", None, 1j, True, False):
+        with pytest.raises(ValueError, match="^t must be finite and non-negative, got "):
+            evolve_no_jump(gen, state, t)
 
 
 @pytest.mark.parametrize("two_gamma_t", [711.0, 1000.0])

@@ -94,6 +94,15 @@ def test_reduced_spectrum_side_argument():
         reduced_spectrum(DELTA_ONE, Branch.I, side="middle")
 
 
+@pytest.mark.parametrize("p", [ModelParams(1.0, 5.0, 0.5, 0), ModelParams(1.0, 5.0, 0.0, 0)])
+@pytest.mark.parametrize("branch", ["I", "II", None, 0, 1])
+def test_a_branch_that_is_not_a_branch_member_raises(p, branch):
+    # unchecked, any value but Branch.I read as branch II: "I" gave lam 0.0159, not 0.984
+    for call in (lambda: reduced_spectrum(p, branch), lambda: entanglement_entropy(p, branch)):
+        with pytest.raises(ValueError, match=f"^branch must be a Branch, got {branch!r}$"):
+            call()
+
+
 def test_reduced_spectrum_matches_partial_trace():
     # trace out the oscillator from the Dirac-normalized right eigenvector
     # obtained by the independent eigensolver

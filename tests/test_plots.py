@@ -1,11 +1,14 @@
 """Tests for the deterministic SVG rendering."""
 
+import contextlib
 import dataclasses
+import hashlib
 import io
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from nhjc.cli import cli_main
 from nhjc.model import ModelParams
 from nhjc.plots import render_svg
 from nhjc.scan import Axis, SweepSpec, run_sweep
@@ -76,6 +79,51 @@ def test_kind_auto_dispatch():
     )
     entropy_text = render_to_string(run_sweep(entropy_spec), kind="auto", spec=entropy_spec)
     assert "S I" in entropy_text and "S II" in entropy_text
+    for kind, axis, quantities in (
+        ("metric", Axis("delta", 0.0, 1.9, 20), ("metric_norm",)),
+        ("dynamics", Axis("t", 0.0, 1.0, 25), ("bloch",)),
+    ):
+        spec = SweepSpec(fixed=ModelParams(1.0, 5.0, 4.0, 0), axis1=axis, quantities=quantities)
+        table = run_sweep(spec)
+        assert render_to_string(table, kind="auto", spec=spec) == render_to_string(
+            table, kind=kind, spec=spec
+        )
+
+
+def _cli_svg(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(argv + ["--format", "svg"]) == 0
+    return out.getvalue()
+
+
+# sha256 prefixes of the line plots: the CLI's four kinds and a Bloch-only
+# table drawn with kind "auto", so each kind's series, their order, labels
+# and NaN gaps keep their bytes
+LINE_PLOTS = {
+    "spectrum": (lambda: _cli_svg(["spectrum", "--preset", "fig1"]), "30bd4812f24ff952"),
+    "entropy": (lambda: _cli_svg(["entropy", "--preset", "fig3"]), "8943867899ac227d"),
+    # the EP cell at gamma = 2 omits its metric norm
+    "metric": (lambda: _cli_svg(["metric", "--grid", "gamma:0:4:401"]), "74b36dffee0849c8"),
+    "dynamics": (
+        lambda: _cli_svg(["dynamics", "--gamma", "4", "--r0", "0,0,1"]), "64ded259110e6b05"
+    ),
+    "bloch only": (
+        lambda: render_to_string(run_sweep(BLOCH_ONLY), spec=BLOCH_ONLY), "e8752d5effc414df"
+    ),
+}
+BLOCH_ONLY = SweepSpec(
+    fixed=ModelParams(1.0, 5.0, 4.0, 0),
+    axis1=Axis("t", 0.0, 1.0, 50),
+    quantities=("bloch",),
+    initial_bloch=(0.3, -0.4, 0.5),
+)
+
+
+@pytest.mark.parametrize("name", sorted(LINE_PLOTS))
+def test_line_plot_matches_pin(name):
+    render, prefix = LINE_PLOTS[name]
+    assert hashlib.sha256(render().encode()).hexdigest()[:16] == prefix
 
 
 def test_dynamics_and_metric_kinds():
