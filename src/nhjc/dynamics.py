@@ -27,12 +27,11 @@ ValueError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Phase, _block, _block_index, _center, _finite_real, _is_finite
+from .model import _FLOAT_MAX, ModelParams, Phase, _block, _center, _integral, _real
 
 __all__ = [
     "BlochState",
@@ -64,9 +63,11 @@ class BlochState:
         length = math.sqrt(x * x + y * y + z * z)
         if length > 1.0 + 1e-9:
             raise ValueError(f"Bloch vector length {length} exceeds 1")
-        if isinstance(self.weight, bool) or not (_is_finite(self.weight) and self.weight >= 0.0):
+        weight = _real(self.weight)
+        if weight is None or not weight >= 0.0:
             raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "weight", weight)
 
     def matrix(self) -> np.ndarray:
         """The 2x2 density matrix (Hermitian, trace = weight)."""
@@ -84,8 +85,8 @@ class EffectiveGenerator:
     phase, where Gamma = i Lambda; Lambda = 0 only on a decoupled block
     with D = 0, the diabolic point omega == epsilon, gamma = 0.  Raises
     ValueError unless n is a block index (kept as an int), is_broken a bool
-    or numpy.bool_ (kept as a bool), rate finite and >= 0 and shift finite,
-    each an int or float but not a bool.
+    or numpy.bool_ (kept as a bool), and rate >= 0 and shift are numbers as
+    ModelParams reads its energies (kept as an int or float).
     """
 
     n: int
@@ -94,20 +95,21 @@ class EffectiveGenerator:
     is_broken: bool
 
     def __post_init__(self):
-        n = _block_index(self.n)
-        if n is None or not _is_finite(n + 1):
+        n = _integral(self.n)
+        if n is None or n < 0 or n + 1 > _FLOAT_MAX:
             raise ValueError(f"effective generator: n must be a non-negative integer, got {self.n!r}")
         if not isinstance(self.is_broken, (bool, np.bool_)):
             raise ValueError(f"effective generator: is_broken must be a bool, got {self.is_broken!r}")
-        # as ModelParams checks its energies
-        if not (_finite_real(self.rate) and self.rate >= 0.0):
+        rate, shift = _real(self.rate), _real(self.shift)
+        if rate is None or not rate >= 0.0:
             raise ValueError(
                 f"effective generator: rate must be finite and >= 0, got {self.rate!r}"
             )
-        if not _finite_real(self.shift):
+        if shift is None or math.isnan(shift):
             raise ValueError(f"effective generator: shift must be finite, got {self.shift!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "is_broken", bool(self.is_broken))
+        kept = {"n": n, "rate": rate, "shift": shift, "is_broken": bool(self.is_broken)}
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
 
     def matrix(self) -> np.ndarray:
         """The 2x2 generator; isospectral to the Hamiltonian block."""
@@ -146,13 +148,14 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
     Broken phase: weight picks up D(t) = cosh(2 Gamma t) + r_y sinh(2 Gamma t)
     and the Bloch vector flows toward (0, 1, 0).  Unbroken phase: weight is
     unchanged and (r_x, r_z) rotate by the angle 2 Lambda t.  Raises ValueError
-    for a t that is a bool or not finite and >= 0, when cosh(2 Gamma t) or the
+    for a t that is not a number >= 0, when cosh(2 Gamma t) or the
     angle overflows, and when the weight cancels to 0 (r_y = -1 past 2 Gamma t
     of about 19).
     """
-    if isinstance(t, bool) or not (_is_finite(t) and t >= 0.0):
+    time = _real(t)
+    if time is None or not time >= 0.0:
         raise ValueError(f"t must be finite and non-negative, got {t}")
-    angle = 2.0 * gen.rate * t
+    angle = 2.0 * gen.rate * time
     if math.isinf(angle):
         raise ValueError(f"2 * rate * t overflows at rate {gen.rate} and t = {t}")
     if gen.is_broken:
@@ -180,12 +183,12 @@ def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:
     """Uniform grid on [0, 5 / rate]; rate = Gamma or Lambda as appropriate.
 
     Raises ValueError unless the rate is positive with 5 / rate finite, and
-    points is an integer >= 2.  A decoupled block at omega == epsilon has
-    rate 0: nothing evolves there, so no time scale.
+    points is an integer >= 2, of an integer type.  A decoupled block at
+    omega == epsilon has rate 0: nothing evolves there, so no time scale.
     """
-    rate = float(gen.rate)  # a numpy float would warn where 5 / rate overflows
-    if not (rate > 0.0 and _is_finite(rate) and math.isfinite(5.0 / rate)):
-        raise ValueError(f"time grid: rate must be positive with 5 / rate finite, got {rate!r}")
-    if not isinstance(points, numbers.Integral) or points < 2:
+    if not (gen.rate > 0.0 and math.isfinite(5.0 / gen.rate)):  # an int or float rate
+        raise ValueError(f"time grid: rate must be positive with 5 / rate finite, got {gen.rate!r}")
+    count = _integral(points)
+    if count is None or count < 2 or not hasattr(points, "__index__"):
         raise ValueError(f"time grid: points must be an integer >= 2, got {points!r}")
-    return np.linspace(0.0, 5.0 / rate, points)
+    return np.linspace(0.0, 5.0 / gen.rate, count)

@@ -72,38 +72,32 @@ class Phase(Enum):
 _FLOAT_MAX = sys.float_info.max
 
 
-def _is_finite(x) -> bool:
-    """Whether x is finite: an int or float as above, any other real by math.isfinite."""
-    if isinstance(x, (int, float)):
-        return -_FLOAT_MAX <= x <= _FLOAT_MAX
-    return isinstance(x, numbers.Real) and math.isfinite(x)
-
-
-def _finite_real(x) -> bool:
-    """Whether x is a finite int or float, not a bool; false for str and complex."""
-    real = isinstance(x, (int, float)) and not isinstance(x, bool)
-    return real and -_FLOAT_MAX <= x <= _FLOAT_MAX
-
-
-def _block_index(n) -> int | None:
-    """n as a Python int where it is a whole, non-negative real number (not
-    a bool), else None.  n is converted before any comparison:
-    operator.index for integer types, float() for the others."""
-    if type(n) is int:  # ahead of the slower checks against the numbers ABCs
-        k = n
-    elif isinstance(n, bool) or not isinstance(n, numbers.Real):
+def _real(x):
+    """x by the package's one rule for a number: any numbers.Real but a bool,
+    in the float range.  An int or float is returned as it is, any other
+    real as float(x), so nothing is compared in a numpy type.  None where x
+    is not a number; NaN where it is one that is not finite."""
+    if type(x) is float or type(x) is int:  # ahead of the slower ABC checks
+        return x if -_FLOAT_MAX <= x <= _FLOAT_MAX else math.nan
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return None
-    elif isinstance(n, numbers.Integral):
-        k = operator.index(n)
-    else:
-        try:
-            x = float(n)
-        except OverflowError:  # a Fraction past the float range
-            x = math.nan
-        if not (x.is_integer() and x == n):
-            return None
-        k = int(x)
-    return k if k >= 0 else None
+    try:
+        x = float(x)
+    except OverflowError:  # a Fraction or an int subclass past the float range
+        return math.nan
+    return x if math.isfinite(x) else math.nan
+
+
+def _integral(n) -> int | None:
+    """n as a Python int where it is a whole number by the same rule, else
+    None: operator.index for integer types (of any size), an integral
+    _real for the other reals.  The callers bound its size and sign."""
+    if type(n) is int:  # ahead of the slower ABC checks
+        return n
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool):
+        return operator.index(n)
+    x = _real(n)  # a float, NaN or None here
+    return int(x) if x is not None and x.is_integer() and x == n else None
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,8 @@ class ModelParams:
         phase-related quantity depends on gamma**2 only.
     n : int
         Block index; the block spans |n, up> and |n+1, down>.  Stored as a
-        Python int: 2.0 and np.int64(2) are kept as 2.
+        Python int: 2.0 and np.int64(2) are kept as 2.  The energies are
+        numbers by `_real`, kept as an int or float.
     """
 
     omega: float
@@ -132,10 +127,12 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega", "epsilon", "gamma"):
             value = getattr(self, name)
-            if not _finite_real(value):
+            x = _real(value)
+            if x is None or math.isnan(x):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        n = _block_index(self.n)
-        if n is None or n + 1 > _FLOAT_MAX:
+            object.__setattr__(self, name, x)
+        n = _integral(self.n)
+        if n is None or n < 0 or n + 1 > _FLOAT_MAX:
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
         object.__setattr__(self, "n", n)  # so n + 1 and 2n + 1 are exact at any size
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
 import operator
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -70,7 +69,7 @@ from .entropy import (
     _square_or_inf,
 )
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
-from .model import _FLOAT_MAX, ModelParams, Phase, Spectrum, _block_index, _in_band
+from .model import ModelParams, Phase, Spectrum, _in_band, _integral, _real
 
 __all__ = [
     "AXIS_NAMES",
@@ -111,6 +110,14 @@ _BASE_COLUMNS = (
 )
 
 
+def _sequence(value, key: str) -> tuple:
+    """tuple(value); SpecValidationError naming key where value is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise SpecValidationError(f"{key}: expected a list, got {type(value).__name__}") from None
+
+
 @dataclass(frozen=True)
 class Axis:
     """One sweep axis: `steps` points spaced uniformly on [min, max]."""
@@ -121,7 +128,7 @@ class Axis:
     steps: int
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.steps)
+        return np.linspace(_real(self.min), _real(self.max), _integral(self.steps))
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,11 @@ class SweepSpec:
         sweep is refused before anything is allocated.
         """
         problems = []
-        cells = max(1, len(self.n_list))
+        quantities = _sequence(self.quantities, "quantities")
+        raw_n = _sequence(self.n_list, "n_list")
+        n_list = [_integral(n) for n in raw_n]
+        r = [_real(x) for x in _sequence(self.initial_bloch, "initial_bloch")]
+        cells = max(1, len(n_list))
         axes = [("axis1", self.axis1)]
         if self.axis2 is not None:
             axes.append(("axis2", self.axis2))
@@ -158,54 +169,50 @@ class SweepSpec:
                 continue
             if axis.name not in AXIS_NAMES:
                 problems.append(f"{label}.name: {axis.name!r} not in {AXIS_NAMES}")
-            unreal = [(end, v) for end, v in (("min", axis.min), ("max", axis.max))
-                      if not isinstance(v, numbers.Real)]
+            lo, hi = _real(axis.min), _real(axis.max)
+            unreal = [(end, v) for end, v, x in (("min", axis.min, lo), ("max", axis.max, hi))
+                      if x is None]
             for end, v in unreal:
                 problems.append(f"{label}.{end}: expected a real number, got {v!r}")
-            # the order and sign checks compare the bounds: only real ones
             if not unreal:
-                if not all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in (axis.min, axis.max)):
+                if math.isnan(lo) or math.isnan(hi):
                     problems.append(f"{label}: min/max must be finite")
-                elif not axis.min < axis.max:
-                    problems.append(f"{label}: min {axis.min} must be < max {axis.max}")
-            if isinstance(axis.steps, bool) or not isinstance(axis.steps, numbers.Integral):
+                elif not lo < hi:
+                    problems.append(f"{label}: min {lo} must be < max {hi}")
+                if axis.name in ("delta_sq", "t") and lo < 0.0:
+                    problems.append(f"{label}: {axis.name} must be non-negative")
+            steps = _integral(axis.steps)
+            if steps is None:
                 problems.append(f"{label}.steps: expected an integer, got {axis.steps!r}")
-            elif axis.steps < 2:
-                problems.append(f"{label}.steps: need at least 2, got {axis.steps}")
+            elif steps < 2:
+                problems.append(f"{label}.steps: need at least 2, got {steps}")
             else:
-                cells *= axis.steps
-            if not unreal and axis.name in ("delta_sq", "t") and axis.min < 0.0:
-                problems.append(f"{label}: {axis.name} must be non-negative")
+                cells *= steps
         names = [a.name for _, a in axes if isinstance(a, Axis)]
         if len(names) == 2 and names[0] == names[1]:
             problems.append("axis2.name: must differ from axis1.name")
-        if not self.quantities:
+        if not quantities:
             problems.append("quantities: must not be empty")
-        unknown = [q for q in self.quantities if q not in QUANTITIES]
+        unknown = [q for q in quantities if q not in QUANTITIES]
         if unknown:
             problems.append(f"quantities: unknown {unknown}, allowed {QUANTITIES}")
-        if {"survival", "bloch"} & set(self.quantities) and "t" not in names:
+        if ("survival" in quantities or "bloch" in quantities) and "t" not in names:
             problems.append("quantities: survival/bloch require a 't' axis")
         # a block index must fit the table's int64 n column
-        for n in self.n_list:
-            if _block_index(n) is None:
-                problems.append(f"n_list: entries must be non-negative integers, got {n!r}")
+        for raw, n in zip(raw_n, n_list):
+            if n is None or n < 0:
+                problems.append(f"n_list: entries must be non-negative integers, got {raw!r}")
             elif n >= 2**63:
                 problems.append(f"n_list: block indices must be below 2**63, got {n}")
         if not isinstance(self.fixed, ModelParams):
             problems.append(f"fixed: expected a ModelParams, got {type(self.fixed).__name__}")
-        elif not self.n_list and self.fixed.n >= 2**63:
+        elif not n_list and self.fixed.n >= 2**63:
             problems.append(f"fixed.n: block indices must be below 2**63, got {self.fixed.n}")
         if cells > MAX_CELLS:
             problems.append(f"grid: {cells} cells exceed the cap of {MAX_CELLS}")
-        r = self.initial_bloch
-        try:
-            finite = len(r) == 3 and all(math.isfinite(float(x)) for x in r)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
+        if len(r) != 3 or any(x is None or math.isnan(x) for x in r):
             problems.append("initial_bloch: need 3 finite components")
-        elif math.hypot(*map(float, r)) > 1.0 + 1e-9:
+        elif math.hypot(*r) > 1.0 + 1e-9:
             problems.append("initial_bloch: length must not exceed 1")
         if problems:
             raise SpecValidationError("; ".join(problems))
@@ -523,7 +530,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     overflows on the grid.
     """
     spec.validate()
-    n_list = [int(n) for n in spec.n_list or (spec.fixed.n,)]
+    n_list = [_integral(n) for n in spec.n_list] or [spec.fixed.n]
     axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
     names = tuple(a.name for a in axes)
     # uint64, so that 2n + 1 and n + 1 stay exact for every int64 block index
@@ -745,49 +752,46 @@ def read_csv(path) -> SweepTable:
 
 
 def spec_to_dict(spec: SweepSpec) -> dict:
-    """JSON-ready representation of a SweepSpec (the `meta` object)."""
+    """JSON-ready SweepSpec (the `meta` object), numbers read as validate reads them."""
     return {
         "fixed": asdict(spec.fixed),
-        "axes": [asdict(a) for a in (spec.axis1, spec.axis2) if a is not None],
+        "axes": [dict(asdict(a), min=_real(a.min), max=_real(a.max), steps=_integral(a.steps))
+                 for a in (spec.axis1, spec.axis2) if a is not None],
         "quantities": list(spec.quantities),
-        "n_list": list(spec.n_list),
-        "initial_bloch": list(spec.initial_bloch),
+        "n_list": [_integral(n) for n in spec.n_list],
+        "initial_bloch": [_real(x) for x in spec.initial_bloch],
     }
 
 
-def _whole(value, field: str) -> int:
-    """A config value that must be a whole number, as an int.
+def _number(value, field: str) -> float:
+    """A config number (model._real) as a float; bools, strings and non-finite values raise."""
+    x = _real(value)
+    if x is None or math.isnan(x):
+        raise SpecValidationError(f"{field} must be a finite real number, got {value!r}")
+    return float(x)
 
-    Bools, fractions and non-numbers raise instead of being cut by int().
-    """
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
+
+def _integer(value, field: str) -> int:
+    """A config whole number (model._integral) as an int, where int() would cut 1.5 and True."""
+    n = _integral(value)
+    if n is None:
         raise SpecValidationError(f"{field}: expected an integer, got {value!r}")
-    return int(value)
+    return n
 
 
 def _params_from_dict(fixed) -> ModelParams:
     """The fixed parameters of a config; defaults omega 1, epsilon 5, gamma 1, n 0."""
     if not isinstance(fixed, dict):
         raise SpecValidationError("fixed: expected an object")
-    n = _whole(fixed.get("n", 0), "fixed.n")
+    n = _integer(fixed.get("n", 0), "fixed.n")
+    omega, epsilon, gamma = (
+        _number(fixed.get(name, default), f"fixed: {name}")
+        for name, default in (("omega", 1.0), ("epsilon", 5.0), ("gamma", 1.0))
+    )
     try:
-        return ModelParams(
-            omega=float(fixed.get("omega", 1.0)),
-            epsilon=float(fixed.get("epsilon", 5.0)),
-            gamma=float(fixed.get("gamma", 1.0)),
-            n=n,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        return ModelParams(omega, epsilon, gamma, n)
+    except ValueError as exc:
         raise SpecValidationError(f"fixed: {exc}") from exc
-
-
-def _sequence(data: dict, key: str, default):
-    value = data.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise SpecValidationError(f"{key}: expected a list, got {type(value).__name__}")
-    return value
 
 
 def spec_from_dict(data: dict) -> SweepSpec:
@@ -801,24 +805,19 @@ def spec_from_dict(data: dict) -> SweepSpec:
     axes = []
     for i, raw in enumerate(raw_axes, start=1):
         try:
-            name, lo, hi = str(raw["name"]), float(raw["min"]), float(raw["max"])
-            steps = raw["steps"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            name, lo, hi, steps = str(raw["name"]), raw["min"], raw["max"], raw["steps"]
+        except (KeyError, TypeError) as exc:
             raise SpecValidationError(f"axes[{i}]: {exc!r}") from exc
-        axes.append(Axis(name, lo, hi, _whole(steps, f"axes[{i}].steps")))
-    quantities = data.get("quantities", ("phase",))
-    if not isinstance(quantities, (list, tuple)) or not all(isinstance(q, str) for q in quantities):
-        raise SpecValidationError("quantities: expected a list of names")
-    n_list = tuple(_whole(n, "n_list") for n in _sequence(data, "n_list", ()))
-    try:
-        initial_bloch = tuple(float(x) for x in _sequence(data, "initial_bloch", (0.0, 0.0, 1.0)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecValidationError(f"initial_bloch: {exc}") from exc
+        axes.append(Axis(name, _number(lo, f"axes[{i}]: min"), _number(hi, f"axes[{i}]: max"),
+                         _integer(steps, f"axes[{i}].steps")))
+    n_list = tuple(_integer(n, "n_list") for n in _sequence(data.get("n_list", ()), "n_list"))
+    bloch = _sequence(data.get("initial_bloch", (0.0, 0.0, 1.0)), "initial_bloch")
+    initial_bloch = tuple(_number(x, "initial_bloch: each component") for x in bloch)
     spec = SweepSpec(
         fixed=params,
         axis1=axes[0],
         axis2=axes[1] if len(axes) == 2 else None,
-        quantities=tuple(quantities),
+        quantities=_sequence(data.get("quantities", ("phase",)), "quantities"),
         n_list=n_list,
         initial_bloch=initial_bloch,
     )
@@ -887,7 +886,7 @@ def read_json(path) -> tuple[SweepTable, SweepSpec]:
             raise SweepFileError(f"cells[{k}]: missing field(s) {', '.join(missing)}")
         # int() and float() would take 1.5 as n = 1, true as 1.0 and "1_0" as 10.0
         bad = [f for f, v in obj.items()
-               if isinstance(v, bool) or (f == "n" and _block_index(v) is None)
+               if isinstance(v, bool) or (f == "n" and (_integral(v) is None or v < 0))
                or (f in numeric and type(v) not in (int, float))]
         if bad:
             raise SweepFileError(f"cells[{k}]: bad {bad[0]} {obj[bad[0]]!r}")

@@ -12,11 +12,13 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nhjc
 from nhjc.cli import PRESETS, cli_main
 from nhjc.model import Phase
-from nhjc.scan import read_csv, read_json
+from nhjc.scan import AXIS_NAMES, read_csv, read_json
 
 
 def run_cli(capsys, argv):
@@ -476,3 +478,64 @@ def test_option_layers(capsys, tmp_path, argv, config, expect):
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == expect
     assert PRESETS == _PRESETS_BEFORE
+
+
+# the values a config's numeric fields are searched over: JSON numbers of
+# every size, bools, strings, null and lists
+_JSON_VALUE = st.one_of(
+    st.integers(-3, 60),
+    st.floats(-10.0, 10.0),
+    st.floats(),
+    st.integers(-(2**1100), 2**1100),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats()), max_size=3),
+)
+# counts stay small, or far past the cell cap: a grid within the cap is allocated
+_JSON_COUNT = st.one_of(
+    st.integers(-3, 40),
+    st.floats(-3.0, 40.0),
+    st.sampled_from([10**400, 1e300, math.inf, math.nan]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+_AXIS = st.fixed_dictionaries(
+    {"name": st.sampled_from(AXIS_NAMES), "min": _JSON_VALUE, "max": _JSON_VALUE, "steps": _JSON_COUNT}
+)
+_COMMANDS = ["spectrum", "phase-map", "metric", "entropy", "dynamics", "exponent"]
+
+
+@st.composite
+def _command_and_config(draw):
+    """A command and a config with as many axes as the command takes."""
+    command = draw(st.sampled_from(_COMMANDS))
+    axes = 2 if command == "phase-map" else 1
+    return command, draw(st.fixed_dictionaries({}, optional={
+        "fixed": st.fixed_dictionaries({}, optional={
+            "omega": _JSON_VALUE, "epsilon": _JSON_VALUE, "gamma": _JSON_VALUE, "n": _JSON_COUNT,
+        }),
+        "axes": st.lists(_AXIS, min_size=axes, max_size=axes),
+        "n_list": st.lists(_JSON_COUNT, max_size=3),
+        "initial_bloch": st.lists(_JSON_VALUE, min_size=3, max_size=3),
+    }))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=_command_and_config(), output=st.sampled_from(["csv", "json", "svg"]))
+def test_config_search_exits_with_a_code_and_one_error_line(tmp_path_factory, drawn, output):
+    # cli_main never raises: it exits 0, or 1 or 2 with one error line
+    command, config = drawn
+    path = tmp_path_factory.getbasetemp() / "search.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([command, "--config", str(path), "--format", output])
+    assert code in (0, 1, 2), (config, code)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("nhjc: error: "), config

@@ -8,7 +8,10 @@ sqrt_hpd faces arbitrary float input, NaN and inf included, and an
 EffectiveGenerator built from arbitrary fields either refuses them or
 evolves to finite values.  Times, rates, shifts, weights and sqrt_hpd's
 entries are also drawn as ints inside and past the float range and as
-bools.  The search is derandomized with a fixed example count, so every
+bools.  Every numeric field is also fed numpy scalars of every width,
+fractions, decimals, bools, huge ints, strings, complex numbers and None:
+each reads a number by the one rule in nhjc.model, the same value at every
+field.  The search is derandomized with a fixed example count, so every
 run draws the same examples.
 """
 
@@ -17,6 +20,8 @@ import dataclasses
 import enum
 import math
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +44,7 @@ from nhjc.dynamics import (
     evolve_no_jump,
 )
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
+from nhjc.errors import SpecValidationError
 from nhjc.model import (
     Branch,
     ModelParams,
@@ -48,6 +54,7 @@ from nhjc.model import (
     ground_state_energy,
     spectrum_closed_form,
 )
+from nhjc.scan import MAX_CELLS, Axis, SweepSpec, run_sweep
 
 _SETTINGS = settings(
     derandomize=True,
@@ -258,3 +265,99 @@ def test_effective_generator_is_finite_or_raises_value_error(n, rate, shift, is_
     _finite_or_value_error(gen.matrix)
     for state in STATES:
         _finite_or_value_error(evolve_no_jump, gen, state, t)
+
+
+# Every numeric field reads a number by one rule: any numbers.Real but a
+# bool, in the float range, converted once to a Python int or float.
+NUMPY_TYPES = (np.float16, np.float32, np.float64, np.longdouble, np.int8, np.int16, np.int32,
+               np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _numpy_scalars(kind):
+    if issubclass(kind, np.integer):
+        info = np.iinfo(kind)
+        return st.integers(int(info.min), int(info.max)).map(kind)
+    return st.floats(width=min(64, np.finfo(kind).bits)).map(kind)
+
+
+anything = st.one_of(
+    *map(_numpy_scalars, NUMPY_TYPES),
+    st.sampled_from([np.longdouble("1e400"), np.longdouble("-1e400")]),
+    st.fractions(),
+    st.integers(-(2**1100), 2**1100).map(lambda k: Fraction(k, 3)),
+    st.decimals(),
+    st.booleans(),
+    st.integers(-(2**1100), 2**1100),
+    st.integers(-3, 600),
+    st.floats(),
+    st.text(max_size=3),
+    st.complex_numbers(),
+    st.none(),
+)
+
+# an unbroken generator: the angle 2 rate t stays finite for every finite t
+ROTATION = EffectiveGenerator(0, 0.25, 0.0, False)
+FIXED = ModelParams(1.0, 5.0, 1.0)
+GRID = Axis("gamma", 0.0, 1.0, 2)
+REFUSED_BOUND = r"^axis1(\.{end}: expected a real number|: min/max must be finite)"
+
+
+def _validates(**fields) -> bool:
+    try:
+        SweepSpec(**{"fixed": FIXED, "axis1": GRID, **fields}).validate()
+    except SpecValidationError:
+        return False
+    return True
+
+
+@_SETTINGS
+@given(value=anything)
+def test_every_numeric_field_reads_a_number_by_one_rule(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the energies, the generator's shift and an axis bound: any number
+        ps = [_finite_or_value_error(ModelParams, *fields)
+              for fields in ((value, 5.0, 1.0), (1.0, value, 1.0), (1.0, 5.0, value))]
+        shifted = _finite_or_value_error(EffectiveGenerator, 0, 0.25, value, False)
+        accepted = ps[0] is not None
+        assert [p is not None for p in ps] == [accepted] * 3 and (shifted is not None) == accepted
+        e = ps[0].omega if accepted else None
+        if accepted:
+            assert type(e) in (int, float) and ps[1].epsilon == ps[2].gamma == shifted.shift == e
+            big = e == sys.float_info.max
+            axis = (Axis("omega", math.nextafter(e, -math.inf), value, 2) if big
+                    else Axis("omega", value, math.nextafter(e, math.inf), 2))
+            assert _validates(axis1=axis)
+            assert float(axis.values()[-1 if big else 0]) == float(e)
+        else:
+            for end, axis in (("min", Axis("omega", value, 1.0, 2)),
+                              ("max", Axis("omega", -1.0, value, 2))):
+                with pytest.raises(SpecValidationError, match=REFUSED_BOUND.format(end=end)):
+                    SweepSpec(FIXED, axis).validate()
+        # the rate, a weight and a time: any number >= 0
+        non_negative = accepted and e >= 0
+        gen = _finite_or_value_error(EffectiveGenerator, 0, value, 0.0, False)
+        state = _finite_or_value_error(BlochState, [0.0, 0.0, 1.0], value)
+        evolved = _finite_or_value_error(evolve_no_jump, ROTATION, STATES[0], value)
+        assert [gen is not None, state is not None, evolved is not None] == [non_negative] * 3
+        if non_negative:
+            assert gen.rate == state.weight == e
+            at_float = evolve_no_jump(ROTATION, STATES[0], float(e))
+            assert evolved.r.tolist() == at_float.r.tolist() and evolved.weight == at_float.weight
+        # a Bloch component: any number of modulus <= 1
+        assert _validates(initial_bloch=(0.0, 0.0, value)) == (accepted and abs(e) <= 1.0 + 1e-9)
+
+        # block indices, counts and n_list entries: whole numbers
+        blocks = [_finite_or_value_error(ModelParams, 1.0, 5.0, 1.0, value),
+                  _finite_or_value_error(EffectiveGenerator, value, 1.0, 0.0, True)]
+        count = blocks[0].n if blocks[0] is not None else None
+        assert blocks[1] is None if count is None else type(blocks[1].n) is int and blocks[1].n == count
+        assert _validates(n_list=(value,)) == (count is not None and count < 2**63)
+        steps = Axis("gamma", 0.0, 1.0, value)
+        assert _validates(axis1=steps) == (count is not None and 2 <= count <= MAX_CELLS)
+        # a grid is allocated only for the few points a test can afford
+        if count is not None and 2 <= count <= 1000:
+            assert len(run_sweep(SweepSpec(FIXED, steps))) == count
+        if count is None or count <= 1000:
+            grid = _finite_or_value_error(default_time_grid, ROTATION, value)
+            assert grid is None or (count is not None and grid.size == count >= 2)

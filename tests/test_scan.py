@@ -71,6 +71,8 @@ def test_validation_rejects_non_integer_steps():
         with pytest.raises(SpecValidationError, match=r"axis1\.steps: expected an integer"):
             simple_spec(axis1=Axis("gamma", 0.0, 1.0, steps)).validate()
     simple_spec(axis1=Axis("gamma", 0.0, 1.0, np.int64(5))).validate()
+    # a whole float is a whole number, as config files and ModelParams' n read it
+    assert len(run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1.0, 3.0)))) == 3
 
 
 def test_validation_rejects_non_numeric_bounds():
@@ -78,6 +80,8 @@ def test_validation_rejects_non_numeric_bounds():
         (Axis("gamma", "0", 1.0, 3), "min"),
         (Axis("t", 0.0, None, 3), "max"),
         (Axis("delta_sq", 0.0, 1 + 0j, 3), "max"),
+        # a bool is not a number, as ModelParams refuses a bool energy
+        (Axis("gamma", False, True, 3), "min"),
     ]:
         with pytest.raises(SpecValidationError, match=rf"^axis1\.{field}: expected a real number"):
             simple_spec(axis1=axis).validate()
@@ -135,6 +139,14 @@ def test_validation_rejects_bad_quantities_and_state():
         simple_spec(initial_bloch=(0.0, math.nan, 0.0)).validate()
     with pytest.raises(SpecValidationError, match="^initial_bloch: need 3 finite components$"):
         simple_spec(initial_bloch=(10**400, 0, 0)).validate()
+    for bloch in ((0, 0, 1j), (0, 0, None), ("0", "0", "1"), (0, 0, True)):
+        with pytest.raises(SpecValidationError, match="^initial_bloch: need 3 finite components$"):
+            simple_spec(initial_bloch=bloch).validate()
+    # a field that is not a sequence is named, where len() raised TypeError
+    for field, value in (("quantities", None), ("n_list", None), ("n_list", 3),
+                         ("initial_bloch", None)):
+        with pytest.raises(SpecValidationError, match=f"^{field}: expected a list"):
+            simple_spec(**{field: value}).validate()
     # several problems are reported together
     with pytest.raises(SpecValidationError, match="axis1.name.*quantities"):
         simple_spec(axis1=Axis("bad", 0.0, 1.0, 5), quantities=("nope",)).validate()
@@ -479,6 +491,11 @@ def test_spec_dict_roundtrip():
         initial_bloch=(0.0, 1.0, 0.0),
     )
     assert spec_from_dict(spec_to_dict(spec)) == spec
+    # numpy numbers are written as the Python numbers they equal, which json can encode
+    numpy_spec = dataclasses.replace(
+        spec, axis1=Axis("gamma", np.float32(0.0), np.int64(3), np.uint8(7)), n_list=(np.int64(0), 2.0)
+    )
+    assert json.dumps(spec_to_dict(numpy_spec)) == json.dumps(spec_to_dict(spec))
 
 
 def test_spec_from_dict_defaults():
@@ -524,6 +541,14 @@ def test_spec_from_dict_type_errors():
     for n in (1.5, False):
         with pytest.raises(SpecValidationError, match=r"fixed\.n"):
             spec_from_dict({"axes": axes, "fixed": {"n": n}})
+    # bools and strings are not numbers: float() read "1_0" as 10.0
+    for value in (True, "1_0", "1"):
+        with pytest.raises(SpecValidationError, match="^fixed: omega must be a finite real number"):
+            spec_from_dict({"axes": axes, "fixed": {"omega": value}})
+        with pytest.raises(SpecValidationError, match=r"^axes\[1\]: min must be a finite real"):
+            spec_from_dict({"axes": [dict(axes[0], min=value)]})
+        with pytest.raises(SpecValidationError, match="^initial_bloch: each component must be"):
+            spec_from_dict({"axes": axes, "initial_bloch": [0, 0, value]})
     spec = spec_from_dict({"axes": [dict(axes[0], steps=3.0)], "n_list": [2.0]})
     assert spec.axis1.steps == 3 and spec.n_list == (2,)
 
