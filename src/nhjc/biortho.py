@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,11 @@ import numpy as np
 from .model import (
     ModelParams,
     PhaseLabel,
+    _SLOPES,
     _Block,
     _block,
     _center,
     _finite,
-    _in_band,
     critical_gamma,
 )
 
@@ -256,35 +257,65 @@ def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-# metric_divergence_exponent fits this many offsets |delta - delta_c|,
-# spaced geometrically on this window; the signed offsets delta - delta_c of
-# each side, the offsets' logs less their mean and the sum of their squares
-# are formed once
+# metric_divergence_exponent fits this many offsets |delta - delta_c| per
+# side, spaced geometrically on this window; the signed offsets
+# delta - delta_c of both sides (below, then above), the offsets' logs less
+# their mean and the sum of their squares are formed once
 _EXPONENT_POINTS = 20
 _EXPONENT_WINDOW = (1e-4, 1e-1)
 _EXPONENT_OFFSETS = np.geomspace(*_EXPONENT_WINDOW, _EXPONENT_POINTS)
-_EXPONENT_SIGNED = {"below": -_EXPONENT_OFFSETS, "above": _EXPONENT_OFFSETS}
+_EXPONENT_SIGNED = np.concatenate((-_EXPONENT_OFFSETS, _EXPONENT_OFFSETS))
+_EXPONENT_SIDES = {"below": _EXPONENT_SIGNED[:_EXPONENT_POINTS],
+                   "above": _EXPONENT_SIGNED[_EXPONENT_POINTS:]}
 _EXPONENT_LOGS = np.log(_EXPONENT_OFFSETS)
 _EXPONENT_LOGS -= _EXPONENT_LOGS.sum() / _EXPONENT_LOGS.size  # the bits of .mean()
 _EXPONENT_VAR = float(np.dot(_EXPONENT_LOGS, _EXPONENT_LOGS))
+_SQUARE = (2.0).__rpow__  # x**2 by libm pow, as _form_block squares gamma
 
 
-def _fit_discriminants(b, n1, gammas: list[float]) -> np.ndarray | None:
-    """D of each fit block with the operations of _form_block; None where a
-    square is not a finite float or some D falls in the EP band.  Every fit
-    coupling is positive, since delta_c exceeds the largest offset."""
+def _fit_slopes(p: ModelParams, delta_c: float, root_n1: float, signed: np.ndarray):
+    """The OLS slope of each run of _EXPONENT_POINTS signed offsets, from one
+    array pass over their offset blocks; None where some block has a square
+    past the float range or lies in the EP band, so metric() refuses it.
+
+    The block of offset x is ModelParams(omega, epsilon, (delta_c + x) /
+    root_n1, n), formed elementwise with the operations of _form_block and
+    _metric_norm, so each slope has the bits of a pass over its run alone.
+    Every fit coupling is positive, since delta_c exceeds the largest offset.
+    """
+    gammas = (delta_c + signed) / root_n1
+    b = p.omega - p.epsilon
     try:
         b2 = float(b**2)
-        c2 = [4.0 * g**2 * n1 for g in gammas]  # libm pow, as in _form_block
+        g2 = list(map(_SQUARE, gammas.tolist()))
     except OverflowError:
         return None
-    if not (math.isfinite(b2) and math.isfinite(max(c2))):
+    n1 = p.n + 1
+    # a product is monotone, so the largest 4 gamma**2 (n+1) bounds the rest
+    # and the array products below cannot overflow
+    if not (math.isfinite(b2) and math.isfinite(4.0 * max(g2) * n1)):
         return None
-    c2 = np.array(c2)
+    c2 = 4.0 * np.array(g2) * float(n1)  # as Python's float * int converts n1, at any size
     d = b2 - c2
-    if _in_band(b2, c2, d, True, np.maximum).any():
+    size = abs(d)
+    # _in_band of coupled blocks, with its floor max(b2, tiny) taken on the scalar
+    if np.count_nonzero(size <= 1e-10 * np.maximum(c2, max(b2, sys.float_info.min))):
         return None
-    return d
+    # ||G||_F of _metric_norm: t > 0 here, and the sign of G's off-diagonal
+    # entry drops out of its square
+    root = np.sqrt(size)
+    t = 2.0 * root_n1 * gammas
+    b = float(abs(b))  # as Python's int / float converts an int b
+    diag = np.maximum(b, t) / root
+    off = np.minimum(b, t) / root
+    ly = np.log(np.sqrt(2.0 * (diag * diag + off * off)))
+    slopes = []
+    for k in range(0, ly.size, _EXPONENT_POINTS):
+        # OLS slope of log ||G||_F against the offsets' centred logs; the mean
+        # as a sum over the size keeps the bits of ly.mean() without its Python layer
+        run = ly[k:k + _EXPONENT_POINTS]
+        slopes.append(float(np.dot(_EXPONENT_LOGS, run - run.sum() / run.size) / _EXPONENT_VAR))
+    return slopes
 
 
 def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
@@ -298,32 +329,36 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
     range where ||G||_F follows the -1/2 power (at delta_c = 0, G = I and
     nothing diverges).  Every offset block that metric() would refuse, by
     an overflowing square or the EP band, makes this raise its error.
+
+    Both sides are fitted in one array pass over their 40 offset blocks, and
+    the pair of slopes is kept on p, so the second side is a lookup; p's own
+    block is never formed.  Where a block of either side is refused, nothing
+    is kept, and the requested side is fitted, or refused, on its own.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    root_n1 = math.sqrt(p.n + 1)
-    delta_c = root_n1 * critical_gamma(p)
-    if delta_c <= _EXPONENT_WINDOW[1]:
-        low, high = _EXPONENT_WINDOW
-        window, reach = {
-            "below": ("-", "reaches gamma = 0"),
-            "above": ("+", "leaves the -1/2 asymptote"),
-        }[side]
-        raise ValueError(
-            f"the '{side}' window delta_c {window} [{low:g}, {high:g}] {reach}:"
-            f" delta_c = |omega - epsilon| / 2 = {delta_c!r} must exceed {high:g}"
-        )
-    signed = _EXPONENT_SIGNED[side]
-    # the coupling of each offset block, elementwise as one
-    # ModelParams(omega, epsilon, (delta_c + x) / root_n1, n) per signed offset x
-    gammas = (delta_c + signed) / root_n1
-    b = p.omega - p.epsilon
-    d = _fit_discriminants(b, p.n + 1, gammas.tolist())
-    if d is None:
-        # rebuilt in order, the first block that metric() refuses raises its error
-        for x in signed.tolist():
-            _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)
-    # OLS slope of log ||G||_F against the offsets' centred logs; the mean
-    # as a sum over the size keeps the bits of ly.mean() without its Python layer
-    ly = np.log(_metric_norm(b, 2.0 * root_n1 * gammas, d))
-    return float(np.dot(_EXPONENT_LOGS, ly - ly.sum() / ly.size) / _EXPONENT_VAR)
+    slopes = getattr(p, _SLOPES, None)
+    if slopes is None:
+        root_n1 = math.sqrt(p.n + 1)
+        delta_c = root_n1 * critical_gamma(p)
+        if delta_c <= _EXPONENT_WINDOW[1]:
+            low, high = _EXPONENT_WINDOW
+            window, reach = {
+                "below": ("-", "reaches gamma = 0"),
+                "above": ("+", "leaves the -1/2 asymptote"),
+            }[side]
+            raise ValueError(
+                f"the '{side}' window delta_c {window} [{low:g}, {high:g}] {reach}:"
+                f" delta_c = |omega - epsilon| / 2 = {delta_c!r} must exceed {high:g}"
+            )
+        slopes = _fit_slopes(p, delta_c, root_n1, _EXPONENT_SIGNED)
+        if slopes is None:
+            signed = _EXPONENT_SIDES[side]
+            slopes = _fit_slopes(p, delta_c, root_n1, signed)
+            if slopes is None:
+                # rebuilt in order, the first block that metric() refuses raises its error
+                for x in signed.tolist():
+                    _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)
+            return slopes[0]
+        object.__setattr__(p, _SLOPES, tuple(slopes))
+    return slopes[side == "above"]

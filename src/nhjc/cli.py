@@ -150,6 +150,7 @@ def _resolved(args) -> dict:
                 if not isinstance(value, dict):
                     raise SpecValidationError("fixed: expected a JSON object")
                 value = {**(merged.get("fixed") or {}), **value}
+                value = {k: v for k, v in value.items() if v is not None}
             merged[key] = value
     defaults = {"quantities": _DEFAULT_QUANTITIES.get(args.command)}
     return defaults | {k: v for k, v in merged.items() if v is not None}

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _FLOAT_MAX, ModelParams, Phase, _block, _center, _integral, _real
+from .model import _FLOAT_MAX, MAX_CELLS, ModelParams, Phase, _block, _center, _integral, _real
 
 __all__ = [
     "BlochState",
@@ -44,20 +44,50 @@ __all__ = [
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# numpy's one native float64 dtype: BlochState copies an array of it as it is
+_FLOAT64 = np.dtype(float)
+
+
+def _components(r) -> tuple[float, float, float]:
+    """The three components of a Bloch vector given as anything but a
+    float64 array, as Python floats, each read by _real, so NaN where one is
+    not finite; ValueError where r does not hold three numbers."""
+    try:
+        x, y, z = r
+    except (TypeError, ValueError):  # not iterable, or not three items
+        raise ValueError(f"Bloch vector must have 3 components, got {r!r}") from None
+    if type(x) is float and type(y) is float and type(z) is float:  # ahead of _real
+        return x, y, z
+    components = _real(x), _real(y), _real(z)
+    if None in components:
+        raise ValueError(f"Bloch vector components must be real numbers, got {r!r}")
+    return tuple(map(float, components))
+
 
 @dataclass(frozen=True)
 class BlochState:
-    """State rho = (weight/2)(I + r . sigma) on one invariant subspace."""
+    """State rho = (weight/2)(I + r . sigma) on one invariant subspace.
+
+    r is kept as a float64 array.  Given as anything but a float64 array,
+    each component is read as ModelParams reads its energies, so a string,
+    bool, None or complex component raises ValueError.
+    """
 
     r: np.ndarray
     weight: float = 1.0
 
     def __post_init__(self):
-        r = np.array(self.r, dtype=float)
-        if r.shape != (3,):
-            raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
-        # three Python floats: numpy's reductions cost more than the check
-        x, y, z = r.tolist()
+        # the components as three Python floats: numpy's reductions cost
+        # more than the checks
+        r = self.r
+        if type(r) is np.ndarray and r.dtype is _FLOAT64:
+            if r.shape != (3,):
+                raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
+            x, y, z = r.tolist()
+            r = r.copy()
+        else:
+            x, y, z = _components(r)
+            r = np.array((x, y, z))
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("Bloch vector must be finite")
         length = math.sqrt(x * x + y * y + z * z)
@@ -183,12 +213,15 @@ def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:
     """Uniform grid on [0, 5 / rate]; rate = Gamma or Lambda as appropriate.
 
     Raises ValueError unless the rate is positive with 5 / rate finite, and
-    points is an integer >= 2, of an integer type.  A decoupled block at
+    points is an integer of an integer type from 2 up to the sweep cap
+    MAX_CELLS, checked before anything is allocated.  A decoupled block at
     omega == epsilon has rate 0: nothing evolves there, so no time scale.
     """
     if not (gen.rate > 0.0 and math.isfinite(5.0 / gen.rate)):  # an int or float rate
         raise ValueError(f"time grid: rate must be positive with 5 / rate finite, got {gen.rate!r}")
     count = _integral(points)
-    if count is None or count < 2 or not hasattr(points, "__index__"):
-        raise ValueError(f"time grid: points must be an integer >= 2, got {points!r}")
+    if count is None or not 2 <= count <= MAX_CELLS or not hasattr(points, "__index__"):
+        raise ValueError(
+            f"time grid: points must be an integer >= 2 and <= {MAX_CELLS}, got {points!r}"
+        )
     return np.linspace(0.0, 5.0 / gen.rate, count)

@@ -18,11 +18,13 @@ exceptional point) unless gamma = 0.  Everything in this package works on
 these blocks, where all quantities are available in closed form.
 
 Each ModelParams keeps one private record of its block's scalars (`_Block`),
-formed on first use; every scalar function reads them through `_block`.  A
+formed on first use; every scalar function reads them through `_block`.
+`biortho.metric_divergence_exponent` keeps its two slopes beside it.  A
 D past the float range, an overflowing centre and the EP band's
 ExceptionalPointError are never kept: they raise on every call.  The EP
-band itself is `_in_band`, the one test that the record, the metric
-exponent fit and the sweep kernel share.
+band itself is `_in_band`, the one test that the record and the sweep
+kernel call; the metric exponent fit applies it with its floor folded
+into a scalar.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ class Phase(Enum):
     BROKEN = "Broken"
     EXCEPTIONAL_POINT = "ExceptionalPoint"
 
+
+# The cap on the cells of one sweep, published as scan.MAX_CELLS:
+# SweepSpec.validate rejects grids with more cells than this
+# (len(n_list) * steps1 * steps2), and dynamics.default_time_grid more
+# points, before anything is allocated
+MAX_CELLS = 10**7
 
 # -_FLOAT_MAX <= x <= _FLOAT_MAX: x is finite, tested exactly for an int of
 # any size (where math.isfinite overflows) and false for NaN
@@ -137,8 +145,10 @@ class ModelParams:
         object.__setattr__(self, "n", n)  # so n + 1 and 2n + 1 are exact at any size
 
     def __getstate__(self):
-        # pickles and copies omit the record that `_block` derives from the fields
-        return {name: value for name, value in self.__dict__.items() if name != _MEMO}
+        # pickles and copies omit what is derived from the fields and kept:
+        # the record of `_block` and the exponent fit's slopes
+        kept = (_MEMO, _SLOPES)
+        return {name: value for name, value in self.__dict__.items() if name not in kept}
 
     def __setstate__(self, state):
         # an unpickled state passes the constructor's checks and int conversion
@@ -183,8 +193,10 @@ def build_block(p: ModelParams) -> np.ndarray:
     return _finite(m)
 
 
-# The attribute under which a ModelParams keeps its _Block.
+# The attributes under which a ModelParams keeps its _Block, and the
+# (below, above) slopes of biortho.metric_divergence_exponent.
 _MEMO = "_block_memo"
+_SLOPES = "_exponent_slopes"
 
 
 class _Block:

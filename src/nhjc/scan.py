@@ -69,7 +69,7 @@ from .entropy import (
     _square_or_inf,
 )
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
-from .model import ModelParams, Phase, Spectrum, _in_band, _integral, _real
+from .model import MAX_CELLS, ModelParams, Phase, Spectrum, _in_band, _integral, _real
 
 __all__ = [
     "AXIS_NAMES",
@@ -94,10 +94,6 @@ QUANTITIES = ("eigenvalues", "phase", "metric_norm", "entropy", "survival", "blo
 # export_csv joins and writes this many rows at a time, so the text of a
 # large sweep is never held in memory at once
 _CSV_CHUNK_ROWS = 512
-
-# SweepSpec.validate rejects grids with more cells than this
-# (len(n_list) * steps1 * steps2) before anything is allocated
-MAX_CELLS = 10**7
 
 _BASE_COLUMNS = (
     "n",

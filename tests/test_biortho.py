@@ -1,6 +1,8 @@
 """Tests for eigenvector ratios, metrics, intertwiners and projectors."""
 
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import eig2, expm2, pseudo_hermiticity_residual, random_complex, random_params
 
+from nhjc import biortho
 from nhjc.biortho import (
     _metric_entries,
     eigenvector_ratios,
@@ -22,7 +25,16 @@ from nhjc.biortho import (
 )
 from nhjc.entropy import entanglement_entropy, reduced_spectrum
 from nhjc.errors import ExceptionalPointError
-from nhjc.model import Branch, ModelParams, Phase, _in_band, build_block, spectrum_closed_form
+from nhjc.model import (
+    _MEMO,
+    _SLOPES,
+    Branch,
+    ModelParams,
+    Phase,
+    _in_band,
+    build_block,
+    spectrum_closed_form,
+)
 from nhjc.scan import Axis, SweepSpec, run_sweep
 
 SQRT3 = math.sqrt(3.0)
@@ -548,6 +560,87 @@ def test_exponent_errors_name_the_refused_block():
     overflow = r"^discriminant: .* overflows at ModelParams\(omega=0\.0, epsilon=1\.4e\+154, gamma="
     with pytest.raises(ValueError, match=overflow):
         metric_divergence_exponent(ModelParams(0.0, 1.4e154, 1.0, 0), "above")
+
+
+def _kept_outcome(p, side):
+    """_fit_outcome on p itself, where the slopes may already be kept."""
+    try:
+        return float.hex(metric_divergence_exponent(p, side))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _counted_passes(monkeypatch) -> list:
+    """The offset runs of each _fit_slopes call, recorded as it runs."""
+    runs = []
+    fit = biortho._fit_slopes
+
+    def counted(p, delta_c, root_n1, signed):
+        runs.append(signed.size)
+        return fit(p, delta_c, root_n1, signed)
+
+    monkeypatch.setattr(biortho, "_fit_slopes", counted)
+    return runs
+
+
+@pytest.mark.parametrize("point", [(1.0, 5.0, 1.0, 0), (-2, 3, -4, 5), (0.3, -1.7, 0.9, 5)])
+def test_one_array_pass_serves_both_sides(monkeypatch, point):
+    runs = _counted_passes(monkeypatch)
+    p = ModelParams(*point)
+    sides = ("below", "above", "above", "below")
+    slopes = [float.hex(metric_divergence_exponent(p, side)) for side in sides]
+    assert runs == [40]
+    assert slopes == [float.hex(helpers.reference_exponent(p, side)) for side in sides]
+
+
+@pytest.mark.parametrize("point", [_FIT_POINTS[0], _FIT_POINTS[6], *_random_fit_points(20)])
+def test_exponent_does_not_depend_on_the_order_of_the_sides(point):
+    for order in (("below", "above"), ("above", "below")):
+        p = ModelParams(*point)
+        for side in order:
+            got = _kept_outcome(p, side)
+            assert got == _fit_outcome(metric_divergence_exponent, point, side), (point, order)
+
+
+def test_kept_slopes_leave_value_semantics_alone():
+    p = ModelParams(1.0, 5.0, 1.0, 2)
+    before = repr(p), hash(p), pickle.dumps(p)
+    slopes = metric_divergence_exponent(p, "below"), metric_divergence_exponent(p, "above")
+    assert vars(p)[_SLOPES] == slopes
+    assert p == ModelParams(1.0, 5.0, 1.0, 2) and (repr(p), hash(p), pickle.dumps(p)) == before
+    for duplicate in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert duplicate == p and _SLOPES not in vars(duplicate)
+        assert metric_divergence_exponent(duplicate, "above") == slopes[1]
+
+
+def test_exponent_never_forms_the_own_block():
+    # the fit ignores p.gamma: at gamma = 1e200 p's own square overflows
+    p = ModelParams(1.0, 5.0, 1e200, 0)
+    slopes = metric_divergence_exponent(p, "below"), metric_divergence_exponent(p, "above")
+    assert _MEMO not in vars(p)
+    assert slopes == tuple(helpers.reference_exponent(p, side) for side in ("below", "above"))
+    with pytest.raises(ValueError, match="^discriminant: .* overflows at "):
+        metric(p)
+
+
+# |omega - epsilon| near 4e6, at the edge of the EP band: 4000000.1 refuses
+# only the 'above' half, 4000000.2 only the 'below' half
+@pytest.mark.parametrize("omega, refused", [(4000000.1, "above"), (4000000.2, "below")])
+def test_a_refused_half_leaves_the_other_to_the_per_block_fit(monkeypatch, omega, refused):
+    point = (omega, 0.0, 1.0, 0)
+    expected = {side: _fit_outcome(helpers.reference_exponent, point, side)
+                for side in ("below", "above")}
+    assert expected[refused][0] is ExceptionalPointError
+    assert all(isinstance(expected[side], str) for side in expected if side != refused)
+    runs = _counted_passes(monkeypatch)
+    for order in (("below", "above"), ("above", "below")):
+        p = ModelParams(*point)
+        for side in order * 2:
+            got = _kept_outcome(p, side)
+            assert got == expected[side], (order, side)
+        assert _SLOPES not in vars(p)
+    # every call passes over both halves and then over the requested one
+    assert runs == [40, 20] * 8
 
 
 # --- sqrt_hpd ---------------------------------------------------------------

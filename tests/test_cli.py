@@ -443,7 +443,14 @@ _LAYER_ROWS = [
     ("null-axes-over-preset", ["spectrum", "--preset", "fig1"], {"axes": None}, "error:spectrum"),
     ("null-n-list", ["spectrum", *_G], {"n_list": None}, "0164517b7a6bf8c9"),
     ("null-fixed", ["spectrum", *_G], {"fixed": None}, "0164517b7a6bf8c9"),
-    ("null-fixed-key", ["spectrum", *_G], {"fixed": {"omega": None}}, "error:fixed"),
+    # a null inside fixed: that key takes its default, whatever the preset gave it
+    ("null-fixed-key", ["spectrum", *_G], {"fixed": {"omega": None}}, "0164517b7a6bf8c9"),
+    ("null-fixed-gamma", ["spectrum", "--grid", "delta:0:1:3"], {"fixed": {"gamma": None}},
+     "8de73e386debe0ba"),
+    ("no-config-gamma", ["spectrum", "--grid", "delta:0:1:3"], None, "8de73e386debe0ba"),
+    # fig2b with n = 0 is fig2a
+    ("null-n-over-preset", ["phase-map", "--preset", "fig2b"], {"fixed": {"n": None}},
+     "a693e5abdb30fc25"),
     # exponent reads only fixed
     ("exponent-fixed", ["exponent", "--preset", "fig1"], {"fixed": {"n": 1}, "quantities": 5},
      "5fce419822ce78e8"),

@@ -345,7 +345,12 @@ def test_every_numeric_field_reads_a_number_by_one_rule(value):
             at_float = evolve_no_jump(ROTATION, STATES[0], float(e))
             assert evolved.r.tolist() == at_float.r.tolist() and evolved.weight == at_float.weight
         # a Bloch component: any number of modulus <= 1
-        assert _validates(initial_bloch=(0.0, 0.0, value)) == (accepted and abs(e) <= 1.0 + 1e-9)
+        component = accepted and abs(e) <= 1.0 + 1e-9
+        assert _validates(initial_bloch=(0.0, 0.0, value)) == component
+        state = _finite_or_value_error(BlochState, (0.0, 0.0, value))
+        assert (state is not None) == component
+        if component:
+            assert state.r.tolist() == [0.0, 0.0, float(e)]
 
         # block indices, counts and n_list entries: whole numbers
         blocks = [_finite_or_value_error(ModelParams, 1.0, 5.0, 1.0, value),
@@ -358,6 +363,7 @@ def test_every_numeric_field_reads_a_number_by_one_rule(value):
         # a grid is allocated only for the few points a test can afford
         if count is not None and 2 <= count <= 1000:
             assert len(run_sweep(SweepSpec(FIXED, steps))) == count
-        if count is None or count <= 1000:
+        # and a count past MAX_CELLS is refused before one is allocated
+        if count is None or count <= 1000 or count > MAX_CELLS:
             grid = _finite_or_value_error(default_time_grid, ROTATION, value)
-            assert grid is None or (count is not None and grid.size == count >= 2)
+            assert grid is None or (count is not None and 2 <= grid.size == count <= MAX_CELLS)

@@ -1,6 +1,7 @@
 """Tests for the no-jump conditional evolution on one invariant subspace."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from helpers import eig2, expm2, match_order, random_bloch, random_params
 
 from nhjc.dynamics import (
     BlochState,
+    EffectiveGenerator,
     default_time_grid,
     effective_generator,
     evolve_no_jump,
 )
 from nhjc.errors import ExceptionalPointError
 from nhjc.model import ModelParams, spectrum_closed_form
+from nhjc.scan import MAX_CELLS
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 BROKEN = ModelParams(1.0, 5.0, 4.0, 0)  # Gamma = sqrt(12)
@@ -61,6 +64,62 @@ def test_bloch_state_accepts_unit_length_within_roundoff(length):
 def test_bloch_state_rejects_long_or_non_finite_vectors(r, message):
     with pytest.raises(ValueError, match=message):
         BlochState(np.array(r))
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        ("0", "0", "1"),
+        (0, 0, True),
+        (0.0, 0.0, None),
+        (0.0, 0.0, 1j),
+        np.array([0.0, 0.0, 1.0 + 0.0j]),
+        np.array([False, False, True]),
+    ],
+)
+def test_bloch_state_refuses_components_that_are_not_numbers(r):
+    # np.array(r, dtype=float) read "1" and True as 1.0 and dropped the imaginary part
+    with pytest.raises(ValueError, match="^Bloch vector components must be real numbers, got "):
+        BlochState(r)
+
+
+@pytest.mark.parametrize(
+    "r", [0.5, "ab", (0.0, 0.0), np.array([0.0, 0.0]), [[0.0, 0.0, 1.0]], np.zeros((3, 1))]
+)
+def test_bloch_state_refuses_anything_but_three_components(r):
+    with pytest.raises(ValueError, match="^Bloch vector must have 3 components, got "):
+        BlochState(r)
+
+
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        ((0, 0, 10**400), "^Bloch vector must be finite$"),
+        (np.array([0.0, 0.0, np.longdouble("1e400")]), "^Bloch vector must be finite$"),
+        ((0.0, 0.0, 1.0), None),
+        ((0, 0, 1), None),
+        ((np.float32(0.0), 0, Fraction(1, 1)), None),
+        (iter([0.0, 0.0, 1.0]), None),
+        (np.array([0, 0, 1]), None),
+        (np.array([0.0, 0.0, 1.0], dtype=np.float32), None),
+        (np.array([0.0, 0.0, 1.0], dtype=">f8"), None),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_bloch_state_reads_each_component_as_a_number(r, message):
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            BlochState(r)
+        return
+    state = BlochState(r)
+    assert state.r.dtype == np.float64 and state.r.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_bloch_state_copies_a_float_array():
+    r = np.array([0.6, 0.0, 0.8])
+    state = BlochState(r)
+    r[0] = 1.0
+    assert state.r.tolist() == [0.6, 0.0, 0.8]
 
 
 def test_bloch_state_matrix():
@@ -239,3 +298,15 @@ def test_default_time_grid():
     assert len(default_time_grid(gen, points=7)) == 7
     with pytest.raises(ValueError):
         default_time_grid(gen, points=1)
+
+
+@pytest.mark.parametrize("points", [np.uint64(2**63), 10**12, MAX_CELLS + 1])
+def test_default_time_grid_refuses_points_past_the_sweep_cap(monkeypatch, points):
+    # linspace raised IndexError on np.uint64(2**63) and MemoryError on 10**12
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count must be refused before any grid is allocated")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    refused = rf"^time grid: points must be an integer >= 2 and <= {MAX_CELLS}, got "
+    with pytest.raises(ValueError, match=refused):
+        default_time_grid(EffectiveGenerator(0, 1.0, 0.0, True), points)

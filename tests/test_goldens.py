@@ -25,6 +25,7 @@ GOLDENS = {
     "fig2a.svg": (["phase-map", "--preset", "fig2a", "--format", "svg"], "07b0808852700827"),
     "dynamics.csv": (["dynamics", "--gamma", "4", "--r0", "0,0,1"], "9ceec7f7610ce01d"),
     "exponent.txt": (["exponent"], "5fce419822ce78e8"),
+    "exponent-n2.txt": (["exponent", "--omega", "3", "--n", "2"], "a468162b9ad137ea"),
     # line 202 is the EP cell, whose metric_norm field is empty
     "metric.csv": (["metric", "--grid", "gamma:0:4:401", "--format", "csv"], "a6e027235c842e83"),
 }
