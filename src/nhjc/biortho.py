@@ -41,6 +41,7 @@ from .model import (
     _block,
     _center,
     _finite,
+    _unchecked,
     critical_gamma,
 )
 
@@ -209,10 +210,14 @@ def intertwiner(p: ModelParams) -> MetricBundle:
     y = 0.5 * (off * block.b + diag * block.t)
     if not (math.isfinite(center - x) and math.isfinite(center + x) and math.isfinite(y)):
         raise ValueError("matrix entries must be finite")
-    h = np.array((center - x, y, -y, center + x), dtype=complex).reshape(2, 2)
-    return MetricBundle(
-        _symmetric(diag, off), _symmetric(g_diag, g_off), _symmetric(g_diag, -g_off), h, block.label
-    )
+    # G, g, g^-1 and h as the four (2, 2) blocks of one array, each
+    # C-contiguous and apart from the others
+    G, g, g_inv, h = np.array(
+        (diag, off, off, diag, g_diag, g_off, g_off, g_diag,
+         g_diag, -g_off, -g_off, g_diag, center - x, y, -y, center + x),
+        dtype=complex,
+    ).reshape(4, 2, 2)
+    return _unchecked(MetricBundle, {"G": G, "g": g, "g_inv": g_inv, "h": h, "phase": block.label})
 
 
 def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -332,8 +337,9 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
 
     Both sides are fitted in one array pass over their 40 offset blocks, and
     the pair of slopes is kept on p, so the second side is a lookup; p's own
-    block is never formed.  Where a block of either side is refused, nothing
-    is kept, and the requested side is fitted, or refused, on its own.
+    block is never formed.  Where a block of either side is refused, the
+    requested side is fitted on its own: if it fits, it is kept, with None
+    for the other side, whose refused block then raises on every call.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
@@ -353,12 +359,24 @@ def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
             )
         slopes = _fit_slopes(p, delta_c, root_n1, _EXPONENT_SIGNED)
         if slopes is None:
-            signed = _EXPONENT_SIDES[side]
-            slopes = _fit_slopes(p, delta_c, root_n1, signed)
-            if slopes is None:
-                # rebuilt in order, the first block that metric() refuses raises its error
-                for x in signed.tolist():
-                    _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)
-            return slopes[0]
+            fitted = _fit_slopes(p, delta_c, root_n1, _EXPONENT_SIDES[side])
+            if fitted is None:
+                _refuse(p, side)
+            # the 40 blocks hold a refused one, and this side's 20 do not
+            slopes = [None, None]
+            slopes[side == "above"] = fitted[0]
         object.__setattr__(p, _SLOPES, tuple(slopes))
-    return slopes[side == "above"]
+    slope = slopes[side == "above"]
+    if slope is None:
+        _refuse(p, side)
+    return slope
+
+
+def _refuse(p: ModelParams, side: str) -> None:
+    """Raise what metric() raises at the first offset block of side that it
+    refuses, rebuilding the blocks in order; called where _fit_slopes
+    refused the side, which it does exactly where metric() refuses a block."""
+    root_n1 = math.sqrt(p.n + 1)
+    delta_c = root_n1 * critical_gamma(p)
+    for x in _EXPONENT_SIDES[side].tolist():
+        _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)

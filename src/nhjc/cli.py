@@ -57,10 +57,20 @@ for _i, _name in enumerate(("fig2a", "fig2b", "fig2c", "fig2d")):
     }
 
 
+# an error is reported on one line, whatever text it quotes: the line
+# breaks in it are written escaped
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})
+
+
+def _report(kind: str, message) -> None:
+    print(f"nhjc: {kind}: {str(message).translate(_ONE_LINE)}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors are validation errors (exit 1); exit 2 is reserved for I/O
     def error(self, message):
         self.print_usage(sys.stderr)
+        _report("error", message)
         raise SystemExit(1)
 
 
@@ -217,10 +227,10 @@ def cli_main(argv=None) -> int:
         _run(args)
         return 0
     except OSError as exc:
-        print(f"nhjc: i/o error: {exc}", file=sys.stderr)
+        _report("i/o error", exc)
         return 2
     except ValueError as exc:
-        print(f"nhjc: error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return 1
 
 

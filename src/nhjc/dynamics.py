@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _FLOAT_MAX, MAX_CELLS, ModelParams, Phase, _block, _center, _integral, _real
+from .model import (
+    _FLOAT_MAX, MAX_CELLS, ModelParams, Phase, _block, _center, _integral, _real, _unchecked,
+)
 
 __all__ = [
     "BlochState",
@@ -64,6 +66,19 @@ def _components(r) -> tuple[float, float, float]:
     return tuple(map(float, components))
 
 
+def _check_state(x: float, y: float, z: float, weight, given) -> None:
+    """BlochState's checks: ValueError unless the components, Python floats,
+    are finite with length <= 1 (to 1e-9), and weight, a number by _real
+    (None where given is not one), is finite and >= 0."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("Bloch vector must be finite")
+    length = math.sqrt(x * x + y * y + z * z)
+    if length > 1.0 + 1e-9:
+        raise ValueError(f"Bloch vector length {length} exceeds 1")
+    if weight is None or not 0.0 <= weight <= _FLOAT_MAX:
+        raise ValueError(f"weight must be finite and non-negative, got {given}")
+
+
 @dataclass(frozen=True)
 class BlochState:
     """State rho = (weight/2)(I + r . sigma) on one invariant subspace.
@@ -88,14 +103,8 @@ class BlochState:
         else:
             x, y, z = _components(r)
             r = np.array((x, y, z))
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError("Bloch vector must be finite")
-        length = math.sqrt(x * x + y * y + z * z)
-        if length > 1.0 + 1e-9:
-            raise ValueError(f"Bloch vector length {length} exceeds 1")
         weight = _real(self.weight)
-        if weight is None or not weight >= 0.0:
-            raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
+        _check_state(x, y, z, weight, self.weight)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "weight", weight)
 
@@ -155,8 +164,12 @@ def effective_generator(p: ModelParams) -> EffectiveGenerator:
     where the shift overflows.
     """
     block = _block(p, "no-jump generator is defective at the exceptional point")
-    rate, broken = 0.5 * abs(block.root), block.label.value is Phase.BROKEN
-    return EffectiveGenerator(p.n, rate, _center(p, block), broken)
+    # the fields EffectiveGenerator's checks would keep: p's int n, a finite
+    # rate |sqrt(D)| / 2 >= 0, a finite float centre and a bool
+    return _unchecked(EffectiveGenerator, {
+        "n": p.n, "rate": 0.5 * abs(block.root), "shift": _center(p, block),
+        "is_broken": block.label.value is Phase.BROKEN,
+    })
 
 
 def _broken_flow(ch, sh, rx, ry, rz):
@@ -179,8 +192,10 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
     and the Bloch vector flows toward (0, 1, 0).  Unbroken phase: weight is
     unchanged and (r_x, r_z) rotate by the angle 2 Lambda t.  Raises ValueError
     for a t that is not a number >= 0, when cosh(2 Gamma t) or the
-    angle overflows, and when the weight cancels to 0 (r_y = -1 past 2 Gamma t
-    of about 19).
+    angle overflows, and when D cancels to 0 or below (r_y = -1 from 2 Gamma t
+    of about 19), with BlochState's messages where the state is not one.
+    The result is built from checked Python floats, without BlochState's
+    type dispatch.
     """
     time = _real(t)
     if time is None or not time >= 0.0:
@@ -188,6 +203,8 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
     angle = 2.0 * gen.rate * time
     if math.isinf(angle):
         raise ValueError(f"2 * rate * t overflows at rate {gen.rate} and t = {t}")
+    rx, ry, rz = rho0.r.tolist()
+    weight = rho0.weight
     if gen.is_broken:
         try:
             ch = math.cosh(angle)
@@ -196,17 +213,17 @@ def evolve_no_jump(gen: EffectiveGenerator, rho0: BlochState, t: float) -> Bloch
             raise ValueError(
                 f"no-jump weight overflows: cosh(2 Gamma t) at 2 Gamma t = {angle}"
             ) from None
-        try:
-            # Python floats: the bits of numpy's, and a ZeroDivisionError where
-            # the weight exp(-2 Gamma t) = cosh - sinh at r_y = -1 rounds to 0
-            d, *r = _broken_flow(ch, sh, *rho0.r.tolist())
-        except ZeroDivisionError:
-            raise ValueError(
-                f"no-jump weight cancels to 0 at r_y = -1, 2 Gamma t = {angle}"
-            ) from None
-        return BlochState(r, rho0.weight * d)
-    r = _unbroken_rotation(math.cos(angle), math.sin(angle), *rho0.r.tolist())
-    return BlochState(r, rho0.weight)
+        # D >= exp(-2 Gamma t) = cosh - sinh > 0 for |r_y| <= 1, so a D that
+        # reads <= 0 has cancelled at r_y = -1
+        if not ch + ry * sh > 0.0:
+            raise ValueError(f"no-jump weight cancels to 0 at r_y = -1, 2 Gamma t = {angle}")
+        # Python floats: the bits of numpy's
+        d, rx, ry, rz = _broken_flow(ch, sh, rx, ry, rz)
+        weight *= d
+    else:
+        rx, ry, rz = _unbroken_rotation(math.cos(angle), math.sin(angle), rx, ry, rz)
+    _check_state(rx, ry, rz, weight, weight)
+    return _unchecked(BlochState, {"r": np.array((rx, ry, rz)), "weight": weight})
 
 
 def default_time_grid(gen: EffectiveGenerator, points: int = 500) -> np.ndarray:

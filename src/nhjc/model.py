@@ -133,6 +133,12 @@ class ModelParams:
     n: int = 0
 
     def __post_init__(self):
+        omega, epsilon, gamma, n = self.omega, self.epsilon, self.gamma, self.n
+        if (type(omega) is float and type(epsilon) is float and type(gamma) is float
+                and type(n) is int and -_FLOAT_MAX <= omega <= _FLOAT_MAX
+                and -_FLOAT_MAX <= epsilon <= _FLOAT_MAX and -_FLOAT_MAX <= gamma <= _FLOAT_MAX
+                and 0 <= n and n + 1 <= _FLOAT_MAX):
+            return  # each field is already what the checks below would keep
         for name in ("omega", "epsilon", "gamma"):
             value = getattr(self, name)
             x = _real(value)
@@ -155,6 +161,15 @@ class ModelParams:
         for f in fields(self):
             object.__setattr__(self, f.name, state[f.name])
         self.__post_init__()
+
+
+def _unchecked(cls, state: dict):
+    """An instance of the frozen dataclass cls holding state, a field
+    name -> value map, without running __init__ or __post_init__: for values
+    that already are what cls's checks would keep."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(state)
+    return obj
 
 
 def _finite(m: np.ndarray) -> np.ndarray:

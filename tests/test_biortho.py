@@ -346,6 +346,27 @@ def test_intertwiner_bundle_broken():
     assert np.max(np.abs(h - h.conj().T)) > 1.0  # clearly non-Hermitian
 
 
+_BUNDLE = ("G", "g", "g_inv", "h")
+
+
+@pytest.mark.parametrize(
+    "p", [UNBROKEN, BROKEN, ModelParams(1.0, 5.0, 0.0, 0), ModelParams(1.0, 5.0, 1.0, 2**62)]
+)
+def test_bundle_matrices_are_four_separate_arrays(p):
+    # one array holds all four: writing into one leaves the other three alone
+    for name in _BUNDLE:
+        bundle, untouched = intertwiner(p), intertwiner(p)
+        for other in _BUNDLE:
+            m = getattr(bundle, other)
+            assert m.shape == (2, 2) and m.dtype == np.complex128 and m.flags.c_contiguous
+            assert other == name or not np.shares_memory(m, getattr(bundle, name))
+        getattr(bundle, name)[...] = 7.0 + 7.0j
+        for other in _BUNDLE:
+            if other != name:
+                assert getattr(bundle, other).tobytes() == getattr(untouched, other).tobytes()
+    assert intertwiner(p).G.tobytes() == metric(p).tobytes()
+
+
 @pytest.mark.parametrize("gamma", [1e-100, 1e-160, 1e-200, 1e-300])
 def test_tiny_coupling_bundle_projectors_and_entropy(gamma):
     p = ModelParams(1.0, 5.0, gamma, 0)
@@ -626,21 +647,32 @@ def test_exponent_never_forms_the_own_block():
 # |omega - epsilon| near 4e6, at the edge of the EP band: 4000000.1 refuses
 # only the 'above' half, 4000000.2 only the 'below' half
 @pytest.mark.parametrize("omega, refused", [(4000000.1, "above"), (4000000.2, "below")])
-def test_a_refused_half_leaves_the_other_to_the_per_block_fit(monkeypatch, omega, refused):
+def test_a_refused_half_keeps_the_other_and_raises_on_every_call(monkeypatch, omega, refused):
     point = (omega, 0.0, 1.0, 0)
+    fits = "below" if refused == "above" else "above"
     expected = {side: _fit_outcome(helpers.reference_exponent, point, side)
                 for side in ("below", "above")}
-    assert expected[refused][0] is ExceptionalPointError
-    assert all(isinstance(expected[side], str) for side in expected if side != refused)
+    assert expected[refused][0] is ExceptionalPointError and isinstance(expected[fits], str)
     runs = _counted_passes(monkeypatch)
-    for order in (("below", "above"), ("above", "below")):
-        p = ModelParams(*point)
-        for side in order * 2:
-            got = _kept_outcome(p, side)
-            assert got == expected[side], (order, side)
-        assert _SLOPES not in vars(p)
-    # every call passes over both halves and then over the requested one
-    assert runs == [40, 20] * 8
+    p = ModelParams(*point)
+    # the first call passes over both halves and then over its own, and keeps it
+    assert _kept_outcome(p, fits) == expected[fits]
+    assert runs == [40, 20]
+    kept = vars(p)[_SLOPES]
+    assert float.hex(kept[fits == "above"]) == expected[fits] and kept[refused == "above"] is None
+    # then the fitted side is a lookup, and the refused one raises on every call
+    for side in (refused, fits) * 3:
+        assert _kept_outcome(p, side) == expected[side], side
+    assert runs == [40, 20]
+    # asked first, the refused side keeps nothing
+    q = ModelParams(*point)
+    for _ in range(2):
+        assert _kept_outcome(q, refused) == expected[refused]
+    assert _SLOPES not in vars(q)
+    assert runs == [40, 20] * 3
+    # pickles and copies drop the kept half
+    for duplicate in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert duplicate == p and _SLOPES not in vars(duplicate)
 
 
 # --- sqrt_hpd ---------------------------------------------------------------

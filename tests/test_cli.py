@@ -201,6 +201,19 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, [])[0] == 1
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["spectrum", "--omega", "x"], "argument --omega: invalid float value: 'x'"),
+    (["spectrum", "--n", "1.5"], "argument --n: invalid int value: '1.5'"),
+    # a line break in the text argparse quotes is written escaped
+    (["spectrum", "--r0", "0,\n1"], "unrecognized arguments: --r0 0,\\n1"),
+])
+def test_usage_errors_name_their_cause_on_one_line(capsys, argv, cause):
+    # the usage, then one line with argparse's message; before, only the usage
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == "" and err.startswith("usage: nhjc ")
+    assert err.endswith(f"\nnhjc: error: {cause}\n") and err.count("nhjc: error:") == 1
+
+
 def test_parser_reuse_writes_to_the_streams_of_each_call(capsys):
     # cli_main builds its parser once; a parser first used under other
     # streams must still write usage and help to those of the current call
@@ -546,3 +559,91 @@ def test_config_search_exits_with_a_code_and_one_error_line(tmp_path_factory, dr
         assert err.getvalue() == ""
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("nhjc: error: "), config
+
+
+def _mostly(valid, anything):
+    """Draws of valid three times in four, else of anything."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else anything)
+
+
+# the text a numeric flag is searched over: mostly a plain number, else
+# floats and ints of every size, words that float() or int() half accept,
+# and any short text
+_FLAG_NUMBER = _mostly(
+    st.floats(-10.0, 10.0).map(repr) | st.integers(-3, 8).map(str),
+    st.one_of(
+        st.floats().map(repr),
+        st.integers(-(2**1100), 2**1100).map(str),
+        st.sampled_from(["nan", "-inf", "1e400", "0x10", "1_0", " 2 ", "1.5", "", "x", "１"]),
+        st.text(max_size=6),
+    ),
+)
+# a step count stays small, or past the cell cap: a grid within the cap is allocated
+_FLAG_STEPS = _mostly(
+    st.integers(2, 30).map(str),
+    st.sampled_from(["10000001", "99999999999", "-1", "0", "1e3", "2.0", "", "x"]) | st.text(max_size=2),
+)
+_FLAG_INDEX = _mostly(st.integers(0, 5).map(str), _FLAG_NUMBER)
+
+
+def _flag_grid(names):
+    """--grid text: mostly an axis of names on an increasing range >= 0."""
+    ordered = st.tuples(st.floats(0.0, 5.0), st.floats(0.01, 5.0)).map(
+        lambda low_width: (repr(low_width[0]), repr(low_width[0] + low_width[1])))
+    return _mostly(
+        st.tuples(st.sampled_from(names), ordered, _FLAG_STEPS).map(
+            lambda parts: f"{parts[0]}:{parts[1][0]}:{parts[1][1]}:{parts[2]}"),
+        st.one_of(
+            st.tuples(st.sampled_from(AXIS_NAMES), _FLAG_NUMBER, _FLAG_NUMBER, _FLAG_STEPS).map(":".join),
+            st.text(max_size=3).map(lambda name: f"{name}:0:1:5"),
+            st.text(max_size=12),
+        ),
+    )
+
+
+_FLAG_R0 = _mostly(
+    st.lists(st.floats(-0.5, 0.5).map(repr), min_size=3, max_size=3).map(",".join),
+    st.lists(_FLAG_NUMBER, min_size=2, max_size=4).map(",".join) | st.text(max_size=12),
+)
+
+
+@st.composite
+def _command_and_flags(draw):
+    """A command and an argv of drawn flag text, as '--flag text' or
+    '--flag=text': mostly as many grids as the command takes, on a t axis for
+    `dynamics` and another axis for the rest, and --r0 mostly on `dynamics`,
+    the one command that has it."""
+    command = draw(st.sampled_from(_COMMANDS))
+    grids = draw(_mostly(st.just(1 + (command == "phase-map")), st.integers(0, 3)))
+    names = ("t",) if command == "dynamics" else tuple(n for n in AXIS_NAMES if n != "t")
+    flags = [("--grid", draw(_flag_grid(names))) for _ in range(grids)]
+    for flag, text in (("--omega", _FLAG_NUMBER), ("--epsilon", _FLAG_NUMBER),
+                       ("--gamma", _FLAG_NUMBER), ("--n", _FLAG_INDEX)):
+        if draw(st.booleans()):
+            flags.append((flag, draw(text)))
+    if draw(st.integers(0, 7)) < (4 if command == "dynamics" else 1):
+        flags.append(("--r0", draw(_FLAG_R0)))
+    argv = [command]
+    for flag, text in draw(st.permutations(flags)):
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_command_and_flags())
+def test_flag_search_exits_with_a_code_and_one_error_line(argv):
+    # cli_main never raises: it exits 0, or 1 or 2 ending in one error line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        # lines as a terminal shows them, split at newlines only
+        text = err.getvalue()
+        assert "Traceback" not in text and text.endswith("\n"), argv
+        lines = text[:-1].split("\n")
+        errors = [line for line in lines if line.startswith(("nhjc: error: ", "nhjc: i/o error: "))]
+        assert errors == [lines[-1]], argv

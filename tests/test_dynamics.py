@@ -1,5 +1,6 @@
 """Tests for the no-jump conditional evolution on one invariant subspace."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -287,6 +288,84 @@ def test_weight_that_cancels_or_an_angle_that_overflows_raises_value_error():
     for p in (BROKEN, UNBROKEN):
         with pytest.raises(ValueError, match=r"^2 \* rate \* t overflows at rate "):
             evolve_no_jump(effective_generator(p), state, 1e308)
+
+
+def test_weight_that_cancels_below_zero_names_the_cancellation():
+    # at 2 Gamma t = 19 cosh - sinh reads -1.49e-8, not 0, and the error
+    # named the weight instead of the cancellation; a weight of 0 now raises
+    # there as it did where D reads 0
+    gen = effective_generator(BROKEN)
+    t = 19.0 / (2.0 * gen.rate)
+    assert 2.0 * gen.rate * t == 19.0 and math.cosh(19.0) - math.sinh(19.0) < 0.0
+    cancels = r"^no-jump weight cancels to 0 at r_y = -1, 2 Gamma t = 19\.0$"
+    for weight in (1.0, 0.0):
+        with pytest.raises(ValueError, match=cancels):
+            evolve_no_jump(gen, BlochState(np.array([0.0, -1.0, 0.0]), weight), t)
+
+
+def _fields(obj) -> list:
+    """Each field of a dataclass instance: its name, its type, and its bits
+    (an array's bytes, a number's repr, so -0.0 differs from 0.0)."""
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return [(name, type(v), v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+            for name, v in values]
+
+
+# broken, unbroken, decoupled, the diabolic point (rate 0), int energies, and
+# n = 2**62 on the unbroken and the broken side
+_GENERATOR_POINTS = [
+    (1.0, 5.0, 4.0, 0), (1.0, 5.0, 1.0, 0), (1.0, 5.0, 0.0, 0), (2.0, 2.0, 0.0, 0),
+    (1, 5, 4, 3), (1.0, 5.0, 1e-12, 2**62), (1.0, 5.0, 1.0, 2**62),
+]
+
+
+@pytest.mark.parametrize("point", _GENERATOR_POINTS)
+def test_effective_generator_holds_what_its_constructor_keeps(point):
+    gen = effective_generator(ModelParams(*point))
+    public = EffectiveGenerator(gen.n, gen.rate, gen.shift, gen.is_broken)
+    assert _fields(gen) == _fields(public)
+    assert [type(v) for v in vars(gen).values()] == [int, float, float, bool]
+    assert gen == public and hash(gen) == hash(public) and repr(gen) == repr(public)
+    assert (gen.rate == 0.0) == (point == (2.0, 2.0, 0.0, 0))
+
+
+@pytest.mark.parametrize("point", [_GENERATOR_POINTS[k] for k in (0, 1, 3, 5, 6)])
+def test_evolved_states_hold_what_their_constructor_keeps(point):
+    # r_y = +-1, r = 0, |r| = 1 and a generic vector, with an int, a float and
+    # a zero weight
+    gen = effective_generator(ModelParams(*point))
+    for r in ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0), (0.6, 0.0, 0.8), (0.1, -0.2, 0.3)):
+        for weight in (1, 0.5, 0.0):
+            state = BlochState(np.array(r), weight)
+            for x in (0.0, 0.3, 2.0, 18.0):
+                t = x / (2.0 * gen.rate) if gen.rate else x
+                out = evolve_no_jump(gen, state, t)
+                assert out.r.flags.c_contiguous and out.r.flags.owndata
+                assert _fields(out) == _fields(BlochState(out.r, out.weight))
+                # the same state as the constructor makes of the flow's floats
+                angle = 2.0 * gen.rate * t
+                rx, ry, rz = state.r.tolist()
+                if gen.is_broken:
+                    ch, sh = math.cosh(angle), math.sinh(angle)
+                    d = ch + ry * sh
+                    expected = BlochState([rx / d, (sh + ry * ch) / d, rz / d], state.weight * d)
+                else:
+                    ct, st = math.cos(angle), math.sin(angle)
+                    expected = BlochState([rx * ct - rz * st, ry, rx * st + rz * ct], state.weight)
+                assert _fields(out) == _fields(expected), (r, weight, x)
+
+
+def test_evolved_state_guards_raise_the_constructors_errors():
+    gen = effective_generator(BROKEN)
+    # cosh and sinh of 710 are finite, their sum is not: r_y = (inf) / inf
+    with pytest.raises(ValueError, match="^Bloch vector must be finite$"):
+        evolve_no_jump(gen, BlochState(np.array([0.0, 1.0, 0.0])), 710.0 / (2.0 * gen.rate))
+    with pytest.raises(ValueError, match="^weight must be finite and non-negative, got inf$"):
+        evolve_no_jump(gen, BlochState(np.array([0.0, 0.5, 0.0]), 1e300), 700.0 / (2.0 * gen.rate))
+    for r, weight, message in (((0.0, 1.0, 0.0), math.inf, "weight must be finite and non-negative, got inf"),
+                               ((0.0, math.nan, 0.0), 1.0, "Bloch vector must be finite")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlochState(r, weight)
 
 
 def test_default_time_grid():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +128,50 @@ def test_int_square_past_the_float_range_raises_value_error():
     with pytest.raises(ValueError, match=r"^discriminant: .* overflows at ") as info:
         classify_phase(p)
     assert type(info.value) is ValueError
+
+
+class _Index(int):
+    """An int that is not exactly an int, so ModelParams reads it by its general path."""
+
+
+_FLOAT_MAX = sys.float_info.max
+# signed zeros, the smallest subnormals, the smallest normal and the float range's ends
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, _FLOAT_MAX, -_FLOAT_MAX, 1.5]
+
+
+def _kept(p: ModelParams) -> list:
+    return [(name, type(v), repr(v)) for name, v in vars(p).items()]
+
+
+@pytest.mark.parametrize("field", ["omega", "epsilon", "gamma"])
+def test_params_early_return_keeps_what_the_general_path_keeps(monkeypatch, field):
+    base = {"omega": 1.0, "epsilon": 5.0, "gamma": 1.0, "n": 2}
+    for value in _EDGE_FLOATS:
+        fast = ModelParams(**{**base, field: value})
+        # np.float64, a float subclass, is read by _real
+        assert _kept(fast) == _kept(ModelParams(**{**base, field: np.float64(value)}))
+        assert repr(getattr(fast, field)) == repr(value)
+    for value in (math.inf, -math.inf, math.nan):
+        for given in (value, np.float64(value)):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got "):
+                ModelParams(**{**base, field: given})
+    # exact floats and an int n in the float range never reach _real or _integral
+    def unread(x):
+        raise AssertionError("an exact float or int was read again")
+
+    monkeypatch.setattr(model, "_real", unread)
+    monkeypatch.setattr(model, "_integral", unread)
+    assert ModelParams(*_EDGE_FLOATS[:3], 2**62).n == 2**62
+
+
+def test_params_early_return_bounds_n_as_the_general_path_does():
+    for n in (0, 1, 2**62, int(_FLOAT_MAX) - 1):
+        fast = ModelParams(1.0, 5.0, 1.0, n)
+        assert _kept(fast) == _kept(ModelParams(1.0, 5.0, 1.0, _Index(n))) and fast.n == n
+    refused = (-1, int(_FLOAT_MAX), 2**1100)
+    for given in (*refused, *map(_Index, refused), True):
+        with pytest.raises(ValueError, match="^n must be a non-negative integer, got "):
+            ModelParams(1.0, 5.0, 1.0, given)
 
 
 def test_params_derived_quantities():
