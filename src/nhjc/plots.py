@@ -11,6 +11,7 @@ sweep spec is supplied.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -34,6 +35,11 @@ _DASHES = (None, "8,5", "2,3", "6,3,2,3")
 
 def _px(x: float) -> str:
     return "%.2f" % x
+
+
+def _pxs(values: list[float]) -> list[str]:
+    """_px of each value: float.__format__ gives "%.2f" % v's text."""
+    return list(map(float.__format__, values, repeat(".2f")))
 
 
 def _tick(x: float) -> str:
@@ -223,9 +229,9 @@ def _render_raster(table, spec) -> str:
     w = _px(abs(sx(2 * half_x) - sx(0)))
     h = _px(abs(sy(0) - sy(2 * half_y)))
     # the scales do the same float operations on arrays as on scalars, and
-    # "%.2f" is _px: a grid repeats each corner along a whole row or column
+    # _pxs is _px: a grid repeats each corner along a whole row or column
     corners = zip(
-        _formatted(sx(cx - half_x), "%.2f".__mod__), _formatted(sy(cy + half_y), "%.2f".__mod__),
+        _formatted(sx(cx - half_x), _pxs), _formatted(sy(cy + half_y), _pxs),
         table.phase.tolist(),
     )
     fills = [_PHASE_FILL[p] for p in Phase]

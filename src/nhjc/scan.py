@@ -32,11 +32,17 @@ significant digits so CSV and JSON round-trip byte-for-byte.  CSV is plain
 comma-separated text that never needs quoting, and read_csv accepts that
 dialect only: a quoted field is an error.  Both writers work column by
 column and spell each distinct value of a column once, since grids repeat
-axis values and the spectrum repeats its real parts; export_csv joins each
-chunk of rows in one call, and export_json writes each cell as one join of
-the fields it holds, giving the text json.dump(indent=2, sort_keys=True)
-gives.  _float_columns and its inverse _table are the one map between a
-table and its named float columns, for the writers, the readers and plots.
+axis values and the spectrum repeats its real parts, in one call per
+column: CSV spells a float v as "%.17g" % v, through float.__format__(v,
+".17g"), the same correctly rounded conversion; JSON as json.dumps(v).
+Where eigenvalue_II_im is 0.0 - eigenvalue_I_im bit for bit, as in every
+sweep and every file read back from one, its text comes from
+eigenvalue_I_im's: a leading "-" dropped, the text of +0.0 and NaN kept,
+"-" put before any other.  export_csv joins each chunk of rows in one
+call, and export_json writes each cell as one join of the fields it holds,
+giving the text json.dump(indent=2, sort_keys=True) gives.  _float_columns
+and its inverse _table are the one map between a table and its named float
+columns, for the writers, the readers and plots.
 
 read_csv parses the body in one np.loadtxt call, the phase as a
 fixed-width text field, and counts no fields itself when that call
@@ -492,11 +498,19 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
         # the broken side, a rotation by 2 Lambda t on the unbroken side
         r0 = [float(r) for r in spec.initial_bloch]
         angle = 2.0 * half * t
+        # evolve_no_jump's tests in its order, on the same bits: 2 Gamma t,
+        # cosh and sinh, then D = cosh + r_y sinh, which cancels at r_y = -1
+        if np.isinf(angle[~at_ep]).any():
+            raise SpecValidationError("survival/bloch: 2 Gamma t overflows on this grid")
         broken = code == 1
         unbroken = code == 0
         ch = _elementwise(math.cosh, angle[broken], "survival/bloch", "cosh(2 Gamma t)")
         sh = _elementwise(math.sinh, angle[broken], "survival/bloch", "sinh(2 Gamma t)")
         on_broken = _broken_flow(ch, sh, *r0)
+        if not (on_broken[0] > 0.0).all():
+            raise SpecValidationError(
+                "survival/bloch: no-jump weight cancels to 0 at r_y = -1 on this grid"
+            )
         turn = angle[unbroken]
         on_unbroken = (1.0, *_unbroken_rotation(np.cos(turn), np.sin(turn), *r0))
         for key, flowed, turned in zip(("survival", *_EXTRA_KEYS["bloch"]), on_broken, on_unbroken):
@@ -523,7 +537,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     until the table is indexed or iterated.  Exceptional-point cells keep
     their label, eigenvalues and entropy but omit metric_norm, survival and
     bloch.  Raises SpecValidationError, naming the quantity, when a value
-    overflows on the grid.
+    overflows on the grid, and where the no-jump weight of a cell cancels
+    to 0, as evolve_no_jump does.
     """
     spec.validate()
     n_list = [_integral(n) for n in spec.n_list] or [spec.fixed.n]
@@ -554,36 +569,89 @@ def _opened(target, mode: str):
     return open(target, mode, newline="")
 
 
-def _formatted(column: np.ndarray, spell, omitted: np.ndarray | None = None) -> list[str]:
-    """spell(v) for each value of an 8-byte numeric column, "" where omitted.
-
-    Each distinct value is spelled once.  Values are told apart by their
-    bits, so 0.0 and -0.0, which spell differently, stay distinct.
-    """
+def _levels(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of an 8-byte numeric column and the index of each
+    entry's value among them.  Values are told apart by their bits, so 0.0
+    and -0.0, which spell differently, stay distinct."""
     bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    text = list(map(spell, bits.view(column.dtype).tolist()))
+    return bits.view(column.dtype).tolist(), index
+
+
+def _gathered(text: list[str], index: np.ndarray) -> list[str]:
+    """text[index[i]] for each entry i."""
+    return np.array(text, dtype=object)[index].tolist()
+
+
+def _formatted(column: np.ndarray, spell, omitted: np.ndarray | None = None) -> list[str]:
+    """The text of each value of an 8-byte numeric column, "" where omitted.
+
+    spell maps the list of the column's distinct values to their texts, so
+    each distinct value is spelled once, in one call per column.
+    """
+    values, index = _levels(column)
+    text = spell(values)
     if omitted is not None:
         text.append("")
-        index = np.where(omitted, len(bits), index)
-    return np.array(text, dtype=object)[index].tolist()
+        index = np.where(omitted, len(text) - 1, index)
+    return _gathered(text, index)
+
+
+def _negated(values: list[float], text: list[str]) -> list[str]:
+    """The text of 0.0 - v for each value v from the text of v, for a
+    spelling that writes -v as "-" and v's text: a leading "-" goes, +0.0
+    and NaN (0.0 - v is +0.0 or NaN again) keep theirs, the rest gain one."""
+    return [
+        t[1:] if t[0] == "-" else t if v == 0.0 or v != v else "-" + t
+        for v, t in zip(values, text)
+    ]
+
+
+def _csv_floats(values: list[float]) -> list[str]:
+    """"%.17g" % v for each value: float.__format__ reaches the same
+    correctly rounded conversion in less time per value."""
+    return list(map(float.__format__, values, repeat(".17g")))
 
 
 # json.dumps spells a float by float.__repr__, except the non-finite ones
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(v: float) -> str:
-    text = float.__repr__(v)
-    return _JSON_NONFINITE.get(text, text)
+def _json_floats(values: list[float]) -> list[str]:
+    """json.dumps' text of each value."""
+    return [_JSON_NONFINITE.get(t, t) for t in map(float.__repr__, values)]
 
 
 def _spelled(table: SweepTable, spell, phases) -> dict[str, list[str]]:
-    """Each column of a table as text, by name: spell(v) for the floats,
-    str(n), phases[code] for the phase, "" for an omitted extra."""
-    columns = {
-        k: _formatted(c, spell, table.omitted.get(k)) for k, c in _float_columns(table).items()
-    }
-    columns["n"] = _formatted(table.n, str)
+    """Each column of a table as text, by name: spell(distinct values) for
+    the floats, str(n), phases[code] for the phase, "" for an omitted extra.
+
+    Where eigenvalue_II_im is 0.0 - eigenvalue_I_im bit for bit, as in every
+    sweep (the broken phase's pair c +- i sqrt(-D) / 2), its text is formed
+    from eigenvalue_I_im's distinct texts by _negated, right after that
+    column, instead of spelling its values again.
+    """
+    floats = _float_columns(table)
+    with np.errstate(invalid="ignore"):  # a signalling NaN
+        mirrored = np.array_equal(
+            np.subtract(0.0, floats["eigenvalue_I_im"]).view(np.int64),
+            floats["eigenvalue_II_im"].view(np.int64),
+        )
+    if mirrored:
+        del floats["eigenvalue_II_im"]
+    columns = {}
+    for k, c in floats.items():
+        if k == "eigenvalue_I_im" and mirrored:
+            values, index = _levels(c)
+            text = spell(values)
+            columns[k] = _gathered(text, index)
+            # free eigenvalue_I_im's texts before gathering eigenvalue_II_im's
+            text = _negated(values, text)
+            del values
+            columns["eigenvalue_II_im"] = _gathered(text, index)
+            del index, text
+        else:
+            columns[k] = _formatted(c, spell, table.omitted.get(k))
+    columns["n"] = _formatted(table.n, lambda values: list(map(str, values)))
     columns["phase"] = list(map(phases.__getitem__, table.phase.tolist()))
     return columns
 
@@ -601,7 +669,7 @@ def export_csv(table: SweepTable, path) -> None:
     """
     _require_table(table, "export")
     header = [*table.axis_names, *_BASE_COLUMNS, *sorted(table.extras)]
-    spelled = _spelled(table, "%.17g".__mod__, _PHASE_NAMES)
+    spelled = _spelled(table, _csv_floats, _PHASE_NAMES)
     width = len(header)
     with _opened(path, "w") as stream:
         stream.write(",".join(header) + "\n")
@@ -834,7 +902,7 @@ def export_json(table: SweepTable, path, spec: SweepSpec) -> None:
     EmptySweepError for a table with no cells.
     """
     _require_table(table, "export")
-    columns = _spelled(table, _json_float, [json.dumps(name) for name in _PHASE_NAMES])
+    columns = _spelled(table, _json_floats, [json.dumps(name) for name in _PHASE_NAMES])
     keys = sorted(columns)
     heads = [f"\n      {json.dumps(k)}: " for k in keys]
     # a cell joins its present fields: only an omitted extra is spelled ""

@@ -7,6 +7,7 @@ values and edge tokens.
 """
 
 import io
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhjc import plots, scan
 from nhjc.cli import PRESETS
 from nhjc.dynamics import default_time_grid, effective_generator
 from nhjc.errors import EmptySweepError, SweepFileError
@@ -443,3 +445,102 @@ def test_json_round_trips_generated_tables(table):
     back, back_spec = read_json(io.StringIO(text))
     assert back_spec == spec
     assert back.axis_names == table.axis_names and _bits(back) == _bits(table)
+
+
+
+# --- spelling ------------------------------------------------------------------
+
+_SPELLING = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+_SIGN = 2**63
+# raw 64-bit patterns, with the ones a uniform draw almost never meets
+# weighted in: NaN payloads of either sign, +-0, +-inf, subnormals of either
+# sign and the largest float of either sign
+_float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 0x7FF0 << 48, 0x7FEF_FFFF_FFFF_FFFF, 1]),
+    st.integers(1, 2**52 - 1),
+    st.integers(0x7FF0_0000_0000_0001, 0x7FFF_FFFF_FFFF_FFFF),
+).flatmap(lambda bits: st.sampled_from([bits, bits | _SIGN]))
+
+
+def _floats(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(float)
+
+
+@_SPELLING
+@given(bits=st.lists(_float_bits, min_size=1, max_size=40))
+def test_float_spellings_match_the_per_value_rules(bits):
+    values = _floats(bits).tolist()
+    assert scan._csv_floats(values) == ["%.17g" % v for v in values]
+    assert scan._json_floats(values) == [json.dumps(v) for v in values]
+    assert plots._pxs(values) == ["%.2f" % v for v in values]
+
+
+@st.composite
+def _spelling_tables(draw):
+    """Tables of raw bit patterns whose eigenvalue_II_im is 0.0 - eigenvalue_I_im
+    bit for bit, differs from it in one sign bit, or is drawn on its own."""
+    rows = draw(st.integers(1, 8))
+
+    def column(values=_float_bits):
+        return draw(st.lists(values, min_size=rows, max_size=rows))
+
+    def complex_column(im):
+        z = np.empty(rows, complex)
+        z.real, z.imag = _floats(column()), im
+        return z
+
+    im_I = _floats(column())
+    kind = draw(st.sampled_from(["mirrored", "one sign off", "own"]))
+    if kind == "own":
+        im_II = _floats(column())
+    else:
+        with np.errstate(invalid="ignore"):  # a signalling NaN
+            im_II = np.subtract(0.0, im_I)
+        if kind == "one sign off":
+            im_II.view(np.uint64)[draw(st.integers(0, rows - 1))] ^= np.uint64(_SIGN)
+    extras = ("metric_norm", "survival")
+    return SweepTable(
+        ("gamma", "t"), [_floats(column()), _floats(column())],
+        column(st.integers(0, 2**63 - 1)), column(st.integers(0, 2)), _floats(column()),
+        complex_column(im_I), complex_column(im_II),
+        {k: _floats(column()) for k in extras}, {k: column(st.booleans()) for k in extras},
+    )
+
+
+def _spelled_one_by_one(table, spell, phases):
+    """Each column of a table spelled value by value, "" where omitted."""
+    columns = {
+        k: [spell(v) for v in c.tolist()] for k, c in scan._float_columns(table).items()
+    }
+    for k, mask in table.omitted.items():
+        columns[k] = ["" if o else v for v, o in zip(columns[k], mask.tolist())]
+    columns["n"] = list(map(str, table.n.tolist()))
+    columns["phase"] = [phases[code] for code in table.phase.tolist()]
+    return columns
+
+
+@settings(_SPELLING, max_examples=200)
+@given(table=_spelling_tables())
+def test_spelled_columns_match_each_column_spelled_on_its_own(table):
+    names = scan._PHASE_NAMES
+    csv_columns = scan._spelled(table, scan._csv_floats, names)
+    assert csv_columns == _spelled_one_by_one(table, "%.17g".__mod__, names)
+    assert scan._spelled(table, scan._json_floats, names) == _spelled_one_by_one(
+        table, json.dumps, names
+    )
+    assert _csv(table) == reference_csv(table)
+    spec = SweepSpec(FIXED, Axis("gamma", 0.0, 1.0, 2), Axis("t", 0.0, 1.0, 2))
+    assert _json(table, spec) == reference_json(table, spec)
+
+
+# fig2b-d are fig2a's grid at other block indices
+@pytest.mark.parametrize("name", sorted(set(SPECS) - {"fig2b", "fig2c", "fig2d"}))
+def test_sweeps_and_their_files_mirror_the_imaginary_parts(name):
+    """What _spelled relies on to spell eigenvalue_II_im from eigenvalue_I_im."""
+    spec = SPECS[name]
+    table = run_sweep(spec)
+    for t in (table, read_csv(io.StringIO(_csv(table))), read_json(io.StringIO(_json(table, spec)))[0]):
+        mirrored = np.subtract(0.0, t.eigenvalue_I.imag)
+        assert mirrored.view(np.uint64).tolist() == t.eigenvalue_II.imag.view(np.uint64).tolist()
