@@ -36,7 +36,6 @@ import numpy as np
 from .model import (
     ModelParams,
     PhaseLabel,
-    _SLOPES,
     _Block,
     _block,
     _center,
@@ -264,29 +263,27 @@ def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 # metric_divergence_exponent fits this many offsets |delta - delta_c| per
 # side, spaced geometrically on this window; the signed offsets
-# delta - delta_c of both sides (below, then above), the offsets' logs less
-# their mean and the sum of their squares are formed once
+# delta - delta_c of each side, the offsets' logs less their mean and the
+# sum of their squares are formed once
 _EXPONENT_POINTS = 20
 _EXPONENT_WINDOW = (1e-4, 1e-1)
 _EXPONENT_OFFSETS = np.geomspace(*_EXPONENT_WINDOW, _EXPONENT_POINTS)
-_EXPONENT_SIGNED = np.concatenate((-_EXPONENT_OFFSETS, _EXPONENT_OFFSETS))
-_EXPONENT_SIDES = {"below": _EXPONENT_SIGNED[:_EXPONENT_POINTS],
-                   "above": _EXPONENT_SIGNED[_EXPONENT_POINTS:]}
+_EXPONENT_SIDES = {"below": -_EXPONENT_OFFSETS, "above": _EXPONENT_OFFSETS}
 _EXPONENT_LOGS = np.log(_EXPONENT_OFFSETS)
 _EXPONENT_LOGS -= _EXPONENT_LOGS.sum() / _EXPONENT_LOGS.size  # the bits of .mean()
 _EXPONENT_VAR = float(np.dot(_EXPONENT_LOGS, _EXPONENT_LOGS))
 _SQUARE = (2.0).__rpow__  # x**2 by libm pow, as _form_block squares gamma
 
 
-def _fit_slopes(p: ModelParams, delta_c: float, root_n1: float, signed: np.ndarray):
-    """The OLS slope of each run of _EXPONENT_POINTS signed offsets, from one
-    array pass over their offset blocks; None where some block has a square
-    past the float range or lies in the EP band, so metric() refuses it.
+def _fit_slope(p: ModelParams, delta_c: float, root_n1: float, signed: np.ndarray):
+    """The OLS slope over the signed offsets of one side, from one array
+    pass over their offset blocks; None where some block has a square past
+    the float range or lies in the EP band, so metric() refuses it.
 
     The block of offset x is ModelParams(omega, epsilon, (delta_c + x) /
     root_n1, n), formed elementwise with the operations of _form_block and
-    _metric_norm, so each slope has the bits of a pass over its run alone.
-    Every fit coupling is positive, since delta_c exceeds the largest offset.
+    _metric_norm.  Every fit coupling is positive, since delta_c exceeds the
+    largest offset.
     """
     gammas = (delta_c + signed) / root_n1
     b = p.omega - p.epsilon
@@ -314,69 +311,43 @@ def _fit_slopes(p: ModelParams, delta_c: float, root_n1: float, signed: np.ndarr
     diag = np.maximum(b, t) / root
     off = np.minimum(b, t) / root
     ly = np.log(np.sqrt(2.0 * (diag * diag + off * off)))
-    slopes = []
-    for k in range(0, ly.size, _EXPONENT_POINTS):
-        # OLS slope of log ||G||_F against the offsets' centred logs; the mean
-        # as a sum over the size keeps the bits of ly.mean() without its Python layer
-        run = ly[k:k + _EXPONENT_POINTS]
-        slopes.append(float(np.dot(_EXPONENT_LOGS, run - run.sum() / run.size) / _EXPONENT_VAR))
-    return slopes
+    # OLS slope of log ||G||_F against the offsets' centred logs; the mean
+    # as a sum over the size keeps the bits of ly.mean() without its Python layer
+    return float(np.dot(_EXPONENT_LOGS, ly - ly.sum() / ly.size) / _EXPONENT_VAR)
 
 
 def metric_divergence_exponent(p: ModelParams, side: str = "below") -> float:
     """Log-log slope of ||G||_F against |delta - delta_c| near the EP.
 
     Samples 20 geometrically spaced offsets in [1e-4, 1e-1] on the
-    requested side of delta_c = |omega - epsilon| / 2 and fits an OLS slope;
-    the divergence exponent is -1/2 on both sides.  Raises ValueError on
-    either side when delta_c <= 1e-1: the 'below' window would reach or
+    requested side of delta_c = |omega - epsilon| / 2 and fits an OLS slope
+    in one array pass over their offset blocks, without forming p's own
+    block; the divergence exponent is -1/2 on both sides.  Raises ValueError
+    on either side when delta_c <= 1e-1: the 'below' window would reach or
     cross gamma = 0, and the 'above' window would reach 2 delta_c, past the
     range where ||G||_F follows the -1/2 power (at delta_c = 0, G = I and
     nothing diverges).  Every offset block that metric() would refuse, by
     an overflowing square or the EP band, makes this raise its error.
-
-    Both sides are fitted in one array pass over their 40 offset blocks, and
-    the pair of slopes is kept on p, so the second side is a lookup; p's own
-    block is never formed.  Where a block of either side is refused, the
-    requested side is fitted on its own: if it fits, it is kept, with None
-    for the other side, whose refused block then raises on every call.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    slopes = getattr(p, _SLOPES, None)
-    if slopes is None:
-        root_n1 = math.sqrt(p.n + 1)
-        delta_c = root_n1 * critical_gamma(p)
-        if delta_c <= _EXPONENT_WINDOW[1]:
-            low, high = _EXPONENT_WINDOW
-            window, reach = {
-                "below": ("-", "reaches gamma = 0"),
-                "above": ("+", "leaves the -1/2 asymptote"),
-            }[side]
-            raise ValueError(
-                f"the '{side}' window delta_c {window} [{low:g}, {high:g}] {reach}:"
-                f" delta_c = |omega - epsilon| / 2 = {delta_c!r} must exceed {high:g}"
-            )
-        slopes = _fit_slopes(p, delta_c, root_n1, _EXPONENT_SIGNED)
-        if slopes is None:
-            fitted = _fit_slopes(p, delta_c, root_n1, _EXPONENT_SIDES[side])
-            if fitted is None:
-                _refuse(p, side)
-            # the 40 blocks hold a refused one, and this side's 20 do not
-            slopes = [None, None]
-            slopes[side == "above"] = fitted[0]
-        object.__setattr__(p, _SLOPES, tuple(slopes))
-    slope = slopes[side == "above"]
-    if slope is None:
-        _refuse(p, side)
-    return slope
-
-
-def _refuse(p: ModelParams, side: str) -> None:
-    """Raise what metric() raises at the first offset block of side that it
-    refuses, rebuilding the blocks in order; called where _fit_slopes
-    refused the side, which it does exactly where metric() refuses a block."""
     root_n1 = math.sqrt(p.n + 1)
     delta_c = root_n1 * critical_gamma(p)
-    for x in _EXPONENT_SIDES[side].tolist():
-        _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)
+    if delta_c <= _EXPONENT_WINDOW[1]:
+        low, high = _EXPONENT_WINDOW
+        window, reach = {
+            "below": ("-", "reaches gamma = 0"),
+            "above": ("+", "leaves the -1/2 asymptote"),
+        }[side]
+        raise ValueError(
+            f"the '{side}' window delta_c {window} [{low:g}, {high:g}] {reach}:"
+            f" delta_c = |omega - epsilon| / 2 = {delta_c!r} must exceed {high:g}"
+        )
+    signed = _EXPONENT_SIDES[side]
+    slope = _fit_slope(p, delta_c, root_n1, signed)
+    if slope is None:
+        # _fit_slope refuses exactly where metric() refuses a block: rebuilt
+        # in order, the first such block raises its error
+        for x in signed.tolist():
+            _block(ModelParams(p.omega, p.epsilon, (delta_c + x) / root_n1, p.n), _COALESCE)
+    return slope

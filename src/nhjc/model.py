@@ -18,8 +18,7 @@ exceptional point) unless gamma = 0.  Everything in this package works on
 these blocks, where all quantities are available in closed form.
 
 Each ModelParams keeps one private record of its block's scalars (`_Block`),
-formed on first use; every scalar function reads them through `_block`.
-`biortho.metric_divergence_exponent` keeps its two slopes beside it.  A
+formed on first use; every scalar function reads them through `_block`.  A
 D past the float range, an overflowing centre and the EP band's
 ExceptionalPointError are never kept: they raise on every call.  The EP
 band itself is `_in_band`, the one test that the record and the sweep
@@ -70,7 +69,7 @@ class Phase(Enum):
 
 
 # The cap on the cells of one sweep, published as scan.MAX_CELLS:
-# SweepSpec.validate rejects grids with more cells than this
+# a SweepSpec refuses grids with more cells than this
 # (len(n_list) * steps1 * steps2), and dynamics.default_time_grid more
 # points, before anything is allocated
 MAX_CELLS = 10**7
@@ -151,10 +150,8 @@ class ModelParams:
         object.__setattr__(self, "n", n)  # so n + 1 and 2n + 1 are exact at any size
 
     def __getstate__(self):
-        # pickles and copies omit what is derived from the fields and kept:
-        # the record of `_block` and the exponent fit's slopes
-        kept = (_MEMO, _SLOPES)
-        return {name: value for name, value in self.__dict__.items() if name not in kept}
+        # pickles and copies omit the record that `_block` derives from the fields
+        return {name: value for name, value in self.__dict__.items() if name != _MEMO}
 
     def __setstate__(self, state):
         # an unpickled state passes the constructor's checks and int conversion
@@ -208,10 +205,8 @@ def build_block(p: ModelParams) -> np.ndarray:
     return _finite(m)
 
 
-# The attributes under which a ModelParams keeps its _Block, and the
-# (below, above) slopes of biortho.metric_divergence_exponent.
+# The attribute under which a ModelParams keeps its _Block.
 _MEMO = "_block_memo"
-_SLOPES = "_exponent_slopes"
 
 
 class _Block:

@@ -23,8 +23,9 @@ discriminant, both eigenvalues and each extra quantity as arrays, with a
 mask per extra for the cells that omit it.  Indexing or iterating it
 yields PhaseCell, built only then.  run_sweep, read_csv and read_json return
 it, and the exporters and plots.render_svg accept nothing else: they read
-its columns.  SweepSpec.validate refuses grids of more than MAX_CELLS cells
-before anything is allocated.
+its columns.  Axis and SweepSpec check their fields when built, and a
+SweepSpec refuses grids of more than MAX_CELLS cells before anything is
+allocated.
 
 Exports are deterministic: fixed row order (block index outermost, then
 axis2-major, then axis1), fixed column order, floats printed with 17
@@ -120,17 +121,56 @@ def _sequence(value, key: str) -> tuple:
         raise SpecValidationError(f"{key}: expected a list, got {type(value).__name__}") from None
 
 
+def _rechecked(self, state: dict) -> None:
+    """__setstate__ of Axis and SweepSpec: an unpickled state, also one
+    written before they were checked when built, passes the same checks and
+    conversion as the constructor."""
+    vars(self).update(state)
+    self.__post_init__()
+
+
 @dataclass(frozen=True)
 class Axis:
-    """One sweep axis: `steps` points spaced uniformly on [min, max]."""
+    """One sweep axis: `steps` points spaced uniformly on [min, max].
+
+    Checked when built: a name of AXIS_NAMES, finite bounds kept as
+    model._real reads them (min not negative on a delta_sq or t axis), and
+    steps a whole number in [2, MAX_CELLS] kept as an int.  The messages of
+    its SpecValidationError cannot name axis1 or axis2.  min < max is left
+    to the SweepSpec that holds the axis.
+    """
 
     name: str
     min: float
     max: float
     steps: int
 
+    def __post_init__(self):
+        problems = [] if self.name in AXIS_NAMES else [f"name: {self.name!r} not in {AXIS_NAMES}"]
+        lo, hi = _real(self.min), _real(self.max)
+        for end, value, x in (("min", self.min, lo), ("max", self.max, hi)):
+            if x is None:
+                problems.append(f"{end}: expected a real number, got {value!r}")
+        if lo is not None and hi is not None:
+            if math.isnan(lo) or math.isnan(hi):
+                problems.append("min/max must be finite")
+            if self.name in ("delta_sq", "t") and lo < 0.0:
+                problems.append(f"{self.name} must be non-negative")
+        steps = _integral(self.steps)
+        if steps is None:
+            problems.append(f"steps: expected an integer, got {self.steps!r}")
+        elif steps < 2:
+            problems.append(f"steps: need at least 2, got {steps}")
+        elif steps > MAX_CELLS:
+            problems.append(f"steps: {steps} points exceed the cap of {MAX_CELLS}")
+        if problems:
+            raise SpecValidationError("; ".join(problems))
+        vars(self).update(min=lo, max=hi, steps=steps)
+
+    __setstate__ = _rechecked
+
     def values(self) -> np.ndarray:
-        return np.linspace(_real(self.min), _real(self.max), _integral(self.steps))
+        return np.linspace(self.min, self.max, self.steps)
 
 
 @dataclass(frozen=True)
@@ -140,6 +180,12 @@ class SweepSpec:
     fixed supplies the parameters not overridden by an axis; n_list (default
     just fixed.n) runs the sweep per block index; initial_bloch seeds the
     dynamics quantities when a t axis is present.
+
+    Checked when built, with one SpecValidationError listing every problem.
+    Besides the per-field checks, the grid may hold at most MAX_CELLS cells
+    (len(n_list) * axis1.steps * axis2.steps), so an oversized sweep is
+    refused before anything is allocated.  The sequences are kept as
+    tuples, n_list as ints and initial_bloch as model._real reads it.
     """
 
     fixed: ModelParams
@@ -149,48 +195,22 @@ class SweepSpec:
     n_list: tuple[int, ...] = ()
     initial_bloch: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
-    def validate(self) -> None:
-        """Raise SpecValidationError listing every problem with the spec.
-
-        Besides the per-field checks, the grid may hold at most MAX_CELLS
-        cells (len(n_list) * axis1.steps * axis2.steps), so an oversized
-        sweep is refused before anything is allocated.
-        """
+    def __post_init__(self):
         problems = []
         quantities = _sequence(self.quantities, "quantities")
         raw_n = _sequence(self.n_list, "n_list")
-        n_list = [_integral(n) for n in raw_n]
-        r = [_real(x) for x in _sequence(self.initial_bloch, "initial_bloch")]
+        n_list = tuple(map(_integral, raw_n))
+        r = tuple(map(_real, _sequence(self.initial_bloch, "initial_bloch")))
         cells = max(1, len(n_list))
-        axes = [("axis1", self.axis1)]
-        if self.axis2 is not None:
-            axes.append(("axis2", self.axis2))
-        for label, axis in axes:
-            if not isinstance(axis, Axis):
+        names = []
+        for label, axis in (("axis1", self.axis1), ("axis2", self.axis2)):
+            if isinstance(axis, Axis):
+                names.append(axis.name)
+                cells *= axis.steps
+                if not axis.min < axis.max:
+                    problems.append(f"{label}: min {axis.min} must be < max {axis.max}")
+            elif axis is not None or label == "axis1":
                 problems.append(f"{label}: expected an Axis, got {type(axis).__name__}")
-                continue
-            if axis.name not in AXIS_NAMES:
-                problems.append(f"{label}.name: {axis.name!r} not in {AXIS_NAMES}")
-            lo, hi = _real(axis.min), _real(axis.max)
-            unreal = [(end, v) for end, v, x in (("min", axis.min, lo), ("max", axis.max, hi))
-                      if x is None]
-            for end, v in unreal:
-                problems.append(f"{label}.{end}: expected a real number, got {v!r}")
-            if not unreal:
-                if math.isnan(lo) or math.isnan(hi):
-                    problems.append(f"{label}: min/max must be finite")
-                elif not lo < hi:
-                    problems.append(f"{label}: min {lo} must be < max {hi}")
-                if axis.name in ("delta_sq", "t") and lo < 0.0:
-                    problems.append(f"{label}: {axis.name} must be non-negative")
-            steps = _integral(axis.steps)
-            if steps is None:
-                problems.append(f"{label}.steps: expected an integer, got {axis.steps!r}")
-            elif steps < 2:
-                problems.append(f"{label}.steps: need at least 2, got {steps}")
-            else:
-                cells *= steps
-        names = [a.name for _, a in axes if isinstance(a, Axis)]
         if len(names) == 2 and names[0] == names[1]:
             problems.append("axis2.name: must differ from axis1.name")
         if not quantities:
@@ -218,6 +238,12 @@ class SweepSpec:
             problems.append("initial_bloch: length must not exceed 1")
         if problems:
             raise SpecValidationError("; ".join(problems))
+        vars(self).update(quantities=quantities, n_list=n_list, initial_bloch=r)
+
+    __setstate__ = _rechecked
+
+    def validate(self) -> None:
+        """Kept for callers; a built SweepSpec is already checked."""
 
 
 @dataclass(frozen=True)
@@ -290,26 +316,22 @@ class SweepTable:
         return (*self.coords, self.n, self.phase, self.discriminant,
                 self.eigenvalue_I, self.eigenvalue_II)
 
-    def _cells(self, rows: slice):
+    def __iter__(self):
         keys = tuple(self.extras)
         if keys:
-            extras = zip(*(self.extras[k][rows].tolist() for k in keys))
-            omitted = zip(*(self.omitted[k][rows].tolist() for k in keys))
+            extras = zip(*(self.extras[k].tolist() for k in keys))
+            omitted = zip(*(self.omitted[k].tolist() for k in keys))
         else:
             extras = omitted = repeat(())
-        coords = zip(*(c[rows].tolist() for c in self.coords))
         for coord, n, code, d, e_I, e_II, values, omit in zip(
-            coords, self.n[rows].tolist(), self.phase[rows].tolist(),
-            self.discriminant[rows].tolist(), self.eigenvalue_I[rows].tolist(),
-            self.eigenvalue_II[rows].tolist(), extras, omitted,
+            zip(*(c.tolist() for c in self.coords)), self.n.tolist(), self.phase.tolist(),
+            self.discriminant.tolist(), self.eigenvalue_I.tolist(),
+            self.eigenvalue_II.tolist(), extras, omitted,
         ):
             yield PhaseCell(
                 coord, self.axis_names, n, _PHASES[code], d, Spectrum(e_I, e_II),
                 {k: v for k, v, o in zip(keys, values, omit) if not o},
             )
-
-    def __iter__(self):
-        return self._cells(slice(None))
 
     def __getitem__(self, index):
         i = operator.index(index)
@@ -317,7 +339,13 @@ class SweepTable:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("SweepTable index out of range")
-        return next(self._cells(slice(i, i + 1)))
+        # .item gives the Python value that iteration's tolist gives
+        return PhaseCell(
+            tuple(c.item(i) for c in self.coords), self.axis_names, self.n.item(i),
+            _PHASES[self.phase.item(i)], self.discriminant.item(i),
+            Spectrum(self.eigenvalue_I.item(i), self.eigenvalue_II.item(i)),
+            {k: v.item(i) for k, v in self.extras.items() if not self.omitted[k].item(i)},
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SweepTable):
@@ -540,8 +568,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     overflows on the grid, and where the no-jump weight of a cell cancels
     to 0, as evolve_no_jump does.
     """
-    spec.validate()
-    n_list = [_integral(n) for n in spec.n_list] or [spec.fixed.n]
+    n_list = spec.n_list or (spec.fixed.n,)
     axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
     names = tuple(a.name for a in axes)
     # uint64, so that 2n + 1 and n + 1 stay exact for every int64 block index
@@ -816,14 +843,13 @@ def read_csv(path) -> SweepTable:
 
 
 def spec_to_dict(spec: SweepSpec) -> dict:
-    """JSON-ready SweepSpec (the `meta` object), numbers read as validate reads them."""
+    """JSON-ready SweepSpec (the `meta` object), its numbers as the spec keeps them."""
     return {
         "fixed": asdict(spec.fixed),
-        "axes": [dict(asdict(a), min=_real(a.min), max=_real(a.max), steps=_integral(a.steps))
-                 for a in (spec.axis1, spec.axis2) if a is not None],
+        "axes": [asdict(a) for a in (spec.axis1, spec.axis2) if a is not None],
         "quantities": list(spec.quantities),
-        "n_list": [_integral(n) for n in spec.n_list],
-        "initial_bloch": [_real(x) for x in spec.initial_bloch],
+        "n_list": list(spec.n_list),
+        "initial_bloch": list(spec.initial_bloch),
     }
 
 
@@ -872,21 +898,21 @@ def spec_from_dict(data: dict) -> SweepSpec:
             name, lo, hi, steps = str(raw["name"]), raw["min"], raw["max"], raw["steps"]
         except (KeyError, TypeError) as exc:
             raise SpecValidationError(f"axes[{i}]: {exc!r}") from exc
-        axes.append(Axis(name, _number(lo, f"axes[{i}]: min"), _number(hi, f"axes[{i}]: max"),
-                         _integer(steps, f"axes[{i}].steps")))
-    n_list = tuple(_integer(n, "n_list") for n in _sequence(data.get("n_list", ()), "n_list"))
+        lo, hi = _number(lo, f"axes[{i}]: min"), _number(hi, f"axes[{i}]: max")
+        steps = _integer(steps, f"axes[{i}].steps")
+        try:
+            axes.append(Axis(name, lo, hi, steps))
+        except SpecValidationError as exc:  # an Axis cannot name its place in the config
+            raise SpecValidationError(f"axes[{i}]: {exc}") from exc
     bloch = _sequence(data.get("initial_bloch", (0.0, 0.0, 1.0)), "initial_bloch")
-    initial_bloch = tuple(_number(x, "initial_bloch: each component") for x in bloch)
-    spec = SweepSpec(
+    return SweepSpec(
         fixed=params,
         axis1=axes[0],
         axis2=axes[1] if len(axes) == 2 else None,
-        quantities=_sequence(data.get("quantities", ("phase",)), "quantities"),
-        n_list=n_list,
-        initial_bloch=initial_bloch,
+        quantities=data.get("quantities", ("phase",)),
+        n_list=data.get("n_list", ()),
+        initial_bloch=[_number(x, "initial_bloch: each component") for x in bloch],
     )
-    spec.validate()
-    return spec
 
 
 def export_json(table: SweepTable, path, spec: SweepSpec) -> None:

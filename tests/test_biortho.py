@@ -1,6 +1,5 @@
 """Tests for eigenvector ratios, metrics, intertwiners and projectors."""
 
-import copy
 import math
 import pickle
 
@@ -27,7 +26,6 @@ from nhjc.entropy import entanglement_entropy, reduced_spectrum
 from nhjc.errors import ExceptionalPointError
 from nhjc.model import (
     _MEMO,
-    _SLOPES,
     Branch,
     ModelParams,
     Phase,
@@ -584,7 +582,7 @@ def test_exponent_errors_name_the_refused_block():
 
 
 def _kept_outcome(p, side):
-    """_fit_outcome on p itself, where the slopes may already be kept."""
+    """_fit_outcome on p itself, after earlier calls on p."""
     try:
         return float.hex(metric_divergence_exponent(p, side))
     except Exception as exc:
@@ -592,26 +590,28 @@ def _kept_outcome(p, side):
 
 
 def _counted_passes(monkeypatch) -> list:
-    """The offset runs of each _fit_slopes call, recorded as it runs."""
+    """The offsets of each _fit_slope call, recorded as it runs."""
     runs = []
-    fit = biortho._fit_slopes
+    fit = biortho._fit_slope
 
     def counted(p, delta_c, root_n1, signed):
         runs.append(signed.size)
         return fit(p, delta_c, root_n1, signed)
 
-    monkeypatch.setattr(biortho, "_fit_slopes", counted)
+    monkeypatch.setattr(biortho, "_fit_slope", counted)
     return runs
 
 
 @pytest.mark.parametrize("point", [(1.0, 5.0, 1.0, 0), (-2, 3, -4, 5), (0.3, -1.7, 0.9, 5)])
-def test_one_array_pass_serves_both_sides(monkeypatch, point):
+def test_each_call_fits_its_own_side_and_keeps_nothing(monkeypatch, point):
     runs = _counted_passes(monkeypatch)
     p = ModelParams(*point)
+    before = dict(vars(p)), repr(p), hash(p), pickle.dumps(p)
     sides = ("below", "above", "above", "below")
     slopes = [float.hex(metric_divergence_exponent(p, side)) for side in sides]
-    assert runs == [40]
+    assert runs == [20] * 4
     assert slopes == [float.hex(helpers.reference_exponent(p, side)) for side in sides]
+    assert (vars(p), repr(p), hash(p), pickle.dumps(p)) == before
 
 
 @pytest.mark.parametrize("point", [_FIT_POINTS[0], _FIT_POINTS[6], *_random_fit_points(20)])
@@ -621,17 +621,6 @@ def test_exponent_does_not_depend_on_the_order_of_the_sides(point):
         for side in order:
             got = _kept_outcome(p, side)
             assert got == _fit_outcome(metric_divergence_exponent, point, side), (point, order)
-
-
-def test_kept_slopes_leave_value_semantics_alone():
-    p = ModelParams(1.0, 5.0, 1.0, 2)
-    before = repr(p), hash(p), pickle.dumps(p)
-    slopes = metric_divergence_exponent(p, "below"), metric_divergence_exponent(p, "above")
-    assert vars(p)[_SLOPES] == slopes
-    assert p == ModelParams(1.0, 5.0, 1.0, 2) and (repr(p), hash(p), pickle.dumps(p)) == before
-    for duplicate in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
-        assert duplicate == p and _SLOPES not in vars(duplicate)
-        assert metric_divergence_exponent(duplicate, "above") == slopes[1]
 
 
 def test_exponent_never_forms_the_own_block():
@@ -645,9 +634,9 @@ def test_exponent_never_forms_the_own_block():
 
 
 # |omega - epsilon| near 4e6, at the edge of the EP band: 4000000.1 refuses
-# only the 'above' half, 4000000.2 only the 'below' half
+# only the 'above' side, 4000000.2 only the 'below' side
 @pytest.mark.parametrize("omega, refused", [(4000000.1, "above"), (4000000.2, "below")])
-def test_a_refused_half_keeps_the_other_and_raises_on_every_call(monkeypatch, omega, refused):
+def test_a_refused_side_raises_on_every_call_and_the_other_fits(monkeypatch, omega, refused):
     point = (omega, 0.0, 1.0, 0)
     fits = "below" if refused == "above" else "above"
     expected = {side: _fit_outcome(helpers.reference_exponent, point, side)
@@ -655,24 +644,11 @@ def test_a_refused_half_keeps_the_other_and_raises_on_every_call(monkeypatch, om
     assert expected[refused][0] is ExceptionalPointError and isinstance(expected[fits], str)
     runs = _counted_passes(monkeypatch)
     p = ModelParams(*point)
-    # the first call passes over both halves and then over its own, and keeps it
-    assert _kept_outcome(p, fits) == expected[fits]
-    assert runs == [40, 20]
-    kept = vars(p)[_SLOPES]
-    assert float.hex(kept[fits == "above"]) == expected[fits] and kept[refused == "above"] is None
-    # then the fitted side is a lookup, and the refused one raises on every call
+    # each call passes over its own side's offsets once, whatever came before
     for side in (refused, fits) * 3:
         assert _kept_outcome(p, side) == expected[side], side
-    assert runs == [40, 20]
-    # asked first, the refused side keeps nothing
-    q = ModelParams(*point)
-    for _ in range(2):
-        assert _kept_outcome(q, refused) == expected[refused]
-    assert _SLOPES not in vars(q)
-    assert runs == [40, 20] * 3
-    # pickles and copies drop the kept half
-    for duplicate in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
-        assert duplicate == p and _SLOPES not in vars(duplicate)
+    assert runs == [20] * 6
+    assert vars(p) == vars(ModelParams(*point))
 
 
 # --- sqrt_hpd ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -44,20 +45,21 @@ def test_axis_values():
 
 
 def test_validation_rejects_bad_axes():
-    with pytest.raises(SpecValidationError, match="axis1.name"):
-        simple_spec(axis1=Axis("coupling", 0.0, 1.0, 5)).validate()
-    with pytest.raises(SpecValidationError, match="min"):
-        simple_spec(axis1=Axis("gamma", 2.0, 1.0, 5)).validate()
+    # an Axis checks itself when built, without the axis1/axis2 prefix it cannot know
+    with pytest.raises(SpecValidationError, match="^name: 'coupling' not in "):
+        Axis("coupling", 0.0, 1.0, 5)
+    with pytest.raises(SpecValidationError, match=r"^axis1: min 2\.0 must be < max 1\.0$"):
+        simple_spec(axis1=Axis("gamma", 2.0, 1.0, 5))
     with pytest.raises(SpecValidationError, match="steps"):
-        simple_spec(axis1=Axis("gamma", 0.0, 1.0, 1)).validate()
+        Axis("gamma", 0.0, 1.0, 1)
     with pytest.raises(SpecValidationError, match="finite"):
-        simple_spec(axis1=Axis("gamma", 0.0, math.inf, 5)).validate()
-    with pytest.raises(SpecValidationError, match="^axis1: min/max must be finite$"):
-        simple_spec(axis1=Axis("gamma", 0, 10**400, 5)).validate()  # past the float range
+        Axis("gamma", 0.0, math.inf, 5)
+    with pytest.raises(SpecValidationError, match="^min/max must be finite$"):
+        Axis("gamma", 0, 10**400, 5)  # past the float range
     with pytest.raises(SpecValidationError, match="delta_sq"):
-        simple_spec(axis1=Axis("delta_sq", -1.0, 1.0, 5)).validate()
-    with pytest.raises(SpecValidationError, match="t must"):
-        simple_spec(axis1=Axis("t", -1.0, 1.0, 5)).validate()
+        Axis("delta_sq", -1.0, 1.0, 5)
+    with pytest.raises(SpecValidationError, match="^t must be non-negative$"):
+        Axis("t", -1.0, 1.0, 5)
     with pytest.raises(SpecValidationError, match="differ"):
         simple_spec(
             axis1=Axis("gamma", 0.0, 1.0, 5), axis2=Axis("gamma", 0.0, 2.0, 5)
@@ -68,8 +70,8 @@ def test_validation_rejects_bad_axes():
 
 def test_validation_rejects_non_integer_steps():
     for steps in (3.7, True, "5"):
-        with pytest.raises(SpecValidationError, match=r"axis1\.steps: expected an integer"):
-            simple_spec(axis1=Axis("gamma", 0.0, 1.0, steps)).validate()
+        with pytest.raises(SpecValidationError, match=r"^steps: expected an integer"):
+            Axis("gamma", 0.0, 1.0, steps)
     simple_spec(axis1=Axis("gamma", 0.0, 1.0, np.int64(5))).validate()
     # a whole float is a whole number, as config files and ModelParams' n read it
     assert len(run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1.0, 3.0)))) == 3
@@ -77,18 +79,18 @@ def test_validation_rejects_non_integer_steps():
 
 def test_validation_rejects_non_numeric_bounds():
     for axis, field in [
-        (Axis("gamma", "0", 1.0, 3), "min"),
-        (Axis("t", 0.0, None, 3), "max"),
-        (Axis("delta_sq", 0.0, 1 + 0j, 3), "max"),
+        (("gamma", "0", 1.0, 3), "min"),
+        (("t", 0.0, None, 3), "max"),
+        (("delta_sq", 0.0, 1 + 0j, 3), "max"),
         # a bool is not a number, as ModelParams refuses a bool energy
-        (Axis("gamma", False, True, 3), "min"),
+        (("gamma", False, True, 3), "min"),
     ]:
-        with pytest.raises(SpecValidationError, match=rf"^axis1\.{field}: expected a real number"):
-            simple_spec(axis1=axis).validate()
+        with pytest.raises(SpecValidationError, match=rf"^{field}: expected a real number"):
+            Axis(*axis)
     # each bound is named, and the steps check still runs beside them
     with pytest.raises(SpecValidationError) as info:
-        simple_spec(axis1=Axis("gamma", "0", "1", 1)).validate()
-    for field in ("axis1.min: ", "axis1.max: ", "axis1.steps: "):
+        Axis("gamma", "0", "1", 1)
+    for field in ("min: ", "max: ", "steps: "):
         assert field in str(info.value)
 
 
@@ -148,8 +150,54 @@ def test_validation_rejects_bad_quantities_and_state():
         with pytest.raises(SpecValidationError, match=f"^{field}: expected a list"):
             simple_spec(**{field: value}).validate()
     # several problems are reported together
-    with pytest.raises(SpecValidationError, match="axis1.name.*quantities"):
-        simple_spec(axis1=Axis("bad", 0.0, 1.0, 5), quantities=("nope",)).validate()
+    with pytest.raises(SpecValidationError, match="^axis1: min .*; quantities: unknown .*; n_list"):
+        simple_spec(axis1=Axis("gamma", 1.0, 1.0, 5), quantities=("nope",), n_list=(-1,))
+    with pytest.raises(SpecValidationError, match="^name: 'bad' not in .*; steps: need at least 2"):
+        Axis("bad", 0.0, 1.0, 1)
+
+
+def test_axes_and_specs_are_checked_when_built():
+    # steps past the cell cap, not whole, or below 2: .values() never sees them
+    for steps in (2**63, MAX_CELLS + 1, 1.5, 1):
+        with pytest.raises(SpecValidationError, match="^steps: "):
+            Axis("gamma", 0.0, 1.0, steps)
+    with pytest.raises(SpecValidationError, match="^t must be non-negative$"):
+        Axis("t", -1.0, 1.0, 3)
+    with pytest.raises(SpecValidationError, match="^name: 'coupling' not in "):
+        Axis("coupling", 0.0, 1.0, 3)
+    with pytest.raises(SpecValidationError, match="^quantities: survival/bloch require a 't' axis$"):
+        simple_spec(quantities=("survival",))
+    spec = simple_spec(axis2=Axis("gamma", 0.0, 1.0, 3))
+    with pytest.raises(SpecValidationError, match="^axis2.name: must differ from axis1.name$"):
+        dataclasses.replace(spec, axis2=Axis("delta", 0.0, 1.0, 3))
+
+
+def test_axes_and_specs_keep_their_fields_converted():
+    axis = Axis("gamma", 0, np.float32(0.5), np.int64(3))
+    assert type(axis.steps) is int and axis.steps == 3
+    # bounds as model._real reads them: an int stays an int
+    assert type(axis.min) is int and type(axis.max) is float and axis.max == 0.5
+    assert Axis("gamma", 0.0, 1.0, 3.0).steps == 3
+    spec = simple_spec(quantities=["phase"], n_list=[np.int64(2), 3.0], initial_bloch=[0, 0, 1])
+    assert spec.quantities == ("phase",)
+    assert spec.n_list == (2, 3) and all(type(n) is int for n in spec.n_list)
+    assert spec.initial_bloch == (0, 0, 1)
+    spec.validate()  # kept for callers; a built spec is valid
+
+
+def test_unpickled_axes_and_specs_pass_the_constructor_checks():
+    spec = simple_spec(axis2=Axis("gamma", 0, 1, 3), n_list=(0, 2))
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    # a state written before the fields were converted when built
+    axis = Axis.__new__(Axis)
+    axis.__setstate__({"name": "gamma", "min": np.float32(0.5), "max": 1, "steps": 3.0})
+    assert axis == Axis("gamma", 0.5, 1, 3) and type(axis.steps) is int
+    old = SweepSpec.__new__(SweepSpec)
+    old.__setstate__(dict(vars(spec), quantities=["phase"], n_list=[np.int64(1)]))
+    assert old.quantities == ("phase",) and old.n_list == (1,) and type(old.n_list[0]) is int
+    assert len(run_sweep(old)) == 15
+    with pytest.raises(SpecValidationError, match="^steps: expected an integer, got 3.5$"):
+        Axis.__new__(Axis).__setstate__(dict(vars(axis), steps=3.5))
 
 
 def test_run_sweep_single_axis_order():
@@ -519,6 +567,12 @@ def test_spec_from_dict_errors():
         spec_from_dict({"fixed": {"omega": "fast"}, "axes": [{"name": "gamma", "min": 0, "max": 1, "steps": 3}]})
     with pytest.raises(SpecValidationError, match="^fixed: expected an object$"):
         spec_from_dict({"fixed": 3, "axes": [{"name": "gamma", "min": 0, "max": 1, "steps": 3}]})
+    # what an Axis refuses is named with its place in the config
+    gamma = {"name": "gamma", "min": 0, "max": 1, "steps": 3}
+    with pytest.raises(SpecValidationError, match=r"^axes\[2\]: name: 'coupling' not in "):
+        spec_from_dict({"axes": [gamma, dict(gamma, name="coupling")]})
+    with pytest.raises(SpecValidationError, match=r"^axes\[1\]: steps: need at least 2, got 1$"):
+        spec_from_dict({"axes": [dict(gamma, steps=1)]})
 
 
 def test_spec_from_dict_type_errors():

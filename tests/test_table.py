@@ -96,6 +96,18 @@ def test_round_trip(name):
     assert back == table and back_spec == spec
 
 
+def _cell_bits(cell):
+    """Every field of a cell, each float by float.hex; the types are checked on the way."""
+    spectrum = cell.eigenvalues
+    assert type(cell.n) is int and type(cell.coords) is tuple
+    assert type(spectrum.eigenvalue_I) is type(spectrum.eigenvalue_II) is complex
+    floats = [*cell.coords, cell.discriminant, spectrum.eigenvalue_I.real,
+              spectrum.eigenvalue_I.imag, spectrum.eigenvalue_II.real,
+              spectrum.eigenvalue_II.imag, *cell.extras.values()]
+    assert all(type(x) is float for x in floats)
+    return cell.axis_names, cell.n, cell.phase, tuple(cell.extras), [x.hex() for x in floats]
+
+
 def test_table_yields_its_cells():
     table = run_sweep(SPECS["metric_entropy_ep"])
     cells = list(table)
@@ -111,6 +123,23 @@ def test_table_yields_its_cells():
     assert type(ep.discriminant) is float and type(ep.eigenvalues.eigenvalue_I) is complex
     assert type(ep.coords[0]) is float and type(ep.n) is int
     assert ep in table
+    # t[i] builds the cell that iteration yields, bit for bit, on two blocks,
+    # EP cells that omit metric_norm, and -0.0 in a coordinate and in the
+    # imaginary parts of branch I
+    spec = SweepSpec(FIXED, Axis("delta", 0.0, 4.0, 9), Axis("epsilon", 4.0, 6.0, 3),
+                     quantities=("metric_norm", "entropy", "phase"), n_list=(0, 2))
+    table = run_sweep(spec)
+    coord = np.where(table.coords[0] == 0.0, -0.0, table.coords[0])
+    branch_I = table.eigenvalue_I.copy()
+    branch_I.imag = np.where(branch_I.imag == 0.0, -0.0, branch_I.imag)
+    table = _with(table, coords=(coord, table.coords[1]), eigenvalue_I=branch_I)
+    cells = list(table)
+    assert len(cells) == 54 and len({c.n for c in cells}) == 2
+    assert any("metric_norm" not in c.extras for c in cells)
+    assert math.copysign(1.0, cells[0].coords[0]) == -1.0
+    for i, cell in enumerate(cells):
+        for index in (i, i - len(cells), np.int64(i)):
+            assert _cell_bits(table[index]) == _cell_bits(cell), index
 
 
 _WRITERS = {
