@@ -4,16 +4,16 @@ A non-Hermitian block has distinct right and left eigenvectors,
 
     H |R_i> = R_i |R_i>,      H^dag |L_i> = conj(R_i) |L_i>,
 
-which become a biorthogonal system once normalized to <L_i|R_j> = delta_ij.
-That condition still leaves a scale freedom per pair; here it is fixed
-symmetrically, ||L_i|| = ||R_i||, which makes the positive operator
+biorthogonal since <L_i|R_j> = 0 for i != j.  The positive operator
 
     G = sum_i |L_i><L_i|
 
-well defined.  In the unbroken phase G is a genuine metric: H is
-pseudo-Hermitian, H = G^-1 H^dag G, the intertwiner g = sqrt(G) maps H to a
-Hermitian isospectral partner h = g H g^-1, and <psi|G|psi> is conserved
-under exp(-iHt).  In the broken phase the same construction yields a
+is well defined once each pair is scaled to <L_i|R_i> = 1 with
+||L_i|| = ||R_i||; the spectral projectors need no such scaling.  In the
+unbroken phase G is a genuine metric: H is pseudo-Hermitian,
+H = G^-1 H^dag G, the intertwiner g = sqrt(G) maps H to a Hermitian
+isospectral partner h = g H g^-1, and <psi|G|psi> is conserved under
+exp(-iHt).  In the broken phase the same construction yields a
 positive G that is no longer a similarity to a Hermitian problem; h-tilde
 stays non-Hermitian, G-norms grow and the residual ||H - G^-1 H^dag G|| is
 of order one.  ||G|| diverges as |delta - delta_c| to the power -1/2 on
@@ -223,11 +223,12 @@ def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Spectral projectors rho_i = |R_i><L_i| / <L_i|R_i>.
 
     Trace one, idempotent, mutually annihilating, and complete; independent
-    of how the eigenvector pairs are scaled.  The pairs are right (1, a_i)
-    and left (1, -conj a_i) of eigenvector_ratios, biorthogonal since the
-    left partner of branch i belongs to H^dag's eigenvalue conj(R_i), and
-    scaled to <L_i|R_i> = 1 with ||L_i|| = ||R_i||.  At gamma = 0 they are
-    the unit vectors, branch I on the larger diagonal entry.
+    of how the eigenvector pairs are scaled, so each is formed from its pair
+    as built: right (1, a_i) and left (1, -conj a_i) of eigenvector_ratios,
+    or both divided by a_i and -conj a_i where |a_i| > 1.  They are
+    biorthogonal since the left partner of branch i belongs to H^dag's
+    eigenvalue conj(R_i).  At gamma = 0 they are the unit vectors, branch I
+    on the larger diagonal entry.
 
     Raises ExceptionalPointError inside the EP band, where the block is
     defective.
@@ -251,12 +252,10 @@ def projectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
             else:
                 right = np.array([1.0, a], dtype=complex)
                 left = np.array([1.0, -np.conj(a)], dtype=complex)
-            c = complex(np.vdot(left, right))  # 1 - a^2 or 1 - w^2, never 0 off the EP
-            scale = 1.0 / math.sqrt(abs(c))
-            pairs.append((right * (c.conjugate() / abs(c)) * scale, left * scale))
+            pairs.append((right, left))
     out = []
     for right, left in pairs:
-        c = complex(np.vdot(left, right))
+        c = complex(np.vdot(left, right))  # 1 - a^2 or 1 - w^2, never 0 off the EP
         out.append(_finite(np.outer(right, left.conj()) / c))
     return out[0], out[1]
 

@@ -134,10 +134,9 @@ class Axis:
     """One sweep axis: `steps` points spaced uniformly on [min, max].
 
     Checked when built: a name of AXIS_NAMES, finite bounds kept as
-    model._real reads them (min not negative on a delta_sq or t axis), and
-    steps a whole number in [2, MAX_CELLS] kept as an int.  The messages of
-    its SpecValidationError cannot name axis1 or axis2.  min < max is left
-    to the SweepSpec that holds the axis.
+    model._real reads them with min < max (min not negative on a delta_sq
+    or t axis), and steps a whole number in [2, MAX_CELLS] kept as an int.
+    The messages of its SpecValidationError cannot name axis1 or axis2.
     """
 
     name: str
@@ -154,6 +153,8 @@ class Axis:
         if lo is not None and hi is not None:
             if math.isnan(lo) or math.isnan(hi):
                 problems.append("min/max must be finite")
+            elif not lo < hi:
+                problems.append(f"min {lo} must be < max {hi}")
             if self.name in ("delta_sq", "t") and lo < 0.0:
                 problems.append(f"{self.name} must be non-negative")
         steps = _integral(self.steps)
@@ -207,8 +208,6 @@ class SweepSpec:
             if isinstance(axis, Axis):
                 names.append(axis.name)
                 cells *= axis.steps
-                if not axis.min < axis.max:
-                    problems.append(f"{label}: min {axis.min} must be < max {axis.max}")
             elif axis is not None or label == "axis1":
                 problems.append(f"{label}: expected an Axis, got {type(axis).__name__}")
         if len(names) == 2 and names[0] == names[1]:

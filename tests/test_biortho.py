@@ -180,9 +180,14 @@ PROJECTOR_POINTS = [
     (5.0, 1.0, 3.0, 5),
     (-2.0, 0.7, 1.5, 1),
     (2.9, -4.6, -7.0, 2),
+    (2.5, 2.5, 0.4, 4),  # omega == epsilon: broken
+    (-0.7, 1.3, 1e100, 1),  # deep broken
+    (-2.0, 3.0, -4.0, 5),
+    (4.1, 0.6, -1.3, 0),
+    (3.0, -1.0, -0.5, 1),
 ]
-# The worst entrywise relative error over PROJECTOR_POINTS was 4.0e-16
-# (3.6 ulps, at (5, 1, 1e-5, 0)); the bound is 8 ulps.
+# The worst entrywise relative error over PROJECTOR_POINTS was 4.9e-16
+# (4.4 ulps, at (3, -1, -0.5, 1)); the bound is 8 ulps.
 PROJECTOR_ERROR_BOUND = 8 * 2.0**-53
 
 

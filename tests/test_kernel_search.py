@@ -58,7 +58,10 @@ def _specs(draw):
     # gamma across the EP of the largest block: gamma_c = |omega - epsilon| / (2 sqrt(n + 1))
     g_c = gap / (2.0 * math.sqrt(max(n_list) + 1))
     top = draw(st.floats(1.1, 3.0))
-    gamma = Axis("gamma", draw(st.floats(0.0, 0.9)) * g_c, top * g_c, draw(st.integers(2, 5)))
+    # each axis's bounds and steps are drawn first and the Axis built only
+    # after the assume, since an Axis refuses min >= max
+    gamma_bounds = draw(st.floats(0.0, 0.9)) * g_c, top * g_c
+    gamma_steps = draw(st.integers(2, 5))
     other = draw(st.sampled_from(("t", "t", "epsilon", "omega", "delta", "delta_sq")))
     if other == "t":
         # 2 Gamma t at the top of the gamma axis, Gamma = gap sqrt(top**2 - 1) / 2
@@ -68,16 +71,18 @@ def _specs(draw):
             st.floats(19.0, 20.0), st.floats(0.01, 710.0), st.floats(0.01, 1e300)
         ))
         hi = min(reach / (gap * math.sqrt(top * top - 1.0)), 1e300)
-        axis = Axis("t", draw(st.floats(0.0, 0.95)) * hi, hi, draw(st.integers(2, 4)))
+        bounds = draw(st.floats(0.0, 0.95)) * hi, hi
     elif other in ("epsilon", "omega"):
         centre = epsilon if other == "epsilon" else omega
-        axis = Axis(other, centre - gap, centre + gap, draw(st.integers(2, 4)))
+        bounds = centre - gap, centre + gap
     elif other == "delta":
-        axis = Axis("delta", 0.0, draw(st.floats(0.1, 3.0)) * gap, draw(st.integers(2, 4)))
+        bounds = 0.0, draw(st.floats(0.1, 3.0)) * gap
     else:
-        axis = Axis("delta_sq", 0.0, min(draw(st.floats(0.1, 9.0)) * gap * gap, 1e300),
-                    draw(st.integers(2, 4)))
-    assume(gamma.min < gamma.max and axis.min < axis.max)
+        bounds = 0.0, min(draw(st.floats(0.1, 9.0)) * gap * gap, 1e300)
+    steps = draw(st.integers(2, 4))
+    assume(gamma_bounds[0] < gamma_bounds[1] and bounds[0] < bounds[1])
+    gamma = Axis("gamma", *gamma_bounds, gamma_steps)
+    axis = Axis(other, *bounds, steps)
     first, second = (gamma, axis) if draw(st.booleans()) else (axis, gamma)
     fixed = ModelParams(omega, epsilon, 1.0, 0)
     if other != "t":

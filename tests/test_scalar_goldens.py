@@ -154,7 +154,7 @@ DIGESTS = {
     "eigenvector_ratios": "b692971b5dccd8c8",
     "metric": "eaae7543bef7e12d",
     "intertwiner": "889eec0c3c5fdb78",
-    "projectors": "aa57a1cd7c63ef75",
+    "projectors": "4812d63598651fd2",
     "entanglement_entropy": "d3fca08dce7a6141",
     "reduced_spectrum": "6dfedabb2ed5667a",
     "effective_generator": "0a5473dfe7d89633",

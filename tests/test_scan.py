@@ -48,8 +48,11 @@ def test_validation_rejects_bad_axes():
     # an Axis checks itself when built, without the axis1/axis2 prefix it cannot know
     with pytest.raises(SpecValidationError, match="^name: 'coupling' not in "):
         Axis("coupling", 0.0, 1.0, 5)
-    with pytest.raises(SpecValidationError, match=r"^axis1: min 2\.0 must be < max 1\.0$"):
-        simple_spec(axis1=Axis("gamma", 2.0, 1.0, 5))
+    # a descending or empty range, which .values() would return as a grid
+    with pytest.raises(SpecValidationError, match=r"^min 2\.0 must be < max 1\.0$"):
+        Axis("gamma", 2.0, 1.0, 5)
+    with pytest.raises(SpecValidationError, match=r"^min 1\.0 must be < max 1\.0$"):
+        Axis("gamma", 1.0, 1.0, 3)
     with pytest.raises(SpecValidationError, match="steps"):
         Axis("gamma", 0.0, 1.0, 1)
     with pytest.raises(SpecValidationError, match="finite"):
@@ -150,8 +153,8 @@ def test_validation_rejects_bad_quantities_and_state():
         with pytest.raises(SpecValidationError, match=f"^{field}: expected a list"):
             simple_spec(**{field: value}).validate()
     # several problems are reported together
-    with pytest.raises(SpecValidationError, match="^axis1: min .*; quantities: unknown .*; n_list"):
-        simple_spec(axis1=Axis("gamma", 1.0, 1.0, 5), quantities=("nope",), n_list=(-1,))
+    with pytest.raises(SpecValidationError, match="^axis2.name: must differ .*; quantities: unknown .*; n_list"):
+        simple_spec(axis2=Axis("delta", 0.0, 1.0, 5), quantities=("nope",), n_list=(-1,))
     with pytest.raises(SpecValidationError, match="^name: 'bad' not in .*; steps: need at least 2"):
         Axis("bad", 0.0, 1.0, 1)
 
@@ -573,6 +576,8 @@ def test_spec_from_dict_errors():
         spec_from_dict({"axes": [gamma, dict(gamma, name="coupling")]})
     with pytest.raises(SpecValidationError, match=r"^axes\[1\]: steps: need at least 2, got 1$"):
         spec_from_dict({"axes": [dict(gamma, steps=1)]})
+    with pytest.raises(SpecValidationError, match=r"^axes\[2\]: min 2\.0 must be < max 1\.0$"):
+        spec_from_dict({"axes": [gamma, dict(gamma, name="delta", min=2, max=1)]})
 
 
 def test_spec_from_dict_type_errors():
