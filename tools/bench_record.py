@@ -73,8 +73,8 @@ ZERO_ROWS = [
 ]
 
 
-def _git(*args: str, cwd: str = ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.rstrip()
 
 
@@ -110,10 +110,6 @@ def _summary(runs: list[dict], names: list[str]) -> dict:
     }
 
 
-def _quartiles(values: list[float]) -> list[float]:
-    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-
-
 def _claim(rev: str, seconds: float, metrics: dict) -> dict:
     """Paired runs of REV's archive and this checkout, alternating which goes first."""
     parent = os.path.join(ROOT, ".bench_build", rev)
@@ -139,9 +135,9 @@ def _claim(rev: str, seconds: float, metrics: dict) -> dict:
         sign = -1.0 if better == "lower" else 1.0
         summary[name] = {
             "parent_median": statistics.median(parent_values),
-            "parent_quartiles": _quartiles(parent_values),
+            "parent_quartiles": statistics.quantiles(parent_values, n=4),
             "change_median": statistics.median(change_values),
-            "change_quartiles": _quartiles(change_values),
+            "change_quartiles": statistics.quantiles(change_values, n=4),
             "median_ratio": statistics.median(c / p for c, p in zip(change_values, parent_values)),
             "change_wins": sum(sign * (c - p) > 0.0 for c, p in zip(change_values, parent_values)),
         }
