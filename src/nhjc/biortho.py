@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,8 @@ from .model import (
     _block,
     _center,
     _finite,
+    _in_band,
+    _square,
     _unchecked,
     critical_gamma,
 )
@@ -271,7 +272,6 @@ _EXPONENT_SIDES = {"below": -_EXPONENT_OFFSETS, "above": _EXPONENT_OFFSETS}
 _EXPONENT_LOGS = np.log(_EXPONENT_OFFSETS)
 _EXPONENT_LOGS -= _EXPONENT_LOGS.sum() / _EXPONENT_LOGS.size  # the bits of .mean()
 _EXPONENT_VAR = float(np.dot(_EXPONENT_LOGS, _EXPONENT_LOGS))
-_SQUARE = (2.0).__rpow__  # x**2 by libm pow, as _form_block squares gamma
 
 
 def _fit_slope(p: ModelParams, delta_c: float, root_n1: float, signed: np.ndarray):
@@ -280,15 +280,15 @@ def _fit_slope(p: ModelParams, delta_c: float, root_n1: float, signed: np.ndarra
     the float range or lies in the EP band, so metric() refuses it.
 
     The block of offset x is ModelParams(omega, epsilon, (delta_c + x) /
-    root_n1, n), formed elementwise with the operations of _form_block and
-    _metric_norm.  Every fit coupling is positive, since delta_c exceeds the
-    largest offset.
+    root_n1, n), formed elementwise with the operations of _form_block, and
+    its band and norm are _in_band's and _metric_norm's.  Every fit coupling
+    is positive, since delta_c exceeds the largest offset.
     """
     gammas = (delta_c + signed) / root_n1
     b = p.omega - p.epsilon
     try:
         b2 = float(b**2)
-        g2 = list(map(_SQUARE, gammas.tolist()))
+        g2 = list(map(_square, gammas.tolist()))
     except OverflowError:
         return None
     n1 = p.n + 1
@@ -298,18 +298,10 @@ def _fit_slope(p: ModelParams, delta_c: float, root_n1: float, signed: np.ndarra
         return None
     c2 = 4.0 * np.array(g2) * float(n1)  # as Python's float * int converts n1, at any size
     d = b2 - c2
-    size = abs(d)
-    # _in_band of coupled blocks, with its floor max(b2, tiny) taken on the scalar
-    if np.count_nonzero(size <= 1e-10 * np.maximum(c2, max(b2, sys.float_info.min))):
+    if _in_band(b2, c2, d, True, np.maximum).any():
         return None
-    # ||G||_F of _metric_norm: t > 0 here, and the sign of G's off-diagonal
-    # entry drops out of its square
-    root = np.sqrt(size)
-    t = 2.0 * root_n1 * gammas
-    b = float(abs(b))  # as Python's int / float converts an int b
-    diag = np.maximum(b, t) / root
-    off = np.minimum(b, t) / root
-    ly = np.log(np.sqrt(2.0 * (diag * diag + off * off)))
+    # float(b) as Python's int / float converts an int b
+    ly = np.log(_metric_norm(float(b), 2.0 * root_n1 * gammas, d))
     # OLS slope of log ||G||_F against the offsets' centred logs; the mean
     # as a sum over the size keeps the bits of ly.mean() without its Python layer
     return float(np.dot(_EXPONENT_LOGS, ly - ly.sum() / ly.size) / _EXPONENT_VAR)

@@ -74,25 +74,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_grid(text: str) -> dict:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise SpecValidationError(f"--grid expects AXIS:MIN:MAX:STEPS, got {text!r}")
-    name, lo, hi, steps = parts
+def _fields(flag: str, text: str, form: str, sep: str, kinds) -> list:
+    """A flag's text split at sep, each field read in turn by its kind;
+    SpecValidationError naming the flag and the form it expects."""
+    parts = text.split(sep)
+    if len(parts) != len(kinds):
+        raise SpecValidationError(f"{flag} expects {form}, got {text!r}")
     try:
-        return {"name": name, "min": float(lo), "max": float(hi), "steps": int(steps)}
+        return [kind(x) for kind, x in zip(kinds, parts)]
     except ValueError as exc:
-        raise SpecValidationError(f"--grid {text!r}: {exc}") from exc
-
-
-def _parse_r0(text: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SpecValidationError(f"--r0 expects X,Y,Z, got {text!r}")
-    try:
-        return [float(x) for x in parts]
-    except ValueError as exc:
-        raise SpecValidationError(f"--r0 {text!r}: {exc}") from exc
+        raise SpecValidationError(f"{flag} {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,9 +141,11 @@ def _resolved(args) -> dict:
     fixed = {k: getattr(args, k) for k in ("omega", "epsilon", "gamma", "n")}
     flags = {"fixed": {k: v for k, v in fixed.items() if v is not None}}
     if args.grid:
-        flags["axes"] = [_parse_grid(g) for g in args.grid]
+        kinds = (str, float, float, int)
+        grids = (_fields("--grid", g, "AXIS:MIN:MAX:STEPS", ":", kinds) for g in args.grid)
+        flags["axes"] = [dict(zip(("name", "min", "max", "steps"), grid)) for grid in grids]
     if getattr(args, "r0", None) is not None:
-        flags["initial_bloch"] = _parse_r0(args.r0)
+        flags["initial_bloch"] = _fields("--r0", args.r0, "X,Y,Z", ",", (float,) * 3)
     merged: dict = {}
     for layer in (PRESETS.get(name, {}), config, flags):
         for key, value in layer.items():

@@ -48,6 +48,12 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # numpy's one native float64 dtype: BlochState copies an array of it as it is
 _FLOAT64 = np.dtype(float)
+_MAX_LENGTH = 1.0 + 1e-9  # the longest Bloch vector that BlochState keeps: 1, to roundoff
+
+
+def _length(x, y, z, sqrt=math.sqrt):
+    """sqrt(x*x + y*y + z*z): Python floats, or arrays with np.sqrt, the same bits."""
+    return sqrt(x * x + y * y + z * z)
 
 
 def _components(r) -> tuple[float, float, float]:
@@ -58,8 +64,6 @@ def _components(r) -> tuple[float, float, float]:
         x, y, z = r
     except (TypeError, ValueError):  # not iterable, or not three items
         raise ValueError(f"Bloch vector must have 3 components, got {r!r}") from None
-    if type(x) is float and type(y) is float and type(z) is float:  # ahead of _real
-        return x, y, z
     components = _real(x), _real(y), _real(z)
     if None in components:
         raise ValueError(f"Bloch vector components must be real numbers, got {r!r}")
@@ -68,12 +72,12 @@ def _components(r) -> tuple[float, float, float]:
 
 def _check_state(x: float, y: float, z: float, weight, given) -> None:
     """BlochState's checks: ValueError unless the components, Python floats,
-    are finite with length <= 1 (to 1e-9), and weight, a number by _real
+    are finite with _length <= _MAX_LENGTH, and weight, a number by _real
     (None where given is not one), is finite and >= 0."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("Bloch vector must be finite")
-    length = math.sqrt(x * x + y * y + z * z)
-    if length > 1.0 + 1e-9:
+    length = _length(x, y, z)
+    if length > _MAX_LENGTH:
         raise ValueError(f"Bloch vector length {length} exceeds 1")
     if weight is None or not 0.0 <= weight <= _FLOAT_MAX:
         raise ValueError(f"weight must be finite and non-negative, got {given}")

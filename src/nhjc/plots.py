@@ -2,10 +2,10 @@
 
 The writer is deliberately dependency-free and deterministic: fixed canvas,
 fixed colors, floats formatted to fixed precision, so repeated runs of the
-same sweep produce byte-identical files.  One-dimensional sweeps become
-line plots; two-dimensional sweeps become a two-color phase raster with the
-analytic boundary epsilon = omega +- 2 gamma sqrt(n+1) overlaid when the
-sweep spec is supplied.
+same sweep produce byte-identical files.  A plot shows one block index.
+One-dimensional sweeps become line plots; two-dimensional sweeps become a
+two-color phase raster with the analytic boundary epsilon = omega +- 2
+gamma sqrt(n+1) overlaid when the sweep spec is supplied.
 """
 
 from __future__ import annotations
@@ -214,8 +214,6 @@ def _boundary_points(axis_names, x_values, spec, n):
 
 def _render_raster(table, spec) -> str:
     n = int(table.n[0])
-    if (table.n != n).any():
-        raise ValueError("raster rendering expects a single block index")
     cx, cy = table.coords
     xs = np.unique(cx).tolist()
     ys = np.unique(cy).tolist()
@@ -262,10 +260,12 @@ def render_svg(table: SweepTable, path, kind: str = "auto", spec=None) -> None:
     `spec` (the SweepSpec that produced the table) is optional and enables
     the phase-boundary overlay and the exceptional-point marker.  The text
     is complete before the target is opened, so a plot that fails writes
-    nothing.  Raises ValueError for anything but a SweepTable and
-    EmptySweepError for a table with no cells.
+    nothing.  Raises ValueError for anything but a SweepTable of one block
+    index and EmptySweepError for a table with no cells.
     """
     _require_table(table, "render")
+    if (table.n != table.n[0]).any():
+        raise ValueError("SVG rendering expects a single block index")
     if kind == "auto":
         columns = _float_columns(table)
         kind = "raster" if len(table.axis_names) == 2 else next(

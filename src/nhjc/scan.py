@@ -20,12 +20,12 @@ bit.
 
 A sweep result is a SweepTable: the axis coordinates, n, phase,
 discriminant, both eigenvalues and each extra quantity as arrays, with a
-mask per extra for the cells that omit it.  Indexing or iterating it
-yields PhaseCell, built only then.  run_sweep, read_csv and read_json return
-it, and the exporters and plots.render_svg accept nothing else: they read
-its columns.  Axis and SweepSpec check their fields when built, and a
-SweepSpec refuses grids of more than MAX_CELLS cells before anything is
-allocated.
+mask per extra for the cells that omit it.  Indexing it yields PhaseCell,
+built only then, and iterating it indexes each row.  run_sweep, read_csv
+and read_json return it, and the exporters and plots.render_svg accept
+nothing else: they read its columns.  Axis and SweepSpec check their fields
+when built, and a SweepSpec refuses grids of more than MAX_CELLS cells
+before anything is allocated.
 
 Exports are deterministic: fixed row order (block index outermost, then
 axis2-major, then axis1), fixed column order, floats printed with 17
@@ -67,7 +67,7 @@ from itertools import repeat
 import numpy as np
 
 from .biortho import _metric_norm
-from .dynamics import _broken_flow, _unbroken_rotation
+from .dynamics import _MAX_LENGTH, _broken_flow, _length, _unbroken_rotation
 from .entropy import (
     _NEAR_PRODUCT,
     _binary_entropy,
@@ -76,7 +76,9 @@ from .entropy import (
     _square_or_inf,
 )
 from .errors import EmptySweepError, SpecValidationError, SweepFileError
-from .model import MAX_CELLS, ModelParams, Phase, Spectrum, _in_band, _integral, _real
+from .model import (
+    MAX_CELLS, ModelParams, Phase, Spectrum, _in_band, _integral, _real, _rechecked, _square,
+)
 
 __all__ = [
     "AXIS_NAMES",
@@ -119,14 +121,6 @@ def _sequence(value, key: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise SpecValidationError(f"{key}: expected a list, got {type(value).__name__}") from None
-
-
-def _rechecked(self, state: dict) -> None:
-    """__setstate__ of Axis and SweepSpec: an unpickled state, also one
-    written before they were checked when built, passes the same checks and
-    conversion as the constructor."""
-    vars(self).update(state)
-    self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,8 @@ class SweepSpec:
 
     fixed supplies the parameters not overridden by an axis; n_list (default
     just fixed.n) runs the sweep per block index; initial_bloch seeds the
-    dynamics quantities when a t axis is present.
+    dynamics quantities when a t axis is present, and its length is held to
+    dynamics.BlochState's rule.
 
     Checked when built, with one SpecValidationError listing every problem.
     Besides the per-field checks, the grid may hold at most MAX_CELLS cells
@@ -233,7 +228,7 @@ class SweepSpec:
             problems.append(f"grid: {cells} cells exceed the cap of {MAX_CELLS}")
         if len(r) != 3 or any(x is None or math.isnan(x) for x in r):
             problems.append("initial_bloch: need 3 finite components")
-        elif math.hypot(*r) > 1.0 + 1e-9:
+        elif _length(*map(float, r)) > _MAX_LENGTH:  # BlochState's rule, on the sweep's floats
             problems.append("initial_bloch: length must not exceed 1")
         if problems:
             raise SpecValidationError("; ".join(problems))
@@ -282,8 +277,8 @@ class SweepTable:
     distinct from a stored NaN; a key every cell omits is dropped.
 
     `len(t)` counts the cells, `t[i]` (an integer, negative from the end)
-    and iteration build the PhaseCell of a row only when asked, and two
-    tables are `==` when they hold the same cells.
+    builds the PhaseCell of a row only when asked, iteration indexes each
+    row in turn, and two tables are `==` when they hold the same cells.
     """
 
     __slots__ = (
@@ -316,21 +311,7 @@ class SweepTable:
                 self.eigenvalue_I, self.eigenvalue_II)
 
     def __iter__(self):
-        keys = tuple(self.extras)
-        if keys:
-            extras = zip(*(self.extras[k].tolist() for k in keys))
-            omitted = zip(*(self.omitted[k].tolist() for k in keys))
-        else:
-            extras = omitted = repeat(())
-        for coord, n, code, d, e_I, e_II, values, omit in zip(
-            zip(*(c.tolist() for c in self.coords)), self.n.tolist(), self.phase.tolist(),
-            self.discriminant.tolist(), self.eigenvalue_I.tolist(),
-            self.eigenvalue_II.tolist(), extras, omitted,
-        ):
-            yield PhaseCell(
-                coord, self.axis_names, n, _PHASES[code], d, Spectrum(e_I, e_II),
-                {k: v for k, v, o in zip(keys, values, omit) if not o},
-            )
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, index):
         i = operator.index(index)
@@ -338,7 +319,6 @@ class SweepTable:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("SweepTable index out of range")
-        # .item gives the Python value that iteration's tolist gives
         return PhaseCell(
             tuple(c.item(i) for c in self.coords), self.axis_names, self.n.item(i),
             _PHASES[self.phase.item(i)], self.discriminant.item(i),
@@ -401,27 +381,30 @@ _EXTRA_NAMES = frozenset(k for keys in _EXTRA_KEYS.values() for k in keys)
 _KEPT_AT_EP = frozenset({"entropy_I", "entropy_II"})
 
 
+def _levels(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of an 8-byte numeric column and the index of each
+    entry's value among them.  Values are told apart by their bits, so 0.0
+    and -0.0, which spell differently, stay distinct."""
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    return bits.view(column.dtype).tolist(), index
+
+
 def _elementwise(fn, x: np.ndarray, quantity: str, what: str) -> np.ndarray:
     """fn over every entry of a float column through Python floats, raising
     SpecValidationError on overflow.
 
     Used for `** 2`, log, log1p, cosh and sinh: numpy's versions differ from
     the libm calls of the scalar functions in the last bit for some inputs.
-    fn is called once per distinct bit pattern, since grids repeat their
-    axis values, and each entry takes the value of its pattern, so the
-    result is what fn gives entry by entry, -0.0 and NaN payloads included.
+    fn is called once per distinct value of _levels, since grids repeat
+    their axis values, so the result is what fn gives entry by entry, -0.0
+    and NaN payloads included.
     """
-    bits, index = np.unique(x.view(np.int64), return_inverse=True)
+    distinct, index = _levels(x)
     try:
-        values = np.fromiter(map(fn, bits.view(float).tolist()), dtype=float, count=bits.size)
+        values = np.fromiter(map(fn, distinct), dtype=float, count=len(distinct))
     except OverflowError:
         raise SpecValidationError(f"{quantity}: {what} overflows on this grid") from None
     return values[index]
-
-
-# v -> v ** 2.0: the libm pow call behind the scalar code's `x ** 2`, which
-# differs from x * x in the last bit for about 0.08% of inputs
-_square = (2.0).__rpow__
 
 
 def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarray]]):
@@ -546,6 +529,10 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
             floats[key][unbroken] = turned
             if not np.isfinite(floats[key][~at_ep]).all():
                 raise SpecValidationError(f"survival/bloch: {key} not finite on this grid")
+        # 1 - |r|**2 scales by 1 / D**2: a start just past length 1 can end past the bound
+        x, y, z = (floats[k][~at_ep] for k in _EXTRA_KEYS["bloch"])
+        if (_length(x, y, z, np.sqrt) > _MAX_LENGTH).any():
+            raise SpecValidationError("survival/bloch: Bloch vector length exceeds 1 on this grid")
 
     omitted = {
         key: np.zeros_like(at_ep) if key in _KEPT_AT_EP else at_ep
@@ -565,7 +552,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     their label, eigenvalues and entropy but omit metric_norm, survival and
     bloch.  Raises SpecValidationError, naming the quantity, when a value
     overflows on the grid, and where the no-jump weight of a cell cancels
-    to 0, as evolve_no_jump does.
+    to 0 or its Bloch vector ends past length 1, as evolve_no_jump does.
     """
     n_list = spec.n_list or (spec.fixed.n,)
     axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
@@ -593,14 +580,6 @@ def _opened(target, mode: str):
     if hasattr(target, "write"):
         return contextlib.nullcontext(target)
     return open(target, mode, newline="")
-
-
-def _levels(column: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct values of an 8-byte numeric column and the index of each
-    entry's value among them.  Values are told apart by their bits, so 0.0
-    and -0.0, which spell differently, stay distinct."""
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    return bits.view(column.dtype).tolist(), index
 
 
 def _gathered(text: list[str], index: np.ndarray) -> list[str]:

@@ -375,6 +375,15 @@ def test_failed_export_leaves_out_file_untouched(capsys, tmp_path):
     assert target.read_bytes() == b"earlier output\n"
 
 
+def test_svg_of_several_blocks_exits_one(capsys, tmp_path):
+    config = tmp_path / "blocks.json"
+    config.write_text(json.dumps(
+        {"n_list": [0, 1], "axes": [{"name": "delta", "min": 0, "max": 4, "steps": 5}]}
+    ))
+    code, out, err = run_cli(capsys, ["entropy", "--config", str(config), "--format", "svg"])
+    assert (code, out, err) == (1, "", "nhjc: error: SVG rendering expects a single block index\n")
+
+
 def test_json_roundtrip_through_cli(capsys, tmp_path):
     target = tmp_path / "sweep.json"
     code, _, _ = run_cli(

@@ -160,8 +160,17 @@ def test_raster_requires_two_axes():
 
 def test_raster_requires_one_block_index():
     spec = dataclasses.replace(raster_cells()[1], n_list=(0, 1))
-    with pytest.raises(ValueError, match="^raster rendering expects a single block index$"):
+    with pytest.raises(ValueError, match="^SVG rendering expects a single block index$"):
         render_to_string(run_sweep(spec), kind="raster", spec=spec)
+
+
+@pytest.mark.parametrize("kind", ["auto", "spectrum", "entropy", "metric", "dynamics"])
+def test_line_plots_require_one_block_index(kind):
+    # one polyline per series would run from the last block's end back to the first's start
+    spec = SweepSpec(FIXED, Axis("t", 0.0, 1.0, 5), n_list=(0, 1),
+                     quantities=("entropy", "metric_norm", "survival", "bloch"))
+    with pytest.raises(ValueError, match="^SVG rendering expects a single block index$"):
+        render_to_string(run_sweep(spec), kind=kind, spec=spec)
 
 
 def test_unknown_kind_raises():

@@ -8,7 +8,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nhjc.dynamics import BlochState, effective_generator, evolve_no_jump
 from nhjc.entropy import LN2
 from nhjc.errors import EmptySweepError, SpecValidationError, SweepFileError
 from nhjc.model import ModelParams, Phase, spectrum_closed_form
@@ -157,6 +160,83 @@ def test_validation_rejects_bad_quantities_and_state():
         simple_spec(axis2=Axis("delta", 0.0, 1.0, 5), quantities=("nope",), n_list=(-1,))
     with pytest.raises(SpecValidationError, match="^name: 'bad' not in .*; steps: need at least 2"):
         Axis("bad", 0.0, 1.0, 1)
+
+
+# Lengths within an ulp of the bound 1 + 1e-9, where math.hypot and
+# BlochState's sqrt(x*x + y*y + z*z) fall on opposite sides of it: BlochState
+# keeps the first and refuses the second, and so does SweepSpec
+_KEPT_BLOCH = (-0.3386863615663403, -0.8159057145425621, 0.4686036869954672)
+_REFUSED_BLOCH = (-0.6253638710299323, -0.7800267299404978, -0.021870788481265988)
+
+
+def _accepts(build, r) -> bool:
+    try:
+        build(r)
+    except ValueError:
+        return False
+    return True
+
+
+def _spec_from_bloch(r):
+    return simple_spec(initial_bloch=r)
+
+
+def test_initial_bloch_follows_the_bloch_state_length_rule():
+    assert _accepts(BlochState, _KEPT_BLOCH) and _accepts(_spec_from_bloch, _KEPT_BLOCH)
+    assert not _accepts(BlochState, _REFUSED_BLOCH)
+    with pytest.raises(SpecValidationError, match="^initial_bloch: length must not exceed 1$"):
+        _spec_from_bloch(_REFUSED_BLOCH)
+
+
+def _near_bound(direction, ulps):
+    """direction scaled to length 1 + 1e-9, then moved by ulps in the scale."""
+    length = math.sqrt(sum(x * x for x in direction))
+    scale = 1.0 + 1e-9
+    for _ in range(abs(ulps)):
+        scale = math.nextafter(scale, math.copysign(math.inf, ulps))
+    return tuple(x / length * scale for x in direction)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.builds(
+    _near_bound,
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: max(map(abs, v)) > 1e-3),
+    st.integers(-4, 4),
+))
+@example(_KEPT_BLOCH)
+@example(_REFUSED_BLOCH)
+def test_initial_bloch_accepts_exactly_what_bloch_state_accepts(r):
+    assert _accepts(_spec_from_bloch, r) == _accepts(BlochState, r)
+
+
+@pytest.mark.parametrize("gamma, t_max", [
+    (1.0, 0.5),  # unbroken: a rotation
+    (4.0, 1.0),  # broken: D(t) >= 1 at t = 0, 0.5 and 1
+])
+def test_sweep_dynamics_at_the_kept_length_match_evolve_no_jump(gamma, t_max):
+    p = ModelParams(1.0, 5.0, gamma, 0)
+    spec = SweepSpec(p, Axis("t", 0.0, t_max, 3), quantities=("survival", "bloch"),
+                     initial_bloch=_KEPT_BLOCH)
+    table = run_sweep(spec)
+    gen, rho0 = effective_generator(p), BlochState(_KEPT_BLOCH)
+    for i, t in enumerate(spec.axis1.values().tolist()):
+        state = evolve_no_jump(gen, rho0, t)
+        expected = [state.weight, *state.r.tolist()]
+        got = [table.extras[k][i] for k in ("survival", "bloch_x", "bloch_y", "bloch_z")]
+        assert list(map(float.hex, map(float, got))) == list(map(float.hex, expected))
+
+
+def test_sweep_refuses_an_evolved_state_that_evolve_no_jump_refuses():
+    # 1 - |r|**2 scales by 1 / D**2: at t = 0.25 on the broken block D < 1,
+    # and the kept start's length passes the bound
+    p = ModelParams(1.0, 5.0, 4.0, 0)
+    with pytest.raises(ValueError, match="^Bloch vector length .* exceeds 1$"):
+        evolve_no_jump(effective_generator(p), BlochState(_KEPT_BLOCH), 0.25)
+    spec = SweepSpec(p, Axis("t", 0.0, 0.5, 3), quantities=("survival",),
+                     initial_bloch=_KEPT_BLOCH)
+    with pytest.raises(SpecValidationError,
+                       match="^survival/bloch: Bloch vector length exceeds 1 on this grid$"):
+        run_sweep(spec)
 
 
 def test_axes_and_specs_are_checked_when_built():
