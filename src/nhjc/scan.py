@@ -13,10 +13,11 @@ block indices.  The entropy, the metric norm and the no-jump flow and
 rotation are written once, in + - * / and sqrt, by entropy, biortho and
 dynamics; the kernel passes them columns and its libm functions, which it
 calls once per distinct value of a column (_elementwise), since grids
-repeat their axis values.  The phase, spectrum and ratios stay twins of
-model and biortho, for the reasons _grid_columns lists.  The scalar
-functions remain the per-point reference; the columns match them bit for
-bit.
+repeat their axis values.  _base forms the phase and spectrum, and one
+function per quantity its columns from them (_EXTRAS).  The phase,
+spectrum and ratios stay twins of model and biortho, for the reasons
+_base, _entropy and _metric list.  The scalar functions remain the
+per-point reference; the columns match them bit for bit.
 
 A sweep result is a SweepTable: the axis coordinates, n, phase,
 discriminant, both eigenvalues and each extra quantity as arrays, with a
@@ -116,11 +117,12 @@ _BASE_COLUMNS = (
 
 
 def _sequence(value, key: str) -> tuple:
-    """tuple(value); SpecValidationError naming key where value is not iterable."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise SpecValidationError(f"{key}: expected a list, got {type(value).__name__}") from None
+    """tuple(value); SpecValidationError naming key where value is not
+    iterable, or is a str or bytes, which tuple() would split into characters."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(value, (str, bytes)):
+            return tuple(value)
+    raise SpecValidationError(f"{key}: expected a list, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,6 @@ class SweepSpec:
         vars(self).update(quantities=quantities, n_list=n_list, initial_bloch=r)
 
     __setstate__ = _rechecked
-
-    def validate(self) -> None:
-        """Kept for callers; a built SweepSpec is already checked."""
 
 
 @dataclass(frozen=True)
@@ -368,19 +367,6 @@ def _table(axis_names, floats, n, code, omitted) -> SweepTable:
     )
 
 
-# Extra columns per quantity, in the order a cell's extras list them.
-_EXTRA_KEYS = {
-    "metric_norm": ("metric_norm",),
-    "entropy": ("entropy_I", "entropy_II"),
-    "survival": ("survival",),
-    "bloch": ("bloch_x", "bloch_y", "bloch_z"),
-}
-# The only extra columns or fields a sweep file may hold.
-_EXTRA_NAMES = frozenset(k for keys in _EXTRA_KEYS.values() for k in keys)
-# The only extras that exceptional-point cells keep (the ln 2 limit).
-_KEPT_AT_EP = frozenset({"entropy_I", "entropy_II"})
-
-
 def _levels(column: np.ndarray) -> tuple[list, np.ndarray]:
     """The distinct values of an 8-byte numeric column and the index of each
     entry's value among them.  Values are told apart by their bits, so 0.0
@@ -407,30 +393,21 @@ def _elementwise(fn, x: np.ndarray, quantity: str, what: str) -> np.ndarray:
     return values[index]
 
 
-def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarray]]):
-    """Every column over the whole grid, as arrays in grid order.
+def _base(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarray]]):
+    """D, its EP band, the phase codes and the spectrum over the whole grid.
 
-    n is each cell's block index.  Returns the phase codes, the float
-    columns by file column name (discriminant, eigenvalue parts, the extras
-    computed) and the omitted mask of each requested extra, in the order of
-    spec.quantities; extras hold NaN where EP-band cells omit them.  Entropy, survival, Bloch and
-    metric_norm call the scalar closed forms, with libm log, log1p, cosh and
-    sinh called once per distinct value.  These stay twins of the scalar
-    code, each for its reason:
+    n is each cell's block index.  Returns the discriminant and eigenvalue
+    parts by file column name, and by name the arrays that the functions of
+    _EXTRAS read.  These stay twins of model's code, each for its reason:
 
     - the discriminant squares: the builtin `_square` maps about 13% faster
       than a Python function, and the error names the square that overflowed;
     - the spectral centre: one expression;
-    - G = I at gamma = 0: biortho keeps its entries, this needs only the
-      norm sqrt(2);
     - phase and eigenvalue assembly: model builds Phase and complex, this
-      builds int8 codes and re/im parts that keep -0.0;
-    - ratio selection: biortho gives complex ratios, this needs moduli;
-    - the near-product entropy switch: entropy branches per value, this masks.
+      builds int8 codes and re/im parts that keep -0.0.
     """
-    size = grid[0][1].size
     params = {
-        name: np.full(size, float(getattr(spec.fixed, name)))
+        name: np.full(n.size, float(getattr(spec.fixed, name)))
         for name in ("omega", "epsilon", "gamma")
     }
     sqrt_n1 = np.sqrt(n + 1)
@@ -473,86 +450,117 @@ def _grid_columns(spec: SweepSpec, n: np.ndarray, grid: list[tuple[str, np.ndarr
         "eigenvalue_I_re": center + half_re, "eigenvalue_I_im": 0.0 + half_im,
         "eigenvalue_II_re": center - half_re, "eigenvalue_II_im": 0.0 - half_im,
     }
-
-    wanted = set(spec.quantities)
     coupling = 2.0 * sqrt_n1 * gamma
-    if "entropy" in wanted:
-        def log(x):
-            return _elementwise(math.log, x, "entropy", "log")
+    return floats, dict(b=b, d=d, root=root, real_root=real_root, half=half, t=t,
+                        coupling=coupling, coupled=coupled, at_ep=at_ep, code=code)
 
-        def log1p(x):
-            return _elementwise(math.log1p, x, "entropy", "log1p")
 
-        # biortho.eigenvector_ratios: real ratios with product 1 where the root is
-        # real, (b +- i root) / coupling where it is imaginary, modulus 1 at the EP
-        lead = np.where(b >= 0.0, b + root, b - root) / coupling
-        other = 1.0 / lead
-        modulus = np.hypot(b / coupling, root / coupling)
-        for key, leads in zip(("entropy_I", "entropy_II"), (b >= 0.0, b < 0.0)):
-            a_abs = np.where(real_root, np.abs(np.where(leads, lead, other)), modulus)
-            a_abs = np.where(coupled, np.where(at_ep, 1.0, a_abs), 0.0)
-            a2 = _elementwise(_square_or_inf, a_abs, "entropy", "|alpha|**2")
-            live = (a2 != 0.0) & ~np.isinf(a2)  # else the product state: entropy 0
-            lam, comp = _reduced_pair(a2[live])
-            small = np.minimum(lam, comp)
-            near = small < _NEAR_PRODUCT
-            values = _binary_entropy(lam, comp, log)
-            values[near] = _near_product_entropy(small[near], log, log1p)
-            floats[key] = np.zeros(size)
-            floats[key][live] = values
-    if "metric_norm" in wanted:
-        norm = np.where(coupled, _metric_norm(b, coupling, d), math.sqrt(2.0))
-        floats["metric_norm"] = np.where(at_ep, math.nan, norm)
-    if wanted & {"survival", "bloch"}:
-        # evolve_no_jump from effective_generator: cosh/sinh of 2 Gamma t on
-        # the broken side, a rotation by 2 Lambda t on the unbroken side
-        r0 = [float(r) for r in spec.initial_bloch]
-        angle = 2.0 * half * t
-        # evolve_no_jump's tests in its order, on the same bits: 2 Gamma t,
-        # cosh and sinh, then D = cosh + r_y sinh, which cancels at r_y = -1
-        if np.isinf(angle[~at_ep]).any():
-            raise SpecValidationError("survival/bloch: 2 Gamma t overflows on this grid")
-        broken = code == 1
-        unbroken = code == 0
-        ch = _elementwise(math.cosh, angle[broken], "survival/bloch", "cosh(2 Gamma t)")
-        sh = _elementwise(math.sinh, angle[broken], "survival/bloch", "sinh(2 Gamma t)")
-        on_broken = _broken_flow(ch, sh, *r0)
-        if not (on_broken[0] > 0.0).all():
-            raise SpecValidationError(
-                "survival/bloch: no-jump weight cancels to 0 at r_y = -1 on this grid"
-            )
-        turn = angle[unbroken]
-        on_unbroken = (1.0, *_unbroken_rotation(np.cos(turn), np.sin(turn), *r0))
-        for key, flowed, turned in zip(("survival", *_EXTRA_KEYS["bloch"]), on_broken, on_unbroken):
-            floats[key] = np.full(size, math.nan)
-            floats[key][broken] = flowed
-            floats[key][unbroken] = turned
-            if not np.isfinite(floats[key][~at_ep]).all():
-                raise SpecValidationError(f"survival/bloch: {key} not finite on this grid")
-        # 1 - |r|**2 scales by 1 / D**2: a start just past length 1 can end past the bound
-        x, y, z = (floats[k][~at_ep] for k in _EXTRA_KEYS["bloch"])
-        if (_length(x, y, z, np.sqrt) > _MAX_LENGTH).any():
-            raise SpecValidationError("survival/bloch: Bloch vector length exceeds 1 on this grid")
+def _entropy(spec, keys, b, root, coupling, real_root, coupled, at_ep, **_) -> dict:
+    """entropy_I and entropy_II, ln 2 in the EP band, with libm log and log1p
+    once per distinct value.  Twins of biortho and entropy, each for its reason:
 
-    omitted = {
-        key: np.zeros_like(at_ep) if key in _KEPT_AT_EP else at_ep
-        for q in spec.quantities for key in _EXTRA_KEYS.get(q, ())
-    }
-    return code, floats, omitted
+    - ratio selection: biortho gives complex ratios, this needs moduli;
+    - the near-product entropy switch: entropy branches per value, this masks.
+    """
+    def log(x):
+        return _elementwise(math.log, x, "entropy", "log")
+
+    def log1p(x):
+        return _elementwise(math.log1p, x, "entropy", "log1p")
+
+    # biortho.eigenvector_ratios: real ratios with product 1 where the root is
+    # real, (b +- i root) / coupling where it is imaginary, modulus 1 at the EP
+    lead = np.where(b >= 0.0, b + root, b - root) / coupling
+    other = 1.0 / lead
+    modulus = np.hypot(b / coupling, root / coupling)
+    columns = {}
+    for key, leads in zip(keys, (b >= 0.0, b < 0.0)):
+        a_abs = np.where(real_root, np.abs(np.where(leads, lead, other)), modulus)
+        a_abs = np.where(coupled, np.where(at_ep, 1.0, a_abs), 0.0)
+        a2 = _elementwise(_square_or_inf, a_abs, "entropy", "|alpha|**2")
+        live = (a2 != 0.0) & ~np.isinf(a2)  # else the product state: entropy 0
+        lam, comp = _reduced_pair(a2[live])
+        small = np.minimum(lam, comp)
+        near = small < _NEAR_PRODUCT
+        values = _binary_entropy(lam, comp, log)
+        values[near] = _near_product_entropy(small[near], log, log1p)
+        columns[key] = np.zeros(at_ep.size)
+        columns[key][live] = values
+    return columns
+
+
+def _metric(spec, keys, b, d, coupling, coupled, at_ep, **_) -> dict:
+    """metric_norm, NaN in the EP band.  A twin of biortho for one reason:
+
+    - G = I at gamma = 0: biortho keeps its entries, this needs only the norm sqrt(2).
+    """
+    norm = np.where(coupled, _metric_norm(b, coupling, d), math.sqrt(2.0))
+    return {keys[0]: np.where(at_ep, math.nan, norm)}
+
+
+def _no_jump(spec, keys, half, t, code, at_ep, **_) -> dict:
+    """survival and the Bloch components, NaN in the EP band: evolve_no_jump
+    from effective_generator, cosh/sinh of 2 Gamma t on the broken side (libm,
+    once per distinct value), a rotation by 2 Lambda t on the unbroken side."""
+    r0 = [float(r) for r in spec.initial_bloch]
+    angle = 2.0 * half * t
+    # evolve_no_jump's tests in its order, on the same bits: 2 Gamma t,
+    # cosh and sinh, then D = cosh + r_y sinh, which cancels at r_y = -1
+    if np.isinf(angle[~at_ep]).any():
+        raise SpecValidationError("survival/bloch: 2 Gamma t overflows on this grid")
+    broken, unbroken = code == 1, code == 0
+    ch = _elementwise(math.cosh, angle[broken], "survival/bloch", "cosh(2 Gamma t)")
+    sh = _elementwise(math.sinh, angle[broken], "survival/bloch", "sinh(2 Gamma t)")
+    on_broken = _broken_flow(ch, sh, *r0)
+    if not (on_broken[0] > 0.0).all():
+        raise SpecValidationError(
+            "survival/bloch: no-jump weight cancels to 0 at r_y = -1 on this grid"
+        )
+    turn = angle[unbroken]
+    on_unbroken = (1.0, *_unbroken_rotation(np.cos(turn), np.sin(turn), *r0))
+    columns = {}
+    for key, flowed, turned in zip(keys, on_broken, on_unbroken):
+        columns[key] = np.full(at_ep.size, math.nan)
+        columns[key][broken] = flowed
+        columns[key][unbroken] = turned
+        if not np.isfinite(columns[key][~at_ep]).all():
+            raise SpecValidationError(f"survival/bloch: {key} not finite on this grid")
+    # 1 - |r|**2 scales by 1 / D**2: a start just past length 1 can end past the bound
+    x, y, z = (columns[k][~at_ep] for k in keys[1:])
+    if (_length(x, y, z, np.sqrt) > _MAX_LENGTH).any():
+        raise SpecValidationError("survival/bloch: Bloch vector length exceeds 1 on this grid")
+    return columns
+
+
+# Each extra quantity: its columns, in the order a cell's extras list them,
+# whether exceptional-point cells keep them (the ln 2 limit), and the function
+# that forms them from _base.  The functions run in this order, each at most
+# once and given the columns of every quantity it serves, so survival and bloch
+# share one _no_jump call.
+_EXTRAS = {
+    "entropy": (("entropy_I", "entropy_II"), True, _entropy),
+    "metric_norm": (("metric_norm",), False, _metric),
+    "survival": (("survival",), False, _no_jump),
+    "bloch": (("bloch_x", "bloch_y", "bloch_z"), False, _no_jump),
+}
+# The only extra columns or fields a sweep file may hold.
+_EXTRA_NAMES = frozenset(k for keys, _, _ in _EXTRAS.values() for k in keys)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid; rows ordered n-major, then axis2, then axis1.
 
-    The grid is tiled over the block indices and evaluated at once by a
-    column kernel (numpy arrays, with the few operations whose numpy
-    versions differ from libm done in Python once per distinct value), and
-    the result is a SweepTable of those columns: no PhaseCell is built
-    until the table is indexed or iterated.  Exceptional-point cells keep
-    their label, eigenvalues and entropy but omit metric_norm, survival and
-    bloch.  Raises SpecValidationError, naming the quantity, when a value
-    overflows on the grid, and where the no-jump weight of a cell cancels
-    to 0 or its Bloch vector ends past length 1, as evolve_no_jump does.
+    The grid is tiled over the block indices and evaluated at once by
+    column functions (numpy arrays, with the few operations whose numpy
+    versions differ from libm done in Python once per distinct value):
+    _base, then each requested quantity's function of _EXTRAS, whose
+    temporaries go when it returns.  The result is a SweepTable of those
+    columns: no PhaseCell is built until the table is indexed or iterated.
+    Exceptional-point cells keep their label, eigenvalues and entropy but
+    omit metric_norm, survival and bloch.  Raises SpecValidationError,
+    naming the quantity, when a value overflows on the grid, and where the
+    no-jump weight of a cell cancels to 0 or its Bloch vector ends past
+    length 1, as evolve_no_jump does.
     """
     n_list = spec.n_list or (spec.fixed.n,)
     axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
@@ -563,7 +571,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     ))
     coords.reverse()
     with np.errstate(all="ignore"):
-        code, floats, omitted = _grid_columns(spec, n, list(zip(names, coords)))
+        floats, base = _base(spec, n, list(zip(names, coords)))
+        for fn in dict.fromkeys(_EXTRAS[q][2] for q in _EXTRAS if q in spec.quantities):
+            keys = [k for columns, _, f in _EXTRAS.values() if f is fn for k in columns]
+            floats.update(fn(spec, keys, **base))
+    code, at_ep = base["code"], base["at_ep"]
+    del base  # free the base's arrays before the table's are built
+    omitted = {k: np.zeros_like(at_ep) if _EXTRAS[q][1] else at_ep
+               for q in spec.quantities if q in _EXTRAS for k in _EXTRAS[q][0]}
     return _table(names, {**dict(zip(names, coords)), **floats}, n, code, omitted)
 
 

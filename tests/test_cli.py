@@ -314,6 +314,17 @@ def test_oversized_grid_exits_one(capsys):
             {"axes": [{"name": "delta", "min": 0, "max": 1, "steps": 3.7}]},
             "axes[1].steps",
         ),
+        # a string where a list belongs, which was read character by character
+        (
+            "spectrum",
+            {"quantities": "phase", "axes": [{"name": "delta", "min": 0, "max": 1, "steps": 2}]},
+            "quantities",
+        ),
+        (
+            "spectrum",
+            {"n_list": "", "axes": [{"name": "delta", "min": 0, "max": 1, "steps": 2}]},
+            "n_list",
+        ),
         ("exponent", {"fixed": {"n": 1.5}}, "fixed.n"),
         ("dynamics", {"fixed": {"gamma": 4, "n": True}}, "fixed.n"),
         # whole numbers past the float range

@@ -304,7 +304,7 @@ REFUSED_BOUND = r"^({end}: expected a real number|min/max must be finite)"
 
 def _validates(**fields) -> bool:
     try:
-        SweepSpec(**{"fixed": FIXED, "axis1": GRID, **fields}).validate()
+        SweepSpec(**{"fixed": FIXED, "axis1": GRID, **fields})
     except SpecValidationError:
         return False
     return True

@@ -31,10 +31,11 @@ from nhjc.scan import QUANTITIES, Axis, SweepSpec, run_sweep
 from test_sweep_kernel import expected_extras, scalar_point
 
 # the states of the fixed specs, the poles of the y axis (r_y = -1 is where
-# the no-jump weight cancels) and a mixed state
+# the no-jump weight cancels), a mixed state, and a start of length
+# 1 + 1.1e-10, whose evolved state can pass the bound of length 1 + 1e-9
 _STATES = [
     (0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (0.0, 1.0, 0.0), (0.3, -0.4, 0.5), (0.6, -0.8, 0.0),
-    (-0.5, 0.2, 0.7), (0.0, 0.0, 0.0),
+    (-0.5, 0.2, 0.7), (0.0, 0.0, 0.0), (0.0, -0.96, 0.28 + 4e-10),
 ]
 _UNIT = st.floats(0.5, 2.0)
 # Gamma of the block (1, 5, 4, 0)
@@ -114,6 +115,10 @@ def _scalar_cells(spec):
     ModelParams(1.0, 5.0, 4.0, 0), Axis("gamma", 0.0, 4.0, 2),
     Axis("t", 19.0 / (2.0 * _RATE), 19.0000001 / (2.0 * _RATE), 2),
     QUANTITIES, (0, 1), (0.0, -1.0, 0.0),
+))
+@example(spec=SweepSpec(  # 1 - |r|**2 scales by 1 / D**2: the start's length grows past the bound
+    ModelParams(1.0, 5.0, 4.0, 0), Axis("gamma", 0.0, 4.0, 2), Axis("t", 0.0, 3.0 / _RATE, 4),
+    QUANTITIES, (), (0.0, -0.96, 0.28 + 4e-10),
 ))
 def test_kernel_search_matches_the_scalar_api_or_raises_with_it(spec):
     want = list(_scalar_cells(spec))

@@ -30,6 +30,8 @@ from nhjc.scan import (
     spec_to_dict,
 )
 
+from test_kernel_search import _CANCELLED, _RATE
+
 FIXED = ModelParams(1.0, 5.0, 1.0, 0)
 
 
@@ -69,16 +71,16 @@ def test_validation_rejects_bad_axes():
     with pytest.raises(SpecValidationError, match="differ"):
         simple_spec(
             axis1=Axis("gamma", 0.0, 1.0, 5), axis2=Axis("gamma", 0.0, 2.0, 5)
-        ).validate()
+        )
     with pytest.raises(SpecValidationError, match="^axis2: expected an Axis, got tuple$"):
-        simple_spec(axis2=("epsilon", 0.0, 1.0, 5)).validate()
+        simple_spec(axis2=("epsilon", 0.0, 1.0, 5))
 
 
 def test_validation_rejects_non_integer_steps():
     for steps in (3.7, True, "5"):
         with pytest.raises(SpecValidationError, match=r"^steps: expected an integer"):
             Axis("gamma", 0.0, 1.0, steps)
-    simple_spec(axis1=Axis("gamma", 0.0, 1.0, np.int64(5))).validate()
+    simple_spec(axis1=Axis("gamma", 0.0, 1.0, np.int64(5)))
     # a whole float is a whole number, as config files and ModelParams' n read it
     assert len(run_sweep(simple_spec(axis1=Axis("gamma", 0.0, 1.0, 3.0)))) == 3
 
@@ -104,25 +106,24 @@ def test_validation_caps_total_cells():
     # checked by validation only: none of these grids is allocated
     big = Axis("gamma", 0.0, 1.0, 10**6)
     with pytest.raises(SpecValidationError, match="grid: 1000000000000 cells exceed the cap"):
-        simple_spec(axis1=big, axis2=Axis("epsilon", 0.0, 1.0, 10**6)).validate()
+        simple_spec(axis1=big, axis2=Axis("epsilon", 0.0, 1.0, 10**6))
     at_cap = simple_spec(axis1=Axis("gamma", 0.0, 1.0, 10**4), axis2=Axis("epsilon", 0.0, 1.0, 10**3))
     assert 10**4 * 10**3 == MAX_CELLS
-    at_cap.validate()
     with pytest.raises(SpecValidationError, match="cap"):
-        dataclasses.replace(at_cap, n_list=(0, 1)).validate()
+        dataclasses.replace(at_cap, n_list=(0, 1))
 
 
 def test_block_indices_fit_the_int64_n_column():
     too_big = r"block indices must be below 2\*\*63, got "
     with pytest.raises(SpecValidationError, match=f"^n_list: {too_big}{2**63}$"):
-        simple_spec(n_list=(0, 2**63)).validate()
+        simple_spec(n_list=(0, 2**63))
     with pytest.raises(SpecValidationError, match=f"^fixed.n: {too_big}{10**30}$"):
-        simple_spec(fixed=ModelParams(1.0, 5.0, 1.0, 10**30)).validate()
+        simple_spec(fixed=ModelParams(1.0, 5.0, 1.0, 10**30))
     # past the float range too: refused by value, without an OverflowError
     with pytest.raises(SpecValidationError, match=f"^n_list: {too_big}{10**400}$"):
-        simple_spec(n_list=(10**400,)).validate()
+        simple_spec(n_list=(10**400,))
     with pytest.raises(SpecValidationError, match="^fixed: expected a ModelParams, got NoneType$"):
-        simple_spec(fixed=None).validate()
+        simple_spec(fixed=None)
     # up to the last int64, 2n + 1 and n + 1 stay exact in the kernel
     n_list = (2**62 + 1, 2**63 - 1)
     table = run_sweep(simple_spec(n_list=n_list))
@@ -134,27 +135,27 @@ def test_block_indices_fit_the_int64_n_column():
 
 def test_validation_rejects_bad_quantities_and_state():
     with pytest.raises(SpecValidationError, match="unknown"):
-        simple_spec(quantities=("phase", "norm")).validate()
+        simple_spec(quantities=("phase", "norm"))
     with pytest.raises(SpecValidationError, match="empty"):
-        simple_spec(quantities=()).validate()
+        simple_spec(quantities=())
     with pytest.raises(SpecValidationError, match="require a 't' axis"):
-        simple_spec(quantities=("survival",)).validate()
+        simple_spec(quantities=("survival",))
     with pytest.raises(SpecValidationError, match="n_list"):
-        simple_spec(n_list=(0, -2)).validate()
+        simple_spec(n_list=(0, -2))
     with pytest.raises(SpecValidationError, match="initial_bloch"):
-        simple_spec(initial_bloch=(0.0, 0.0, 2.0)).validate()
+        simple_spec(initial_bloch=(0.0, 0.0, 2.0))
     with pytest.raises(SpecValidationError, match="initial_bloch"):
-        simple_spec(initial_bloch=(0.0, math.nan, 0.0)).validate()
+        simple_spec(initial_bloch=(0.0, math.nan, 0.0))
     with pytest.raises(SpecValidationError, match="^initial_bloch: need 3 finite components$"):
-        simple_spec(initial_bloch=(10**400, 0, 0)).validate()
+        simple_spec(initial_bloch=(10**400, 0, 0))
     for bloch in ((0, 0, 1j), (0, 0, None), ("0", "0", "1"), (0, 0, True)):
         with pytest.raises(SpecValidationError, match="^initial_bloch: need 3 finite components$"):
-            simple_spec(initial_bloch=bloch).validate()
+            simple_spec(initial_bloch=bloch)
     # a field that is not a sequence is named, where len() raised TypeError
     for field, value in (("quantities", None), ("n_list", None), ("n_list", 3),
                          ("initial_bloch", None)):
         with pytest.raises(SpecValidationError, match=f"^{field}: expected a list"):
-            simple_spec(**{field: value}).validate()
+            simple_spec(**{field: value})
     # several problems are reported together
     with pytest.raises(SpecValidationError, match="^axis2.name: must differ .*; quantities: unknown .*; n_list"):
         simple_spec(axis2=Axis("delta", 0.0, 1.0, 5), quantities=("nope",), n_list=(-1,))
@@ -239,6 +240,42 @@ def test_sweep_refuses_an_evolved_state_that_evolve_no_jump_refuses():
         run_sweep(spec)
 
 
+# each extra quantity's columns, in the order a cell lists them
+_COLUMNS = {
+    "eigenvalues": (), "phase": (), "metric_norm": ("metric_norm",),
+    "entropy": ("entropy_I", "entropy_II"), "survival": ("survival",),
+    "bloch": ("bloch_x", "bloch_y", "bloch_z"),
+}
+
+
+def test_quantity_order_orders_the_extras_and_nothing_else():
+    # gamma = 2 is the EP of the block: every extra but entropy is omitted there
+    p = ModelParams(1.0, 5.0, 4.0, 0)
+    axes = dict(axis1=Axis("t", 0.0, 1.0, 4), axis2=Axis("gamma", 0.0, 4.0, 5))
+    r0 = (0.3, -0.4, 0.5)
+    table = run_sweep(SweepSpec(p, **axes, quantities=QUANTITIES, initial_bloch=r0))
+    for quantities in (QUANTITIES[::-1], QUANTITIES[3:] + QUANTITIES[:3]):
+        permuted = run_sweep(SweepSpec(p, **axes, quantities=quantities, initial_bloch=r0))
+        assert permuted == table
+        want = [k for q in quantities for k in _COLUMNS[q]]
+        assert list(permuted.extras) == list(permuted.omitted) == want
+        for k in want:
+            assert permuted.extras[k].tobytes() == table.extras[k].tobytes(), k
+            assert np.array_equal(permuted.omitted[k], table.omitted[k]), k
+    # survival and bloch share one no-jump pass; asked alone, survival is the same
+    alone = run_sweep(SweepSpec(p, **axes, quantities=("survival",), initial_bloch=r0))
+    assert list(alone.extras) == ["survival"]
+    assert alone.extras["survival"].tobytes() == table.extras["survival"].tobytes()
+    assert np.array_equal(alone.omitted["survival"], table.omitted["survival"])
+    # the cancel grid of the kernel search refuses with the same message in any order
+    t = Axis("t", 19.0 / (2.0 * _RATE), 19.0000001 / (2.0 * _RATE), 2)
+    for quantities in (("survival", "bloch"), ("bloch", "survival"), QUANTITIES[::-1]):
+        spec = SweepSpec(p, t, quantities=quantities, initial_bloch=(0.0, -1.0, 0.0))
+        with pytest.raises(SpecValidationError) as info:
+            run_sweep(spec)
+        assert str(info.value) == _CANCELLED
+
+
 def test_axes_and_specs_are_checked_when_built():
     # steps past the cell cap, not whole, or below 2: .values() never sees them
     for steps in (2**63, MAX_CELLS + 1, 1.5, 1):
@@ -265,7 +302,6 @@ def test_axes_and_specs_keep_their_fields_converted():
     assert spec.quantities == ("phase",)
     assert spec.n_list == (2, 3) and all(type(n) is int for n in spec.n_list)
     assert spec.initial_bloch == (0, 0, 1)
-    spec.validate()  # kept for callers; a built spec is valid
 
 
 def test_unpickled_axes_and_specs_pass_the_constructor_checks():
@@ -670,6 +706,12 @@ def test_spec_from_dict_type_errors():
         spec_from_dict({"axes": axes, "n_list": 3})
     with pytest.raises(SpecValidationError, match="initial_bloch"):
         spec_from_dict({"axes": axes, "initial_bloch": "xyz"})
+    # a string is not read character by character: "" is not an empty n_list
+    for key, value in (("quantities", "phase"), ("n_list", ""), ("initial_bloch", "001"),
+                       ("n_list", b"\x01")):
+        kind = type(value).__name__
+        with pytest.raises(SpecValidationError, match=f"^{key}: expected a list, got {kind}$"):
+            spec_from_dict({"axes": axes, key: value})
     # whole numbers are not cut down by int()
     for n_list in ([1.5], [True], ["2"]):
         with pytest.raises(SpecValidationError, match="n_list"):
