@@ -278,6 +278,12 @@ class SweepTable:
     `len(t)` counts the cells, `t[i]` (an integer, negative from the end)
     builds the PhaseCell of a row only when asked, iteration indexes each
     row in turn, and two tables are `==` when they hold the same cells.
+
+    The constructor raises ValueError for a table the files cannot hold:
+    other than 1 or 2 distinct axis names of AXIS_NAMES with one coordinate
+    column each, columns that are not 1-d of one length, extras and omitted
+    with different keys, a phase code other than 0, 1 or 2, or a block
+    index outside [0, 2**63).
     """
 
     __slots__ = (
@@ -287,16 +293,36 @@ class SweepTable:
 
     def __init__(self, axis_names, coords, n, phase, discriminant,
                  eigenvalue_I, eigenvalue_II, extras, omitted):
-        self.axis_names = tuple(axis_names)
+        self.axis_names = names = tuple(axis_names)
         self.coords = tuple(np.asarray(c, dtype=float) for c in coords)
-        self.n = np.asarray(n, dtype=np.int64)
+        if not (1 <= len(names) == len(set(names)) == len(self.coords) <= 2
+                and set(names) <= set(AXIS_NAMES)):
+            raise ValueError(f"SweepTable: need 1 or 2 distinct axis names of {AXIS_NAMES}, a "
+                             f"coordinate column each, got {names} and {len(self.coords)} column(s)")
+        if extras.keys() != omitted.keys():
+            raise ValueError(f"SweepTable: extras and omitted need the same keys, got "
+                             f"{sorted(extras)} and {sorted(omitted)}")
+        try:  # a Python int past the int64 range overflows; a uint64 past it wraps below 0
+            self.n = np.asarray(n, dtype=np.int64)
+            bad_n = (self.n < 0).any()
+        except OverflowError:
+            bad_n = True
+        if bad_n:
+            raise ValueError("SweepTable: block indices n must be in [0, 2**63)")
+        phase = np.asarray(phase)
+        if ((phase < 0) | (phase > 2)).any():  # checked before int8 would wrap a code
+            raise ValueError("SweepTable: phase codes must be 0, 1 or 2")
         self.phase = np.asarray(phase, dtype=np.int8)
         self.discriminant = np.asarray(discriminant, dtype=float)
         self.eigenvalue_I = np.asarray(eigenvalue_I, dtype=complex)
         self.eigenvalue_II = np.asarray(eigenvalue_II, dtype=complex)
         masks = {k: np.asarray(m, dtype=bool) for k, m in omitted.items()}
+        extras = {k: np.asarray(v, dtype=float) for k, v in extras.items()}
+        shapes = {a.shape for a in (*self._arrays(), *extras.values(), *masks.values())}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("SweepTable: every column must be 1-d and of one length")
         kept = [k for k in extras if not masks[k].all()]
-        self.extras = {k: np.asarray(extras[k], dtype=float) for k in kept}
+        self.extras = {k: extras[k] for k in kept}
         self.omitted = {k: masks[k] for k in kept}
 
     def __len__(self) -> int:
@@ -846,39 +872,26 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     }
 
 
-def _number(value, field: str) -> float:
-    """A config number (model._real) as a float; bools, strings and non-finite values raise."""
-    x = _real(value)
-    if x is None or math.isnan(x):
-        raise SpecValidationError(f"{field} must be a finite real number, got {value!r}")
-    return float(x)
-
-
-def _integer(value, field: str) -> int:
-    """A config whole number (model._integral) as an int, where int() would cut 1.5 and True."""
-    n = _integral(value)
-    if n is None:
-        raise SpecValidationError(f"{field}: expected an integer, got {value!r}")
-    return n
-
-
 def _params_from_dict(fixed) -> ModelParams:
-    """The fixed parameters of a config; defaults omega 1, epsilon 5, gamma 1, n 0."""
+    """The fixed parameters of a config (defaults omega 1, epsilon 5, gamma
+    1, n 0) as ModelParams checks and keeps them."""
     if not isinstance(fixed, dict):
         raise SpecValidationError("fixed: expected an object")
-    n = _integer(fixed.get("n", 0), "fixed.n")
-    omega, epsilon, gamma = (
-        _number(fixed.get(name, default), f"fixed: {name}")
-        for name, default in (("omega", 1.0), ("epsilon", 5.0), ("gamma", 1.0))
-    )
     try:
-        return ModelParams(omega, epsilon, gamma, n)
+        return ModelParams(fixed.get("omega", 1.0), fixed.get("epsilon", 5.0),
+                           fixed.get("gamma", 1.0), fixed.get("n", 0))
     except ValueError as exc:
         raise SpecValidationError(f"fixed: {exc}") from exc
 
 
 def spec_from_dict(data: dict) -> SweepSpec:
-    """Inverse of spec_to_dict; also accepts CLI config files."""
+    """Inverse of spec_to_dict; also reads CLI config files.
+
+    Checks only the shape: an object, with 1 or 2 axis objects holding
+    name, min, max and steps.  ModelParams, Axis and SweepSpec check every
+    value and keep it as they keep it given in code (an int stays an int),
+    and what the first two refuse is reported after "fixed: " or "axes[i]: ".
+    """
     if not isinstance(data, dict):
         raise SpecValidationError("config: expected a JSON object")
     params = _params_from_dict(data.get("fixed", {}))
@@ -888,24 +901,13 @@ def spec_from_dict(data: dict) -> SweepSpec:
     axes = []
     for i, raw in enumerate(raw_axes, start=1):
         try:
-            name, lo, hi, steps = str(raw["name"]), raw["min"], raw["max"], raw["steps"]
-        except (KeyError, TypeError) as exc:
+            axes.append(Axis(raw["name"], raw["min"], raw["max"], raw["steps"]))
+        except (KeyError, TypeError) as exc:  # not an object with the four keys
             raise SpecValidationError(f"axes[{i}]: {exc!r}") from exc
-        lo, hi = _number(lo, f"axes[{i}]: min"), _number(hi, f"axes[{i}]: max")
-        steps = _integer(steps, f"axes[{i}].steps")
-        try:
-            axes.append(Axis(name, lo, hi, steps))
         except SpecValidationError as exc:  # an Axis cannot name its place in the config
             raise SpecValidationError(f"axes[{i}]: {exc}") from exc
-    bloch = _sequence(data.get("initial_bloch", (0.0, 0.0, 1.0)), "initial_bloch")
-    return SweepSpec(
-        fixed=params,
-        axis1=axes[0],
-        axis2=axes[1] if len(axes) == 2 else None,
-        quantities=data.get("quantities", ("phase",)),
-        n_list=data.get("n_list", ()),
-        initial_bloch=[_number(x, "initial_bloch: each component") for x in bloch],
-    )
+    optional = {k: data[k] for k in ("quantities", "n_list", "initial_bloch") if k in data}
+    return SweepSpec(params, *axes, **optional)
 
 
 def export_json(table: SweepTable, path, spec: SweepSpec) -> None:

@@ -584,6 +584,14 @@ def test_exponent_errors_name_the_refused_block():
     overflow = r"^discriminant: .* overflows at ModelParams\(omega=0\.0, epsilon=1\.4e\+154, gamma="
     with pytest.raises(ValueError, match=overflow):
         metric_divergence_exponent(ModelParams(0.0, 1.4e154, 1.0, 0), "above")
+    # (omega - epsilon)**2 itself overflows: the error metric() raises on
+    # the first offset block, gamma = delta_c +- 1e-4 = 5e159 in floats
+    with pytest.raises(ValueError) as want:
+        metric(ModelParams(1e160, 0.0, 5e159, 0))
+    for side in ("below", "above"):
+        with pytest.raises(ValueError) as got:
+            metric_divergence_exponent(ModelParams(1e160, 0.0, 1.0, 0), side)
+        assert str(got.value) == str(want.value)
 
 
 def _kept_outcome(p, side):

@@ -312,7 +312,7 @@ def test_oversized_grid_exits_one(capsys):
         (
             "spectrum",
             {"axes": [{"name": "delta", "min": 0, "max": 1, "steps": 3.7}]},
-            "axes[1].steps",
+            "axes[1]",
         ),
         # a string where a list belongs, which was read character by character
         (
@@ -325,8 +325,8 @@ def test_oversized_grid_exits_one(capsys):
             {"n_list": "", "axes": [{"name": "delta", "min": 0, "max": 1, "steps": 2}]},
             "n_list",
         ),
-        ("exponent", {"fixed": {"n": 1.5}}, "fixed.n"),
-        ("dynamics", {"fixed": {"gamma": 4, "n": True}}, "fixed.n"),
+        ("exponent", {"fixed": {"n": 1.5}}, "fixed"),
+        ("dynamics", {"fixed": {"gamma": 4, "n": True}}, "fixed"),
         # whole numbers past the float range
         ("exponent", {"fixed": {"omega": 10**400}}, "fixed"),
         ("spectrum", {"axes": [{"name": "delta", "min": 0, "max": 10**400, "steps": 3}]}, "axes[1]"),

@@ -7,14 +7,16 @@ runs several block indices from 0 up to 2**62, sweeps gamma across the
 EP of the largest block together with a t axis or one of the other axes,
 and asks for every quantity.  The t axis reaches 2 Gamma t up to 1e300,
 often near 19, where the no-jump weight of r_y = -1 cancels; the grid
-where it first read below 0 is an explicit example.  Either every column
-matches the scalar functions bit for bit (through repr, so signed zeros
-count), or run_sweep raises SpecValidationError, and it raises exactly
-where the scalar call of some cell raises ValueError.  The search is
+where it first read below 0 is an explicit example.  A spec with a t axis
+is run from every start of _STATES.  Either every column matches the
+scalar functions bit for bit (through repr, so signed zeros count), or
+run_sweep raises SpecValidationError, and it raises exactly where the
+scalar call of some cell raises ValueError.  The search is
 derandomized with a fixed example count, so every run draws the same
 specs.
 """
 
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -86,11 +88,15 @@ def _specs(draw):
     axis = Axis(other, *bounds, steps)
     first, second = (gamma, axis) if draw(st.booleans()) else (axis, gamma)
     fixed = ModelParams(omega, epsilon, 1.0, 0)
-    if other != "t":
-        return SweepSpec(fixed, first, second, QUANTITIES[:4], n_list)
-    # half the dynamics specs start from r_y = -1
-    state = draw(st.one_of(st.just((0.0, -1.0, 0.0)), st.sampled_from(_STATES)))
-    return SweepSpec(fixed, first, second, QUANTITIES, n_list, state)
+    return SweepSpec(fixed, first, second, QUANTITIES if other == "t" else QUANTITIES[:4], n_list)
+
+
+def _from_every_start(spec):
+    """The spec from each start of _STATES if it sweeps t, else the spec
+    alone, so the search reaches every start however hypothesis draws."""
+    if "t" not in (spec.axis1.name, spec.axis2.name):
+        return [spec]
+    return [dataclasses.replace(spec, initial_bloch=r0) for r0 in _STATES]
 
 
 def _scalar_cells(spec):
@@ -121,6 +127,11 @@ def _scalar_cells(spec):
     QUANTITIES, (), (0.0, -0.96, 0.28 + 4e-10),
 ))
 def test_kernel_search_matches_the_scalar_api_or_raises_with_it(spec):
+    for started in _from_every_start(spec):
+        _check(started)
+
+
+def _check(spec):
     want = list(_scalar_cells(spec))
     try:
         table = run_sweep(spec)
@@ -130,7 +141,7 @@ def test_kernel_search_matches_the_scalar_api_or_raises_with_it(spec):
     assert None not in want, "a scalar call raises where run_sweep returns"
     assert len(table) == len(want)
     for k, (cell, (phase, d, spectrum, extras)) in enumerate(zip(table, want)):
-        where = f"cell {k} {cell.n} {cell.coords}"
+        where = f"cell {k} {cell.n} {cell.coords} from {spec.initial_bloch}"
         assert cell.phase is phase, where
         assert repr(cell.discriminant) == repr(d), where
         assert repr(cell.eigenvalues) == repr(spectrum), where

@@ -11,7 +11,7 @@ import pytest
 from nhjc.cli import cli_main
 from nhjc.model import ModelParams
 from nhjc.plots import render_svg
-from nhjc.scan import Axis, SweepSpec, run_sweep
+from nhjc.scan import Axis, SweepSpec, export_csv, read_csv, run_sweep
 
 FIXED = ModelParams(1.0, 5.0, 1.0, 0)
 
@@ -177,3 +177,52 @@ def test_unknown_kind_raises():
     cells, spec = spectrum_cells()
     with pytest.raises(ValueError, match="^unknown plot kind 'pie'$"):
         render_to_string(cells, kind="pie", spec=spec)
+
+
+def _boundary(text):
+    return [line for line in text.splitlines() if 'stroke-dasharray="5,3"' in line]
+
+
+def test_epsilon_gamma_raster_overlays_its_boundary_only_with_a_spec():
+    spec = SweepSpec(FIXED, Axis("epsilon", -5.0, 7.0, 10), Axis("gamma", 0.0, 3.0, 12))
+    table = run_sweep(spec)
+    with_spec, without = render_to_string(table, spec=spec), render_to_string(table)
+    # gamma_c = |omega - epsilon| / 2 is one branch over the whole epsilon axis
+    (line,) = _boundary(with_spec)
+    assert len(line.split('points="')[1].split()) == 10
+    assert not _boundary(without)
+    assert without.splitlines() == [x for x in with_spec.splitlines() if x != line]
+
+
+def test_epsilon_line_plot_has_no_ep_marker():
+    spec = SweepSpec(FIXED, Axis("epsilon", -5.0, 7.0, 30), quantities=("metric_norm",))
+    table = run_sweep(spec)
+    text = render_to_string(table, spec=spec)
+    assert 'stroke-dasharray="4,4"' not in text
+    assert text == render_to_string(table)
+
+
+def _first_row(spec):
+    """The first cell of a sweep as a one-row table, read back from its CSV."""
+    buf = io.StringIO()
+    export_csv(run_sweep(spec), buf)
+    return read_csv(io.StringIO("".join(buf.getvalue().splitlines(True)[:2])))
+
+
+def test_one_row_tables_span_unit_ranges():
+    # one point: the x range is [x, x + 1], the y range [y - 0.5, y + 0.5]
+    spec = SweepSpec(FIXED, Axis("delta", 0.0, 1.9, 20), quantities=("metric_norm",))
+    text = render_to_string(_first_row(spec), spec=spec)
+    ET.fromstring(text)
+    assert 'points="70.00,250.00"' in text  # |G| = sqrt 2 at delta = 0
+    for tick in (">0<", ">1<", ">0.914214<", ">1.91421<"):
+        assert tick in text
+    # one tile fills the plot, its axes span +-0.5 around its centre, and
+    # one boundary point draws no line
+    _, spec = raster_cells()
+    text = render_to_string(_first_row(spec), spec=spec)
+    ET.fromstring(text)
+    assert '<rect x="70.00" y="28.00" width="706.00" height="444.00" fill="#4878cf"/>' in text
+    for tick in (">-0.5<", ">0.5<", ">-5.5<", ">-4.5<"):
+        assert tick in text
+    assert not _boundary(text)

@@ -240,6 +240,18 @@ def test_sweep_refuses_an_evolved_state_that_evolve_no_jump_refuses():
         run_sweep(spec)
 
 
+def test_sweep_refuses_a_survival_past_the_float_range_where_evolve_no_jump_does():
+    # at 2 Gamma t = 710.2 cosh and sinh are finite, but cosh + 0.6 sinh is not
+    p, r0 = ModelParams(1.0, 5.0, 4.0, 0), (0.0, 0.6, 0.8)
+    t = 710.2 / (2.0 * _RATE)
+    with pytest.raises(ValueError, match="^Bloch vector must be finite$"):
+        evolve_no_jump(effective_generator(p), BlochState(r0), t)
+    spec = SweepSpec(p, Axis("t", 0.0, t, 2), quantities=("survival",), initial_bloch=r0)
+    with pytest.raises(SpecValidationError,
+                       match="^survival/bloch: survival not finite on this grid$"):
+        run_sweep(spec)
+
+
 # each extra quantity's columns, in the order a cell lists them
 _COLUMNS = {
     "eigenvalues": (), "phase": (), "metric_norm": ("metric_norm",),
@@ -692,7 +704,7 @@ def test_spec_from_dict_errors():
         spec_from_dict({"axes": [gamma, dict(gamma, name="coupling")]})
     with pytest.raises(SpecValidationError, match=r"^axes\[1\]: steps: need at least 2, got 1$"):
         spec_from_dict({"axes": [dict(gamma, steps=1)]})
-    with pytest.raises(SpecValidationError, match=r"^axes\[2\]: min 2\.0 must be < max 1\.0$"):
+    with pytest.raises(SpecValidationError, match=r"^axes\[2\]: min 2 must be < max 1$"):
         spec_from_dict({"axes": [gamma, dict(gamma, name="delta", min=2, max=1)]})
 
 
@@ -717,21 +729,111 @@ def test_spec_from_dict_type_errors():
         with pytest.raises(SpecValidationError, match="n_list"):
             spec_from_dict({"axes": axes, "n_list": n_list})
     for steps in (3.7, True, math.inf):
-        with pytest.raises(SpecValidationError, match=r"axes\[1\]\.steps"):
+        with pytest.raises(SpecValidationError, match=r"^axes\[1\]: steps: expected an integer"):
             spec_from_dict({"axes": [dict(axes[0], steps=steps)]})
     for n in (1.5, False):
-        with pytest.raises(SpecValidationError, match=r"fixed\.n"):
+        with pytest.raises(SpecValidationError, match="^fixed: n must be a non-negative integer"):
             spec_from_dict({"axes": axes, "fixed": {"n": n}})
     # bools and strings are not numbers: float() read "1_0" as 10.0
     for value in (True, "1_0", "1"):
         with pytest.raises(SpecValidationError, match="^fixed: omega must be a finite real number"):
             spec_from_dict({"axes": axes, "fixed": {"omega": value}})
-        with pytest.raises(SpecValidationError, match=r"^axes\[1\]: min must be a finite real"):
+        with pytest.raises(SpecValidationError, match=r"^axes\[1\]: min: expected a real number"):
             spec_from_dict({"axes": [dict(axes[0], min=value)]})
-        with pytest.raises(SpecValidationError, match="^initial_bloch: each component must be"):
+        with pytest.raises(SpecValidationError, match="^initial_bloch: need 3 finite components$"):
             spec_from_dict({"axes": axes, "initial_bloch": [0, 0, value]})
     spec = spec_from_dict({"axes": [dict(axes[0], steps=3.0)], "n_list": [2.0]})
     assert spec.axis1.steps == 3 and spec.n_list == (2,)
+
+
+_CONFIG_AXIS = {"name": "gamma", "min": 0.0, "max": 1.0, "steps": 3}
+_BAD_NUMBERS = (True, "1", None, [1], 10**400, math.nan, math.inf)
+
+
+def _message(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("omega", _BAD_NUMBERS), ("epsilon", _BAD_NUMBERS), ("gamma", _BAD_NUMBERS),
+    ("n", (1.5, True, -1, "2", None, 10**400, math.inf)),
+])
+def test_config_fixed_errors_are_model_params_messages(field, values):
+    defaults = {"omega": 1.0, "epsilon": 5.0, "gamma": 1.0, "n": 0}
+    for value in values:
+        fixed = dict(defaults, **{field: value})
+        want = "fixed: " + _message(lambda: ModelParams(**fixed))
+        got = _message(lambda: spec_from_dict({"fixed": fixed, "axes": [_CONFIG_AXIS]}))
+        assert got == want and want.startswith(f"fixed: {field} ")
+
+
+@pytest.mark.parametrize("field, values", [
+    ("name", ("coupling", 5, None)),
+    ("min", (*_BAD_NUMBERS, 2, 1.0)),
+    ("max", (*_BAD_NUMBERS, -1)),
+    ("steps", (3.5, True, 1, "3", None, MAX_CELLS + 1, math.inf)),
+])
+def test_config_axis_errors_are_axis_messages(field, values):
+    for value in values:
+        raw = dict(_CONFIG_AXIS, **{field: value})
+        want = _message(lambda: Axis(**raw))
+        assert field in want
+        for i, axes in ((1, [raw]), (2, [dict(_CONFIG_AXIS, name="t"), raw])):
+            assert _message(lambda: spec_from_dict({"axes": axes})) == f"axes[{i}]: {want}"
+
+
+@pytest.mark.parametrize("field, values", [
+    ("quantities", ("phase", 5, [], ["phaze"], [["phase"]], ["survival"])),
+    ("n_list", ("", 3, [1.5], [-1], ["2"], [True], [2**63])),
+    ("initial_bloch", ("001", 3, [0, 0], [0, 0, "1"], [0, 0, True], [0, 0, 2], [0, 0, math.nan])),
+])
+def test_config_spec_errors_are_sweep_spec_messages(field, values):
+    """SweepSpec names these fields itself, so the config adds no place."""
+    for value in values:
+        want = _message(lambda: SweepSpec(FIXED, Axis(**_CONFIG_AXIS), **{field: value}))
+        assert want.startswith(f"{field}: ")
+        assert _message(lambda: spec_from_dict({"axes": [_CONFIG_AXIS], field: value})) == want
+
+
+def _typed(spec) -> list:
+    """Every field of a spec as (type name, value), in the order spec_to_dict lists them."""
+    meta = spec_to_dict(spec)
+    values = [*meta["fixed"].values(), *(v for a in meta["axes"] for v in a.values()),
+              *meta["n_list"], *meta["initial_bloch"]]
+    return [(type(v).__name__, v) for v in values]
+
+
+@pytest.mark.parametrize("spec, config", [
+    (
+        SweepSpec(ModelParams(1, 5, 2, 0), Axis("delta", 0, 4, 5), quantities=("entropy",),
+                  n_list=(0, 2)),
+        {"fixed": {"omega": 1, "epsilon": 5, "gamma": 2}, "n_list": [0, 2],
+         "axes": [{"name": "delta", "min": 0, "max": 4, "steps": 5}], "quantities": ["entropy"]},
+    ),
+    (
+        SweepSpec(ModelParams(1.0, 5, 4, 0), Axis("t", 0, 0.5, 4), Axis("gamma", 3.5, 4, 3),
+                  quantities=("survival", "bloch"), initial_bloch=(0, 0.6, 0.8)),
+        {"fixed": {"omega": 1.0, "epsilon": 5, "gamma": 4}, "initial_bloch": [0, 0.6, 0.8],
+         "axes": [{"name": "t", "min": 0, "max": 0.5, "steps": 4},
+                  {"name": "gamma", "min": 3.5, "max": 4, "steps": 3}],
+         "quantities": ["survival", "bloch"]},
+    ),
+    (simple_spec(quantities=("metric_norm", "phase")), None),
+])
+def test_config_values_are_kept_as_the_constructors_keep_them(spec, config):
+    """A spec read from its config is the spec built in code, field types
+    included, so both give the same JSON bytes, `meta` and all."""
+    configs = [spec_to_dict(spec), json.loads(json.dumps(spec_to_dict(spec)))]
+    for read in map(spec_from_dict, configs + ([config] if config else [])):
+        assert read == spec and _typed(read) == _typed(spec)
+        table = run_sweep(read)
+        assert table == run_sweep(spec)
+        written, want = io.StringIO(), io.StringIO()
+        export_json(table, written, read)
+        export_json(run_sweep(spec), want, spec)
+        assert written.getvalue() == want.getvalue()
 
 
 def test_run_sweep_overflow_names_the_quantity():

@@ -184,6 +184,39 @@ def test_tables_differing_in_one_place_compare_unequal():
     assert list(_with(table, coords=(shifted,))) != list(table)
 
 
+def _longer(column):
+    return np.append(column, column[-1:])
+
+
+# each a table that a writer, indexing or read_csv would fail on
+_UNHELD = {
+    "a longer coordinate column": (
+        lambda t: {"coords": (_longer(t.coords[0]),)}, "1-d and of one length"),
+    "a shorter extra": (
+        lambda t: {"extras": {k: v[:-1] for k, v in t.extras.items()}}, "1-d and of one length"),
+    "an extra without a mask": (
+        lambda t: {"omitted": {"entropy_I": t.omitted["entropy_I"]}}, "the same keys"),
+    "phase code 5": (lambda t: {"phase": np.where(t.phase == 2, 5, t.phase)}, "phase codes"),
+    "n = 2**63": (lambda t: {"n": [2**63] * len(t)}, r"n must be in \[0, 2\*\*63\)"),
+    "n = 2**63 as uint64": (
+        lambda t: {"n": np.full(len(t), 2**63, np.uint64)}, r"n must be in \[0, 2\*\*63\)"),
+    "n = -1": (lambda t: {"n": np.full(len(t), -1)}, r"n must be in \[0, 2\*\*63\)"),
+    "three axis names": (lambda t: {"axis_names": ("delta", "gamma", "t")}, "1 or 2 distinct"),
+    "two names, one column": (lambda t: {"axis_names": ("delta", "gamma")}, "1 or 2 distinct"),
+    "a repeated name": (
+        lambda t: {"axis_names": ("delta", "delta"), "coords": t.coords * 2}, "1 or 2 distinct"),
+    "an unknown name": (lambda t: {"axis_names": ("coupling",)}, "1 or 2 distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNHELD))
+def test_constructor_refuses_a_table_the_files_cannot_hold(case):
+    table = run_sweep(SPECS["metric_entropy_ep"])
+    columns, match = _UNHELD[case]
+    with pytest.raises(ValueError, match=f"^SweepTable: .*{match}"):
+        _with(table, **columns(table))
+
+
 def test_omitted_everywhere_is_no_column():
     # a grid inside the EP band: every cell omits metric_norm
     spec = SweepSpec(FIXED, Axis("gamma", 2.0 - 1e-11, 2.0 + 1e-11, 3), quantities=("metric_norm",))
